@@ -215,9 +215,6 @@ class BasicBlock:
     def halts(self) -> bool:
         return self.terminator in HALTING_TERMINATORS
 
-    def starts_with_jumpdest(self) -> bool:
-        return self.instructions[0].opcode == JUMPDEST
-
     def with_clone(self, clone: int) -> "BasicBlock":
         """A clone shares the byte-identical instruction list."""
         return BasicBlock(

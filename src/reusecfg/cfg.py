@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .bytecode import (
     BasicBlock,
@@ -33,7 +34,6 @@ from .emulator import (
     CONST,
     PHI,
     EmulationResult,
-    Snapshot,
     StackState,
     TacOp,
     ValueTable,
@@ -41,6 +41,7 @@ from .emulator import (
     prepare_stack,
     trace_origin,
 )
+from .graph import collapsed_successors, dfs
 
 
 class Mode(enum.Enum):
@@ -61,8 +62,6 @@ class Config:
     total_block_budget: int = 100_000
     reemulation_cap: int = 64
     branch_bound: int = 16
-    mode: Mode = Mode.REUSE_SENSITIVE
-    output_format: str = "json"
 
     def __post_init__(self) -> None:
         for name in ("clone_budget_per_offset", "total_block_budget", "reemulation_cap", "branch_bound"):
@@ -87,63 +86,75 @@ class Edge:
     kind: EdgeKind
 
 
+class EdgeView:
+    """Read-only view of every edge of a `Cfg`, grouped by source, each
+    group in insertion order.  Sized without listing the edges."""
+
+    __slots__ = ("_succ",)
+
+    def __init__(self, succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], Edge]]) -> None:
+        self._succ = succ
+
+    def __len__(self) -> int:
+        return sum(map(len, self._succ.values()))
+
+    def __iter__(self) -> Iterator[Edge]:
+        for out in self._succ.values():
+            yield from out.values()
+
+
 @dataclass
 class Cfg:
-    """Recovered control-flow graph plus per-clone analysis state."""
+    """Recovered control-flow graph plus per-clone analysis state.
+
+    `succ` is the one edge store: per source block, its out-edges keyed by
+    (destination, kind) in insertion order.  A JUMPI whose target is the
+    next block has both a JUMP and a FALLTHROUGH edge to it.  `pred` mirrors
+    it per destination.  Only `add_edge` and `remove_out_edges` write either.
+    """
 
     mode: Mode
     entry: BlockId
     limits: Config = field(default_factory=Config)
     blocks: dict[BlockId, BasicBlock] = field(default_factory=dict)
-    edges: list[Edge] = field(default_factory=list)
-    snapshots: dict[BlockId, list[Snapshot]] = field(default_factory=dict)
+    succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], Edge]] = field(default_factory=dict)
+    pred: dict[BlockId, dict[tuple[BlockId, EdgeKind], None]] = field(default_factory=dict)
     reuse_contexts: dict[BlockId, dict[int, int]] = field(default_factory=dict)
-    diagnostics: list[tuple[str, str, int]] = field(default_factory=list)
+    # Insertion-ordered set of (severity, message, offset).
+    diagnostics: dict[tuple[str, str, int], None] = field(default_factory=dict)
     value_table: ValueTable = field(default_factory=ValueTable)
     s_start: dict[BlockId, StackState] = field(default_factory=dict)
     s_end: dict[BlockId, StackState] = field(default_factory=dict)
     tac: dict[BlockId, list[TacOp]] = field(default_factory=dict)
     end_block_clones: set[BlockId] = field(default_factory=set)
 
-    _edge_set: set[tuple[BlockId, BlockId, EdgeKind]] = field(default_factory=set)
-    _preds: dict[BlockId, list[BlockId]] = field(default_factory=dict)
-    _succs: dict[BlockId, list[tuple[BlockId, EdgeKind]]] = field(default_factory=dict)
+    @property
+    def edges(self) -> EdgeView:
+        return EdgeView(self.succ)
 
     def add_diagnostic(self, severity: str, message: str, offset: int = -1) -> None:
-        item = (severity, message, offset)
-        if item not in self.diagnostics:
-            self.diagnostics.append(item)
+        self.diagnostics[(severity, message, offset)] = None
 
     def has_edge(self, src: BlockId, dst: BlockId, kind: EdgeKind) -> bool:
-        return (src, dst, kind) in self._edge_set
+        return src in self.succ and (dst, kind) in self.succ[src]
 
     def add_edge(self, src: BlockId, dst: BlockId, kind: EdgeKind) -> bool:
-        key = (src, dst, kind)
-        if key in self._edge_set:
+        out = self.succ.setdefault(src, {})
+        if (dst, kind) in out:
             return False
-        self._edge_set.add(key)
-        self.edges.append(Edge(src, dst, kind))
-        self._preds.setdefault(dst, []).append(src)
-        self._succs.setdefault(src, []).append((dst, kind))
+        out[(dst, kind)] = Edge(src, dst, kind)
+        self.pred.setdefault(dst, {})[(src, kind)] = None
         return True
 
     def remove_out_edges(self, src: BlockId) -> None:
-        gone = [e for e in self.edges if e.src == src]
-        if not gone:
-            return
-        self.edges = [e for e in self.edges if e.src != src]
-        for e in gone:
-            self._edge_set.discard((e.src, e.dst, e.kind))
-            preds = self._preds.get(e.dst)
-            if preds and e.src in preds:
-                preds.remove(e.src)
-        self._succs.pop(src, None)
+        for dst, kind in self.succ.pop(src, ()):
+            del self.pred[dst][(src, kind)]
 
     def predecessors(self, block: BlockId) -> list[BlockId]:
-        return list(dict.fromkeys(self._preds.get(block, [])))
+        return list(dict.fromkeys(src for src, _ in self.pred.get(block, ())))
 
     def successors(self, block: BlockId) -> list[tuple[BlockId, EdgeKind]]:
-        return list(self._succs.get(block, []))
+        return list(self.succ.get(block, ()))
 
     def clones_at(self, offset: int) -> list[BlockId]:
         out = []
@@ -154,7 +165,7 @@ class Cfg:
         return out
 
     def jump_successors(self, block: BlockId) -> list[BlockId]:
-        return [dst for dst, kind in self.successors(block) if kind is EdgeKind.JUMP]
+        return [dst for dst, kind in self.succ.get(block, ()) if kind is EdgeKind.JUMP]
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +500,7 @@ class _Recovery:
             cfg.add_diagnostic(severity, message, off)
         cfg.s_end[cur] = result.s_end
         cfg.tac[cur] = result.tac
-        count = self.emulation_count.get(cur, 0)
-        cfg.snapshots.setdefault(cur, []).append(
-            Snapshot(cfg.s_start[cur], result.s_end, count)
-        )
-        self.emulation_count[cur] = count + 1
+        self.emulation_count[cur] = self.emulation_count.get(cur, 0) + 1
 
         pending: list[tuple[BlockId | None, BlockId]] = []
         for request in result.successors:
@@ -542,15 +549,8 @@ class _Recovery:
     def _finalize(self) -> None:
         """Mark never-visited originals as data and drop orphaned clones."""
         cfg = self.cfg
-        reachable: set[BlockId] = set()
-        stack = [cfg.entry]
-        while stack:
-            b = stack.pop()
-            if b in reachable:
-                continue
-            reachable.add(b)
-            for dst, _ in cfg.successors(b):
-                stack.append(dst)
+        postorder, _ = dfs(collapsed_successors(cfg), [cfg.entry])
+        reachable = set(postorder)
         for block_id, block in list(cfg.blocks.items()):
             if block_id.clone == 0:
                 block.is_data = cfg.s_start.get(block_id) is None
@@ -558,21 +558,20 @@ class _Recovery:
                 del cfg.blocks[block_id]
                 cfg.s_start.pop(block_id, None)
                 cfg.s_end.pop(block_id, None)
-                cfg.snapshots.pop(block_id, None)
                 cfg.reuse_contexts.pop(block_id, None)
                 cfg.tac.pop(block_id, None)
                 cfg.end_block_clones.discard(block_id)
-        kept = set(cfg.blocks)
-        dropped = [e for e in cfg.edges if e.src not in kept or e.dst not in kept]
-        for e in dropped:
-            cfg.edges.remove(e)
-            cfg._edge_set.discard((e.src, e.dst, e.kind))
-            preds = cfg._preds.get(e.dst)
-            if preds and e.src in preds:
-                preds.remove(e.src)
-            succs = cfg._succs.get(e.src)
-            if succs and (e.dst, e.kind) in succs:
-                succs.remove((e.dst, e.kind))
+        # Only unreachable blocks can have edges to or from a dropped clone:
+        # dropped clones lose all their edges, unreachable originals keep
+        # the ones between kept blocks.
+        for src in [b for b in cfg.succ if b not in reachable]:
+            out = cfg.successors(src)
+            kept = [(dst, kind) for dst, kind in out if src in cfg.blocks and dst in cfg.blocks]
+            if len(kept) == len(out):
+                continue
+            cfg.remove_out_edges(src)
+            for dst, kind in kept:
+                cfg.add_edge(src, dst, kind)
 
 
 def build_cfg(

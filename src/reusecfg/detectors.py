@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .bytecode import BlockId
 from .cfg import Cfg
 from .emulator import CONST, PHI, SYM, ValueTable, trace_origin
+from .graph import collapsed_successors, dag_reachability
 
 # Opcodes that can hand control to another contract with state at stake.
 # STATICCALL cannot re-enter with writes and is excluded.
@@ -147,47 +148,6 @@ def _structurally_equal(a: int, b: int, table: ValueTable) -> bool:
     return True
 
 
-def _dag_reachability(cfg: Cfg) -> dict[BlockId, set[BlockId]]:
-    """Forward reachability over the back-edge-removed graph."""
-    adj: dict[BlockId, list[BlockId]] = {b: [] for b in cfg.blocks}
-    for e in cfg.edges:
-        if e.dst not in adj[e.src]:
-            adj[e.src].append(e.dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {b: WHITE for b in cfg.blocks}
-    back: set[tuple[BlockId, BlockId]] = set()
-    order: list[BlockId] = []
-    for root in sorted(cfg.blocks):
-        if color[root] != WHITE:
-            continue
-        color[root] = GRAY
-        stack = [(root, 0)]
-        while stack:
-            node, idx = stack[-1]
-            succs = adj[node]
-            if idx < len(succs):
-                stack[-1] = (node, idx + 1)
-                nxt = succs[idx]
-                if color[nxt] == GRAY:
-                    back.add((node, nxt))
-                elif color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                order.append(node)
-                stack.pop()
-    reach: dict[BlockId, set[BlockId]] = {b: set() for b in cfg.blocks}
-    for node in order:  # postorder: successors done first
-        acc = reach[node]
-        for s in adj[node]:
-            if (node, s) in back:
-                continue
-            acc.add(s)
-            acc |= reach[s]
-    return reach
-
-
 def detect_reentrancy(cfg: Cfg, value_table: ValueTable) -> list[Finding]:
     """Check-interaction-effect ordering violations.
 
@@ -213,7 +173,7 @@ def detect_reentrancy(cfg: Cfg, value_table: ValueTable) -> list[Finding]:
             elif op.mnemonic == "SSTORE" and len(op.args) == 2:
                 sstores.append((block_id, op.offset, op.args[0]))
 
-    reach = _dag_reachability(cfg)
+    reach = dag_reachability(collapsed_successors(cfg), sorted(cfg.blocks))
 
     def ordered(b1: BlockId, off1: int, b2: BlockId, off2: int) -> bool:
         if b1 == b2:

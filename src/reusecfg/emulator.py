@@ -87,9 +87,6 @@ class ValueTable:
         v = self._values[vid]
         return v.const if v.kind == CONST else None
 
-    def is_const(self, vid: int) -> bool:
-        return self._values[vid].kind == CONST
-
     def values_equal(self, a: int, b: int) -> bool:
         """Id equality, or equal constants (distinct pushes of one value)."""
         if a == b:
@@ -162,15 +159,6 @@ class StackState:
     @property
     def top(self) -> int | None:
         return self.entries[-1] if self.entries else None
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Entry/exit stack pair recorded for one visit of a block."""
-
-    s_start: StackState
-    s_end: StackState
-    visit_ordinal: int
 
 
 @dataclass(frozen=True)

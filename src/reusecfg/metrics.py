@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bytecode import BlockId
-from .cfg import AnalysisError, Cfg, EdgeKind
+from .cfg import AnalysisError, Cfg
+from .graph import collapsed_successors, dfs
 
 
 @dataclass(frozen=True)
@@ -27,44 +28,13 @@ class PathReport:
     back_edges_removed: int
 
 
-def _adjacency(cfg: Cfg) -> dict[BlockId, list[BlockId]]:
-    """Successor lists in edge-insertion order, parallel edges collapsed."""
-    adj: dict[BlockId, list[BlockId]] = {b: [] for b in cfg.blocks}
-    for edge in cfg.edges:
-        if edge.dst not in adj[edge.src]:
-            adj[edge.src].append(edge.dst)
-    return adj
-
-
 def count_paths(cfg: Cfg) -> PathReport:
     """Entry-to-sink path count after removing DFS back edges."""
     if cfg.entry not in cfg.blocks:
         raise AnalysisError("entry block missing from CFG")
-    adj = _adjacency(cfg)
-
-    # Iterative DFS, tracking the gray (on-stack) set to spot back edges.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[BlockId, int] = {b: WHITE for b in cfg.blocks}
-    back_edges: set[tuple[BlockId, BlockId]] = set()
-    order: list[BlockId] = []  # reverse-postorder accumulator
-    stack: list[tuple[BlockId, int]] = [(cfg.entry, 0)]
-    color[cfg.entry] = GRAY
-    while stack:
-        node, idx = stack[-1]
-        succs = adj[node]
-        if idx < len(succs):
-            stack[-1] = (node, idx + 1)
-            nxt = succs[idx]
-            if color[nxt] == GRAY:
-                back_edges.add((node, nxt))
-            elif color[nxt] == WHITE:
-                color[nxt] = GRAY
-                stack.append((nxt, 0))
-        else:
-            color[node] = BLACK
-            order.append(node)
-            stack.pop()
-    order.reverse()  # topological over the back-edge-free reachable subgraph
+    adj = collapsed_successors(cfg)
+    postorder, back_edges = dfs(adj, [cfg.entry])
+    order = postorder[::-1]  # topological over the back-edge-free reachable subgraph
 
     reachable = set(order)
     npaths: dict[BlockId, int] = {b: 0 for b in reachable}
@@ -87,9 +57,7 @@ def polymorphic_jump_targets(cfg: Cfg) -> list[tuple[BlockId, frozenset[BlockId]
     """Blocks whose non-fallthrough edges reach more than one target."""
     out = []
     for block_id in sorted(cfg.blocks):
-        targets = frozenset(
-            e.dst for e in cfg.edges if e.src == block_id and e.kind is EdgeKind.JUMP
-        )
+        targets = frozenset(cfg.jump_successors(block_id))
         if len(targets) > 1:
             out.append((block_id, targets))
     return out
@@ -107,9 +75,7 @@ def trace_coverage(
     by_offset: dict[int, list[BlockId]] = {}
     for block_id in cfg.blocks:
         by_offset.setdefault(block_id.offset, []).append(block_id)
-    succs: dict[BlockId, set[BlockId]] = {}
-    for e in cfg.edges:
-        succs.setdefault(e.src, set()).add(e.dst)
+    succs = collapsed_successors(cfg)
 
     covered = 0
     uncovered = []
@@ -125,7 +91,7 @@ def trace_coverage(
             frontier = {
                 nxt
                 for b in frontier
-                for nxt in succs.get(b, ())
+                for nxt in succs[b]
                 if nxt.offset == offset
             }
             if not frontier:

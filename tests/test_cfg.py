@@ -15,9 +15,12 @@ from reusecfg.cfg import (
     Config,
     EdgeKind,
     Mode,
+    _make_clone,
+    _Recovery,
     build_cfg,
     export,
 )
+from reusecfg.emulator import StackState
 from reusecfg.corpus import Pattern, PatternSpec, generate
 from reusecfg.metrics import count_paths, polymorphic_jump_targets
 
@@ -120,6 +123,27 @@ def test_invalid_jump_target_diagnostic():
     assert any("invalid jump target" in m for _, m, _ in cfg.diagnostics)
 
 
+def test_finalize_drops_edges_into_orphaned_clones():
+    # JUMPDEST x3 then STOP: blocks at 0x0, 0x1 and 0x2.  The original at
+    # 0x1 was visited but is no longer reachable, and its edge leads to a
+    # clone that nothing reachable uses.
+    recovery = _Recovery(bytes.fromhex("5b5b5b00"), Mode.REUSE_SENSITIVE, Config())
+    cfg = recovery.cfg
+    stale, end = BlockId(1, 0), BlockId(2, 0)
+    cfg.s_start[cfg.entry] = StackState(())
+    cfg.s_start[stale] = StackState(())
+    orphan = _make_clone(cfg, 2)
+    cfg.add_edge(stale, orphan, EdgeKind.JUMP)
+    cfg.add_edge(stale, end, EdgeKind.FALLTHROUGH)
+    cfg.add_edge(orphan, end, EdgeKind.FALLTHROUGH)
+    recovery._finalize()
+    assert orphan not in cfg.blocks
+    assert [(e.src, e.dst, e.kind) for e in cfg.edges] == [(stale, end, EdgeKind.FALLTHROUGH)]
+    assert cfg.predecessors(end) == [stale]
+    assert cfg.predecessors(orphan) == []
+    assert not cfg.blocks[stale].is_data
+
+
 def test_data_tail_kept_and_flagged():
     # STOP then unreachable trailing bytes (a JUMPDEST and friends).
     code = bytes.fromhex("005b6001")
@@ -213,15 +237,6 @@ def test_export_tac_listing():
     doc = json.loads(export(cfg, "json", emit_tac=True))
     entry = next(b for b in doc["blocks"] if b["id"] == "0x0_0")
     assert any("PUSH" in line for line in entry["tac"])
-
-
-def test_snapshots_recorded_per_visit():
-    code, blocks = mixed_join_fixture()
-    cfg = build_cfg(code, Mode.REUSE_SENSITIVE)
-    for block_id, snaps in cfg.snapshots.items():
-        assert snaps, block_id
-        for ordinal, snap in enumerate(snaps):
-            assert snap.visit_ordinal == ordinal
 
 
 def test_fuzz_never_crashes():

@@ -1,0 +1,48 @@
+"""Golden digest: recovery output stays byte-identical across refactors.
+
+One sha256 covers the JSON (with TAC and diagnostics) and DOT exports of
+stress fixtures in both modes, plus the JSON export of every pattern fixture
+in both modes.  The pinned value was computed before the graph store was
+rewritten; a change to it means some export changed by at least one byte.
+"""
+
+import hashlib
+
+from reusecfg import Mode, Pattern, PatternSpec, build_cfg, export, generate, stress_fixture
+
+GOLDEN_SHA256 = "37c1fe3355275bbe88bf9ab8c71e2facad1c6fe75e12b918aba9c3d34d5113ff"
+
+MODES = (Mode.REUSE_SENSITIVE, Mode.REUSE_INSENSITIVE)
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+
+    def feed(label: str, data: bytes) -> None:
+        h.update(f"{label} {len(data)}\n".encode())
+        h.update(data)
+
+    for size in (3000, 12000):
+        for seed in (0, 5):
+            code = stress_fixture(size, seed)
+            for mode in MODES:
+                cfg = build_cfg(code, mode)
+                tag = f"stress/{size}/{seed}/{mode.value}"
+                feed(tag + "/json", export(cfg, "json", emit_tac=True))
+                feed(tag + "/dot", export(cfg, "dot"))
+    for pattern in Pattern:
+        for depth in range(1, 5):
+            for seed in range(5):
+                code = generate(PatternSpec(pattern, seed=seed, nesting_depth=depth)).bytecode
+                for mode in MODES:
+                    cfg = build_cfg(code, mode)
+                    feed(f"{pattern.value}/{depth}/{seed}/{mode.value}", export(cfg, "json"))
+    return h.hexdigest()
+
+
+def test_exports_match_golden_digest():
+    assert golden_digest() == GOLDEN_SHA256
+
+
+if __name__ == "__main__":
+    print(golden_digest())

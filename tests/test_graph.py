@@ -1,0 +1,124 @@
+"""The edge store of `Cfg` and the DFS in `reusecfg.graph`."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reusecfg.bytecode import BlockId
+from reusecfg.cfg import Cfg, EdgeKind, Mode, build_cfg
+from reusecfg.graph import dag_reachability, dfs
+from reusecfg.metrics import count_paths
+
+NODES = [BlockId(offset, clone) for offset in (0, 3, 7) for clone in (0, 1)]
+KINDS = list(EdgeKind)
+
+
+def test_jumpi_to_next_block_keeps_both_edges():
+    # PUSH1 0; PUSH1 5; JUMPI; JUMPDEST; STOP: the jump target is also the
+    # fallthrough block, so one source has two edges to one destination.
+    code = bytes.fromhex("60006005575b00")
+    src, dst = BlockId(0, 0), BlockId(5, 0)
+    for mode in Mode:
+        cfg = build_cfg(code, mode)
+        assert cfg.has_edge(src, dst, EdgeKind.JUMP)
+        assert cfg.has_edge(src, dst, EdgeKind.FALLTHROUGH)
+        assert sorted(kind.value for _, kind in cfg.successors(src)) == ["fallthrough", "jump"]
+        assert len(cfg.edges) == 2
+        assert cfg.predecessors(dst) == [src]
+        assert cfg.jump_successors(src) == [dst]
+        assert count_paths(cfg).path_count == 1
+
+
+class ListModel:
+    """Edge semantics of a plain insertion-ordered list of edges."""
+
+    def __init__(self) -> None:
+        self.edges: list[tuple[BlockId, BlockId, EdgeKind]] = []
+
+    def add_edge(self, src, dst, kind) -> bool:
+        if (src, dst, kind) in self.edges:
+            return False
+        self.edges.append((src, dst, kind))
+        return True
+
+    def remove_out_edges(self, src) -> None:
+        self.edges = [e for e in self.edges if e[0] != src]
+
+    def grouped(self) -> list[tuple[BlockId, BlockId, EdgeKind]]:
+        """The edges grouped by source, groups in order of their first edge."""
+        first: dict[BlockId, int] = {}
+        for i, (src, _, _) in enumerate(self.edges):
+            first.setdefault(src, i)
+        return sorted(self.edges, key=lambda e: first[e[0]])
+
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(NODES), st.sampled_from(NODES), st.sampled_from(KINDS)),
+        st.tuples(st.just("remove"), st.sampled_from(NODES)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ops)
+def test_edge_store_matches_list_model(ops):
+    cfg = Cfg(mode=Mode.REUSE_SENSITIVE, entry=NODES[0])
+    model = ListModel()
+    for op in ops:
+        if op[0] == "add":
+            assert cfg.add_edge(*op[1:]) == model.add_edge(*op[1:])
+        else:
+            cfg.remove_out_edges(op[1])
+            model.remove_out_edges(op[1])
+    assert [(e.src, e.dst, e.kind) for e in cfg.edges] == model.grouped()
+    for node in NODES:
+        assert cfg.successors(node) == [(d, k) for s, d, k in model.edges if s == node]
+        assert cfg.jump_successors(node) == [
+            d for s, d, k in model.edges if s == node and k is EdgeKind.JUMP
+        ]
+        assert cfg.predecessors(node) == list(
+            dict.fromkeys(s for s, d, _ in model.edges if d == node)
+        )
+        for dst in NODES:
+            for kind in KINDS:
+                assert cfg.has_edge(node, dst, kind) == ((node, dst, kind) in model.edges)
+
+
+_graphs = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs)
+def test_dfs_agrees_with_networkx(graph):
+    nx = pytest.importorskip("networkx")
+    n, pairs = graph
+    nodes = [BlockId(i, 0) for i in range(n)]
+    adj = {b: [] for b in nodes}
+    for a, b in pairs:
+        if nodes[b] not in adj[nodes[a]]:
+            adj[nodes[a]].append(nodes[b])
+    g = nx.DiGraph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from((a, b) for a, succs in adj.items() for b in succs)
+
+    postorder, back = dfs(adj, [nodes[0]])
+    assert sorted(postorder) == sorted({nodes[0]} | nx.descendants(g, nodes[0]))
+    assert back <= set(g.edges)
+
+    postorder, back = dfs(adj, nodes)
+    assert sorted(postorder) == nodes
+    dag = g.copy()
+    dag.remove_edges_from(back)
+    assert nx.is_directed_acyclic_graph(dag)
+    position = {b: i for i, b in enumerate(reversed(postorder))}
+    assert all(position[a] < position[b] for a, b in dag.edges)
+
+    reach = dag_reachability(adj, nodes)
+    assert reach == {b: nx.descendants(dag, b) for b in nodes}
