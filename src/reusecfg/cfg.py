@@ -111,6 +111,12 @@ class Cfg:
     (destination, kind) in insertion order.  A JUMPI whose target is the
     next block has both a JUMP and a FALLTHROUGH edge to it.  `pred` mirrors
     it per destination.  Only `add_edge` and `remove_out_edges` write either.
+
+    `_clones` lists each offset's clones past the original in index order;
+    only `_make_clone` adds to it and `_finalize` drops from it.  `_settled`
+    and `_origins` are caches of the reuse-context step that live only while
+    the graph is being recovered (see `transfer_taint` and
+    `update_reuse_context`); `_finalize` empties them.
     """
 
     mode: Mode
@@ -127,6 +133,11 @@ class Cfg:
     s_end: dict[BlockId, StackState] = field(default_factory=dict)
     tac: dict[BlockId, list[TacOp]] = field(default_factory=dict)
     end_block_clones: set[BlockId] = field(default_factory=set)
+    _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
+    _settled: dict[int, dict[BlockId, tuple[StackState, dict[int, int]]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _origins: dict[int, set[int]] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def edges(self) -> EdgeView:
@@ -157,12 +168,10 @@ class Cfg:
         return list(self.succ.get(block, ()))
 
     def clones_at(self, offset: int) -> list[BlockId]:
-        out = []
-        clone = 0
-        while BlockId(offset, clone) in self.blocks:
-            out.append(BlockId(offset, clone))
-            clone += 1
-        return out
+        original = BlockId(offset, 0)
+        if original not in self.blocks:
+            return []
+        return [original, *self._clones.get(offset, ())]
 
     def jump_successors(self, block: BlockId) -> list[BlockId]:
         return [dst for dst, kind in self.succ.get(block, ()) if kind is EdgeKind.JUMP]
@@ -183,8 +192,14 @@ def update_reuse_context(
     re-expanding the chain there, until the block that pushed the value is
     reached.  If the operand was pushed inside `block` itself, nothing is
     tainted.  Tainted offsets share their locations across clones.
+
+    Chain values are handled in ascending id order, because a phi position
+    can hold two chain constants and the last write wins.  Each root's chain
+    is kept in `cfg._origins` while the table is the graph's own: values
+    never change once made.
     """
     table = value_table
+    origins = cfg._origins if table is cfg.value_table else {}
     # (clone, value id) pairs whose def-use chain is matched against that
     # clone's S_start.
     work: list[tuple[BlockId, int]] = [(block, jump_target_value)]
@@ -198,21 +213,29 @@ def update_reuse_context(
         s_start = cfg.s_start.get(clone)
         if s_start is None:
             continue
-        preds = cfg.predecessors(clone)
-        for vid in sorted(trace_origin(root, table)):
-            positions = []
-            for idx, entry in enumerate(s_start.entries):
-                if entry == vid:
-                    positions.append(idx)
-                elif table.get(entry).kind == PHI and vid in table.get(entry).members:
-                    positions.append(idx)
-            if not positions:
-                continue  # not pre-pushed relative to this clone
+        chain = origins.get(root)
+        if chain is None:
+            chain = origins[root] = trace_origin(root, table)
+        # One pass over S_start: chain value -> its positions, ascending.  A
+        # phi entry holds each of its members too.
+        found: dict[int, list[int]] = {}
+        for idx, entry in enumerate(s_start.entries):
+            if entry in chain:
+                found.setdefault(entry, []).append(idx)
+            value = table.get(entry)
+            if value.kind == PHI:
+                for member in value.members:
+                    if member in chain:
+                        found.setdefault(member, []).append(idx)
+        if not found:
+            continue  # not pre-pushed relative to this clone
+        preds = list(dict.fromkeys(src for src, _ in cfg.pred.get(clone, ())))
+        for vid in sorted(found):
             value = table.get(vid)
             if value.kind == CONST:
                 ctx = cfg.reuse_contexts.setdefault(clone, {})
                 added = False
-                for idx in positions:
+                for idx in found[vid]:
                     if ctx.get(idx) != value.const:
                         ctx[idx] = value.const
                         added = True
@@ -252,24 +275,46 @@ def transfer_taint(cfg: Cfg, offset: int) -> None:
     indices are copied across in ascending order while the values at the
     already-shared indices agree; the first disagreement ends the shared
     region.  Runs to a fixpoint and is idempotent.
+
+    Only clones changed since the offset's last fixpoint are settled.  At
+    the end of each fixpoint every clone's S_start (by identity) and a copy
+    of its context replace the offset's records in `cfg._settled`; a clone
+    whose state differs from its record, or that has none (it is new, or it
+    had no S_start at the last fixpoint), is dirty, and so is a clone that
+    gains a key here.  A pair runs only when one of its clones is dirty, in
+    the same rounds and clone order as a full pass.  That is exact: a pair
+    reads nothing but its two contexts and the target's S_start, so when
+    none of them changed since a round in which the pair changed nothing,
+    it changes nothing again, and any out-of-range diagnostic it raises is
+    already recorded.
     """
     clones = [c for c in cfg.clones_at(offset) if cfg.s_start.get(c) is not None]
     if len(clones) < 2:
         return
     table = cfg.value_table
-    changed = True
+    contexts = cfg.reuse_contexts
+    settled = cfg._settled.get(offset, {})
+    dirty: set[BlockId] = set()
+    for c in clones:
+        record = settled.get(c)
+        if record is None or record[0] is not cfg.s_start[c] or record[1] != contexts.get(c, {}):
+            dirty.add(c)
+    changed = bool(dirty)
     while changed:
         changed = False
         for a in clones:
-            ctx_a = cfg.reuse_contexts.get(a)
+            ctx_a = contexts.get(a)
             if not ctx_a:
                 continue
+            a_dirty = a in dirty
+            # Only pairs (x, a) write to ctx_a, so its keys hold for a's pass.
+            keys_a = sorted(ctx_a)
             for b in clones:
-                if a == b:
+                if a == b or not (a_dirty or b in dirty):
                     continue
                 s_b = cfg.s_start[b]
-                ctx_b = cfg.reuse_contexts.setdefault(b, {})
-                for idx in sorted(ctx_a):
+                ctx_b = contexts.setdefault(b, {})
+                for idx in keys_a:
                     if idx >= len(s_b.entries):
                         cfg.add_diagnostic(
                             "info",
@@ -283,12 +328,17 @@ def transfer_taint(cfg: Cfg, offset: int) -> None:
                     if idx not in ctx_b:
                         ctx_b[idx] = value_b.const
                         changed = True
+                        dirty.add(b)
                     if ctx_b[idx] != ctx_a[idx]:
                         break  # differing operands end the shared context
     # prune empty context dicts created above
     for c in clones:
-        if not cfg.reuse_contexts.get(c):
-            cfg.reuse_contexts.pop(c, None)
+        if not contexts.get(c):
+            contexts.pop(c, None)
+    cfg._settled[offset] = {
+        c: (cfg.s_start[c], dict(contexts.get(c, {}))) if c in dirty else settled[c]
+        for c in clones
+    }
 
 
 def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
@@ -308,7 +358,7 @@ def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
             continue
         ctx = cfg.reuse_contexts.get(cand, {})
         ok = True
-        for idx, expected in sorted(ctx.items()):
+        for idx, expected in ctx.items():
             if idx >= len(s_end.entries):
                 ok = False
                 break
@@ -339,7 +389,7 @@ def handle_end_block(cfg: Cfg, b_c: BlockId, end_offset: int) -> BlockId:
         b_c, original, EdgeKind.FALLTHROUGH
     ):
         return original
-    if not cfg.predecessors(original) and cfg.s_start.get(original) is None:
+    if not cfg.pred.get(original) and cfg.s_start.get(original) is None:
         return original
     for cand in cfg.clones_at(end_offset)[1:]:
         if cfg.has_edge(b_c, cand, EdgeKind.JUMP) or cfg.has_edge(
@@ -358,8 +408,9 @@ def _make_clone(cfg: Cfg, offset: int) -> BlockId:
     if len(cfg.blocks) >= cfg.limits.total_block_budget:
         raise CloneBudgetError(offset, "total block budget exceeded")
     original = cfg.blocks[BlockId(offset, 0)]
-    clone = original.with_clone(len(clones))
+    clone = original.with_clone(clones[-1].clone + 1)
     cfg.blocks[clone.id] = clone
+    cfg._clones.setdefault(offset, []).append(clone.id)
     return clone.id
 
 
@@ -547,7 +598,8 @@ class _Recovery:
             pending.append((cur, succ))
 
     def _finalize(self) -> None:
-        """Mark never-visited originals as data and drop orphaned clones."""
+        """Mark never-visited originals as data, drop orphaned clones and
+        empty the recovery-time caches."""
         cfg = self.cfg
         postorder, _ = dfs(collapsed_successors(cfg), [cfg.entry])
         reachable = set(postorder)
@@ -561,6 +613,10 @@ class _Recovery:
                 cfg.reuse_contexts.pop(block_id, None)
                 cfg.tac.pop(block_id, None)
                 cfg.end_block_clones.discard(block_id)
+        for extra in cfg._clones.values():
+            extra[:] = [c for c in extra if c in cfg.blocks]
+        cfg._settled.clear()
+        cfg._origins.clear()
         # Only unreachable blocks can have edges to or from a dropped clone:
         # dropped clones lose all their edges, unreachable originals keep
         # the ones between kept blocks.

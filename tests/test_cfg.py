@@ -144,6 +144,20 @@ def test_finalize_drops_edges_into_orphaned_clones():
     assert not cfg.blocks[stale].is_data
 
 
+def test_clones_at_lists_clones_kept_past_a_dropped_one():
+    # JUMPDEST x3 then STOP.  Clone 1 of 0x2 is never reached while clone 2
+    # is: dropping the first must not hide the second.
+    recovery = _Recovery(bytes.fromhex("5b5b5b00"), Mode.REUSE_SENSITIVE, Config())
+    cfg = recovery.cfg
+    cfg.s_start[cfg.entry] = StackState(())
+    dropped = _make_clone(cfg, 2)
+    kept = _make_clone(cfg, 2)
+    cfg.add_edge(cfg.entry, kept, EdgeKind.JUMP)
+    recovery._finalize()
+    assert dropped not in cfg.blocks
+    assert cfg.clones_at(2) == [BlockId(2, 0), kept]
+
+
 def test_data_tail_kept_and_flagged():
     # STOP then unreachable trailing bytes (a JUMPDEST and friends).
     code = bytes.fromhex("005b6001")
