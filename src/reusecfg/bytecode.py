@@ -147,9 +147,12 @@ HALTING_TERMINATORS = {
 }
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One decoded instruction at a byte offset."""
+class Instruction(NamedTuple):
+    """One decoded instruction at a byte offset.
+
+    An immutable named tuple: it compares equal to the plain tuple of its
+    fields, in field order.
+    """
 
     offset: int
     opcode: int
@@ -226,19 +229,18 @@ class BasicBlock:
         )
 
 
-def mnemonic_for(opcode: int) -> str:
-    entry = OPCODES.get(opcode)
-    if entry is not None:
-        return entry[0]
-    return f"UNKNOWN_0x{opcode:02x}"
-
-
 def stack_effect(opcode: int) -> tuple[int, int]:
     """(pops, pushes) for an opcode; unknown opcodes touch nothing."""
     entry = OPCODES.get(opcode)
     if entry is None:
         return (0, 0)
     return (entry[1], entry[2])
+
+
+# opcode -> mnemonic for all 256 byte values.
+MNEMONICS: tuple[str, ...] = tuple(
+    OPCODES[op][0] if op in OPCODES else f"UNKNOWN_0x{op:02x}" for op in range(256)
+)
 
 
 def disassemble(code: bytes) -> list[Instruction]:
@@ -252,28 +254,26 @@ def disassemble(code: bytes) -> list[Instruction]:
     if not code:
         raise ValueError("empty bytecode")
     out: list[Instruction] = []
+    append = out.append
+    names = MNEMONICS
     pc = 0
     n = len(code)
     while pc < n:
         op = code[pc]
         if PUSH1 <= op <= PUSH32:
             width = op - 0x5F
-            payload = code[pc + 1 : pc + 1 + width]
-            consumed = len(payload)
-            value = int.from_bytes(payload + b"\x00" * (width - consumed), "big")
-            out.append(
-                Instruction(
-                    offset=pc,
-                    opcode=op,
-                    mnemonic=f"PUSH{width}",
-                    push_data=value,
-                    length=1 + consumed,
-                    truncated=consumed < width,
-                )
-            )
-            pc += 1 + consumed
+            end = pc + 1 + width
+            if end <= n:
+                value = int.from_bytes(code[pc + 1 : end], "big")
+                append(Instruction(pc, op, names[op], value, 1 + width))
+                pc = end
+            else:
+                consumed = n - pc - 1
+                value = int.from_bytes(code[pc + 1 :] + bytes(width - consumed), "big")
+                append(Instruction(pc, op, names[op], value, 1 + consumed, True))
+                pc = n
         else:
-            out.append(Instruction(offset=pc, opcode=op, mnemonic=mnemonic_for(op)))
+            append(Instruction(pc, op, names[op]))
             pc += 1
     return out
 

@@ -27,12 +27,14 @@ from .bytecode import (
     BasicBlock,
     BlockId,
     JUMPDEST,
+    STACK_LIMIT,
     disassemble,
     identify_blocks,
 )
 from .emulator import (
     CONST,
     PHI,
+    UNKNOWN,
     EmulationResult,
     StackState,
     TacOp,
@@ -110,7 +112,9 @@ class Cfg:
     `succ` is the one edge store: per source block, its out-edges keyed by
     (destination, kind) in insertion order.  A JUMPI whose target is the
     next block has both a JUMP and a FALLTHROUGH edge to it.  `pred` mirrors
-    it per destination.  Only `add_edge` and `remove_out_edges` write either.
+    it per destination: each source, in the order of its first edge, with
+    its count of parallel edges.  Only `add_edge` and `remove_out_edges`
+    write either.
 
     `_clones` lists each offset's clones past the original in index order;
     only `_make_clone` adds to it and `_finalize` drops from it.  `_settled`
@@ -124,7 +128,7 @@ class Cfg:
     limits: Config = field(default_factory=Config)
     blocks: dict[BlockId, BasicBlock] = field(default_factory=dict)
     succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], Edge]] = field(default_factory=dict)
-    pred: dict[BlockId, dict[tuple[BlockId, EdgeKind], None]] = field(default_factory=dict)
+    pred: dict[BlockId, dict[BlockId, int]] = field(default_factory=dict)
     reuse_contexts: dict[BlockId, dict[int, int]] = field(default_factory=dict)
     # Insertion-ordered set of (severity, message, offset).
     diagnostics: dict[tuple[str, str, int], None] = field(default_factory=dict)
@@ -154,15 +158,20 @@ class Cfg:
         if (dst, kind) in out:
             return False
         out[(dst, kind)] = Edge(src, dst, kind)
-        self.pred.setdefault(dst, {})[(src, kind)] = None
+        preds = self.pred.setdefault(dst, {})
+        preds[src] = preds.get(src, 0) + 1
         return True
 
     def remove_out_edges(self, src: BlockId) -> None:
-        for dst, kind in self.succ.pop(src, ()):
-            del self.pred[dst][(src, kind)]
+        for dst, _ in self.succ.pop(src, ()):
+            preds = self.pred[dst]
+            if preds[src] == 1:
+                del preds[src]
+            else:
+                preds[src] -= 1
 
     def predecessors(self, block: BlockId) -> list[BlockId]:
-        return list(dict.fromkeys(src for src, _ in self.pred.get(block, ())))
+        return list(self.pred.get(block, ()))
 
     def successors(self, block: BlockId) -> list[tuple[BlockId, EdgeKind]]:
         return list(self.succ.get(block, ()))
@@ -229,7 +238,7 @@ def update_reuse_context(
                         found.setdefault(member, []).append(idx)
         if not found:
             continue  # not pre-pushed relative to this clone
-        preds = list(dict.fromkeys(src for src, _ in cfg.pred.get(clone, ())))
+        preds = cfg.pred.get(clone, ())
         for vid in sorted(found):
             value = table.get(vid)
             if value.kind == CONST:
@@ -450,6 +459,12 @@ class _Recovery:
             cfg.add_diagnostic(severity, message, succ.offset)
         if not changed:
             return
+        if len(merged.entries) > STACK_LIMIT:
+            # No execution enters a block with more items than the EVM stack
+            # holds; a loop that deepens the stack on each turn ends here.
+            raise AnalysisError(
+                f"entry stack deeper than {STACK_LIMIT} at offset 0x{succ.offset:x}"
+            )
         if self.emulation_count.get(succ, 0) >= self.limits.reemulation_cap:
             merged = self._widen(succ, merged)
             if merged == cfg.s_start.get(succ):
@@ -469,7 +484,7 @@ class _Recovery:
         widened = self.widened.setdefault(block, set())
         for i, (a, b) in enumerate(zip(old.entries, merged.entries)):
             if a != b:
-                if i in widened and table.get(old.entries[i]).kind == "unknown":
+                if i in widened and table.get(old.entries[i]).kind == UNKNOWN:
                     out[i] = old.entries[i]
                 else:
                     out[i] = table.new_unknown("widened")

@@ -10,12 +10,16 @@ positionally, introducing phi values where entries disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bytecode import (
+    MNEMONICS,
+    PUSH1,
+    PUSH32,
+    STACK_LIMIT,
+    WORD_MASK,
     BasicBlock,
     Terminator,
-    WORD_MASK,
-    STACK_LIMIT,
     stack_effect,
 )
 
@@ -24,21 +28,38 @@ SYM = "sym"
 PHI = "phi"
 UNKNOWN = "unknown"
 
-# Pure opcodes folded when every operand is a constant.  Signed ops and
-# SHA3 stay symbolic: their folding adds nothing to jump-target resolution.
-FOLDED_OPS = {
-    "ADD", "MUL", "SUB", "DIV", "MOD", "EXP", "AND", "OR", "XOR", "NOT",
-    "SHL", "SHR", "BYTE", "LT", "GT", "EQ", "ISZERO",
+# Concrete semantics of the pure opcodes folded when every operand is a
+# constant (mod 2^256, unsigned).  Signed ops and SHA3 stay symbolic: their
+# folding adds nothing to jump-target resolution.
+_FOLDERS = {
+    "ADD": lambda a, b: (a + b) & WORD_MASK,
+    "MUL": lambda a, b: (a * b) & WORD_MASK,
+    "SUB": lambda a, b: (a - b) & WORD_MASK,
+    "DIV": lambda a, b: a // b if b else 0,
+    "MOD": lambda a, b: a % b if b else 0,
+    "EXP": lambda a, b: pow(a, b, 1 << 256),
+    "AND": lambda a, b: a & b,
+    "OR": lambda a, b: a | b,
+    "XOR": lambda a, b: a ^ b,
+    "NOT": lambda a: a ^ WORD_MASK,
+    "SHL": lambda a, b: (b << a) & WORD_MASK if a < 256 else 0,
+    "SHR": lambda a, b: b >> a if a < 256 else 0,
+    "BYTE": lambda a, b: (b >> (8 * (31 - a))) & 0xFF if a < 32 else 0,
+    "LT": lambda a, b: 1 if a < b else 0,
+    "GT": lambda a, b: 1 if a > b else 0,
+    "EQ": lambda a, b: 1 if a == b else 0,
+    "ISZERO": lambda a: 1 if a == 0 else 0,
 }
+FOLDED_OPS = set(_FOLDERS)
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     """SSA value: 256-bit constant, operation result, phi, or unknown.
 
-    Constants produced by folding keep their operand ids in `args` so taint
-    tracing can walk from a resolved jump target back to the pushes that
-    fed it.
+    An immutable named tuple: it compares equal to the plain tuple of its
+    fields, in field order.  Only constants carry `const`.  Constants
+    produced by folding keep their operand ids in `args` so taint tracing
+    can walk from a resolved jump target back to the pushes that fed it.
     """
 
     vid: int
@@ -63,25 +84,29 @@ class ValueTable:
     def get(self, vid: int) -> Value:
         return self._values[vid]
 
-    def _add(self, value: Value) -> int:
-        self._values.append(value)
-        return value.vid
-
     def new_const(self, raw: int, args: tuple[int, ...] = ()) -> int:
-        vid = len(self._values)
-        return self._add(Value(vid, CONST, const=raw & WORD_MASK, args=args))
+        values = self._values
+        vid = len(values)
+        values.append(Value(vid, CONST, raw & WORD_MASK, None, args))
+        return vid
 
     def new_sym(self, op: str, args: tuple[int, ...]) -> int:
-        vid = len(self._values)
-        return self._add(Value(vid, SYM, op=op, args=args))
+        values = self._values
+        vid = len(values)
+        values.append(Value(vid, SYM, None, op, args))
+        return vid
 
     def new_unknown(self, reason: str) -> int:
-        vid = len(self._values)
-        return self._add(Value(vid, UNKNOWN, reason=reason))
+        values = self._values
+        vid = len(values)
+        values.append(Value(vid, UNKNOWN, reason=reason))
+        return vid
 
     def new_phi(self, members: tuple[int, ...]) -> int:
-        vid = len(self._values)
-        return self._add(Value(vid, PHI, members=members))
+        values = self._values
+        vid = len(values)
+        values.append(Value(vid, PHI, members=members))
+        return vid
 
     def const_value(self, vid: int) -> int | None:
         v = self._values[vid]
@@ -161,9 +186,12 @@ class StackState:
         return self.entries[-1] if self.entries else None
 
 
-@dataclass(frozen=True)
-class TacOp:
-    """Three-address form of one emulated instruction."""
+class TacOp(NamedTuple):
+    """Three-address form of one emulated instruction.
+
+    An immutable named tuple: it compares equal to the plain tuple of its
+    fields, in field order.
+    """
 
     offset: int
     mnemonic: str
@@ -181,9 +209,12 @@ class TacOp:
         return rhs
 
 
-@dataclass(frozen=True)
-class SuccessorRequest:
-    """One control transfer out of a block, before target resolution."""
+class SuccessorRequest(NamedTuple):
+    """One control transfer out of a block, before target resolution.
+
+    An immutable named tuple: it compares equal to the plain tuple of its
+    fields, in field order.
+    """
 
     kind: str  # "jump" | "fallthrough"
     offset: int | None  # resolved target, None when symbolic
@@ -198,45 +229,27 @@ class EmulationResult:
     diagnostics: list[tuple[str, str, int]] = field(default_factory=list)
 
 
-def _fold(op: str, operands: list[int]) -> int:
-    """Concrete semantics of the folded opcode set (mod 2^256, unsigned)."""
-    a = operands[0]
-    b = operands[1] if len(operands) > 1 else 0
-    if op == "ADD":
-        return (a + b) & WORD_MASK
-    if op == "MUL":
-        return (a * b) & WORD_MASK
-    if op == "SUB":
-        return (a - b) & WORD_MASK
-    if op == "DIV":
-        return a // b if b else 0
-    if op == "MOD":
-        return a % b if b else 0
-    if op == "EXP":
-        return pow(a, b, 1 << 256)
-    if op == "AND":
-        return a & b
-    if op == "OR":
-        return a | b
-    if op == "XOR":
-        return a ^ b
-    if op == "NOT":
-        return a ^ WORD_MASK
-    if op == "SHL":
-        return (b << a) & WORD_MASK if a < 256 else 0
-    if op == "SHR":
-        return b >> a if a < 256 else 0
-    if op == "BYTE":
-        return (b >> (8 * (31 - a))) & 0xFF if a < 32 else 0
-    if op == "LT":
-        return 1 if a < b else 0
-    if op == "GT":
-        return 1 if a > b else 0
-    if op == "EQ":
-        return 1 if a == b else 0
-    if op == "ISZERO":
-        return 1 if a == 0 else 0
-    raise AssertionError(f"not a folded op: {op}")
+# How `emulate_block` treats each opcode.
+_PUSH, _DUP, _SWAP, _POP, _JUMPDEST, _JUMP, _JUMPI, _OTHER = range(8)
+
+
+def _dispatch_entry(opcode: int) -> tuple:
+    """(kind, n, pushes, folder) for one byte value.  `n` is the depth for
+    DUPn and SWAPn and the pops otherwise; `folder` is the constant folding
+    function, or None when the opcode stays symbolic."""
+    pops, pushes = stack_effect(opcode)
+    name = MNEMONICS[opcode]
+    if PUSH1 <= opcode <= PUSH32 or name == "PUSH0":
+        return (_PUSH, 0, 1, None)
+    if 0x80 <= opcode <= 0x8F:
+        return (_DUP, opcode - 0x7F, 1, None)
+    if 0x90 <= opcode <= 0x9F:
+        return (_SWAP, opcode - 0x8F, 0, None)
+    kind = {"POP": _POP, "JUMPDEST": _JUMPDEST, "JUMP": _JUMP, "JUMPI": _JUMPI}.get(name, _OTHER)
+    return (kind, pops, pushes, _FOLDERS.get(name))
+
+
+_DISPATCH: tuple[tuple, ...] = tuple(_dispatch_entry(op) for op in range(256))
 
 
 def emulate_block(
@@ -252,87 +265,75 @@ def emulate_block(
     tac: list[TacOp] = []
     diags: list[tuple[str, str, int]] = []
     successors: list[SuccessorRequest] = []
+    values = table._values
+    new_const = table.new_const
+    new_unknown = table.new_unknown
+    emit = tac.append
 
     def pop(offset: int) -> int:
         if stack:
             return stack.pop()
         diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
-        return table.new_unknown("underflow")
+        return new_unknown("underflow")
 
     overflow_reported = False
-    for ins in block.instructions:
-        op = ins.opcode
-        name = ins.mnemonic
-        if ins.is_push:
-            vid = table.new_const(ins.push_data)
+    for offset, opcode, name, push_data, _, _ in block.instructions:
+        kind, n, pushes, folder = _DISPATCH[opcode]
+        if kind == _PUSH:
+            data = push_data or 0  # PUSH0 has no payload
+            vid = new_const(data)
             stack.append(vid)
-            tac.append(TacOp(ins.offset, name, vid, (), push_data=ins.push_data))
-        elif name == "PUSH0":
-            vid = table.new_const(0)
-            stack.append(vid)
-            tac.append(TacOp(ins.offset, name, vid, (), push_data=0))
-        elif 0x80 <= op <= 0x8F:  # DUPn
-            depth = op - 0x7F
-            if len(stack) >= depth:
-                vid = stack[-depth]
+            emit(TacOp(offset, name, vid, (), data))
+        elif kind == _OTHER:
+            if n <= len(stack):
+                # Popped top first.
+                args = tuple(stack[: -n - 1 : -1])
+                if n:
+                    del stack[-n:]
             else:
-                diags.append(
-                    ("warning", f"stack underflow at offset 0x{ins.offset:x}", ins.offset)
-                )
-                vid = table.new_unknown("underflow")
-            stack.append(vid)
-            tac.append(TacOp(ins.offset, name, vid, (vid,)))
-        elif 0x90 <= op <= 0x9F:  # SWAPn
-            depth = op - 0x8F
-            if len(stack) >= depth + 1:
-                stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
-                tac.append(TacOp(ins.offset, name, None, (stack[-1], stack[-depth - 1])))
-            else:
-                diags.append(
-                    ("warning", f"stack underflow at offset 0x{ins.offset:x}", ins.offset)
-                )
-                while len(stack) < depth + 1:
-                    stack.insert(0, table.new_unknown("underflow"))
-                stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
-                tac.append(TacOp(ins.offset, name, None, (stack[-1], stack[-depth - 1])))
-        elif name == "POP":
-            v = pop(ins.offset)
-            tac.append(TacOp(ins.offset, name, None, (v,)))
-        elif name == "JUMPDEST":
-            tac.append(TacOp(ins.offset, name, None, ()))
-        elif name == "JUMP":
-            target = pop(ins.offset)
-            tac.append(TacOp(ins.offset, name, None, (target,)))
-            successors.append(
-                SuccessorRequest("jump", table.const_value(target), target)
-            )
-        elif name == "JUMPI":
-            target = pop(ins.offset)
-            cond = pop(ins.offset)
-            tac.append(TacOp(ins.offset, name, None, (target, cond)))
-            successors.append(
-                SuccessorRequest("jump", table.const_value(target), target)
-            )
-            successors.append(
-                SuccessorRequest("fallthrough", ins.offset + 1, None)
-            )
-        else:
-            pops, pushes = stack_effect(op)
-            args = tuple(pop(ins.offset) for _ in range(pops))
+                args = tuple(pop(offset) for _ in range(n))
             result: int | None = None
             if pushes:
-                const_args = [table.const_value(a) for a in args]
-                if name in FOLDED_OPS and all(c is not None for c in const_args):
-                    result = table.new_const(_fold(name, const_args), args=args)
-                else:
+                if folder is not None:
+                    consts = [values[a].const for a in args]  # None unless constant
+                    if None not in consts:
+                        result = new_const(folder(*consts), args)
+                if result is None:
                     result = table.new_sym(name, args)
                 stack.append(result)
-            tac.append(TacOp(ins.offset, name, result, args))
+            emit(TacOp(offset, name, result, args))
+        elif kind == _DUP:
+            if len(stack) >= n:
+                vid = stack[-n]
+            else:
+                diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
+                vid = new_unknown("underflow")
+            stack.append(vid)
+            emit(TacOp(offset, name, vid, (vid,)))
+        elif kind == _SWAP:
+            if len(stack) <= n:
+                diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
+                while len(stack) <= n:
+                    stack.insert(0, new_unknown("underflow"))
+            stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
+            emit(TacOp(offset, name, None, (stack[-1], stack[-n - 1])))
+        elif kind == _POP:
+            emit(TacOp(offset, name, None, (pop(offset),)))
+        elif kind == _JUMPDEST:
+            emit(TacOp(offset, name, None, ()))
+        elif kind == _JUMP:
+            target = pop(offset)
+            emit(TacOp(offset, name, None, (target,)))
+            successors.append(SuccessorRequest("jump", table.const_value(target), target))
+        else:  # _JUMPI
+            target = pop(offset)
+            cond = pop(offset)
+            emit(TacOp(offset, name, None, (target, cond)))
+            successors.append(SuccessorRequest("jump", table.const_value(target), target))
+            successors.append(SuccessorRequest("fallthrough", offset + 1, None))
 
-        if len(stack) > STACK_LIMIT and not overflow_reported:
-            diags.append(
-                ("warning", f"stack overflow at offset 0x{ins.offset:x}", ins.offset)
-            )
+        if not overflow_reported and len(stack) > STACK_LIMIT:
+            diags.append(("warning", f"stack overflow at offset 0x{offset:x}", offset))
             overflow_reported = True
 
     if block.terminator is Terminator.FALLTHROUGH:
@@ -351,7 +352,8 @@ def prepare_stack(
     Positionwise-equal value ids (or equal constants) keep the existing
     entry; disagreeing positions widen to a phi over the union.  Unknown
     entries absorb everything.  Depth mismatches merge top-aligned over the
-    deeper stack and are reported as a diagnostic.
+    deeper stack and are reported as a diagnostic.  An incoming stack equal
+    to the existing one returns the existing `StackState` itself, unchanged.
     """
     diags: list[tuple[str, str, int]] = []
     if existing_s_start is None:
@@ -359,6 +361,8 @@ def prepare_stack(
 
     old = existing_s_start.entries
     new = pred_s_end.entries
+    if old == new:
+        return existing_s_start, False, diags
     changed = False
     if len(old) != len(new):
         diags.append(("warning", "irregular stack depth at join", -1))

@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 
 import pytest
 
@@ -11,6 +12,7 @@ from fixtures import (
 )
 from reusecfg.bytecode import BlockId
 from reusecfg.cfg import (
+    AnalysisError,
     CloneBudgetError,
     Config,
     EdgeKind,
@@ -181,6 +183,30 @@ def test_clone_budget_abort():
     with pytest.raises(CloneBudgetError) as excinfo:
         build_cfg(gt.bytecode, Mode.REUSE_SENSITIVE, Config(clone_budget_per_offset=2))
     assert "clone explosion" in str(excinfo.value)
+
+
+# Found by random-byte fuzzing: a loop back to offset 0x0 re-enters with a
+# deeper stack on every turn.
+DEEPENING_LOOP = bytes.fromhex(
+    "5b8015600a5f80325f610021602355505b5b33555691806021018181545654505f3301015432506019602a"
+)
+
+
+def _recovery_too_slow(signum, frame):
+    raise TimeoutError("recovery still running after 5 s")
+
+
+def test_deepening_loop_ends_in_analysis_error():
+    previous = signal.signal(signal.SIGALRM, _recovery_too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(AnalysisError, match="entry stack deeper than 1024 at offset 0x10"):
+            build_cfg(DEEPENING_LOOP, Mode.REUSE_INSENSITIVE)
+        with pytest.raises(CloneBudgetError):
+            build_cfg(DEEPENING_LOOP, Mode.REUSE_SENSITIVE, Config(clone_budget_per_offset=16))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_clone_instructions_identical():
