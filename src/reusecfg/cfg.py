@@ -3,14 +3,16 @@
 Compilers shrink deployed bytecode by letting unrelated execution paths
 share identical basic blocks; the shared block's jump operand is pushed by
 each predecessor rather than next to the jump.  A context-blind traversal
-merges those paths into fake joins and fake loops.  Recovery here keeps a
-"reuse context" per block clone: the set of pre-pushed jump operands in
-its entry stack, found by tainting each resolved jump operand and walking
-its def-use chain back through the predecessor chain to the push that
-introduced it.  A successor candidate is accepted only when every tainted
-entry matches the incoming stack; otherwise the block is cloned and the
-tainted locations are shared with the new clone.  The result gives every
-usage context its own node, with genuine joins and loops preserved.
+merges those paths into fake joins and fake loops.  Recovery here taints
+the entry-stack positions of pre-pushed jump operands, found by walking
+each resolved jump operand's def-use chain back through the predecessor
+chain to the push that introduced it.  The positions belong to a block's
+offset and entry depth, and each clone's "reuse context" is derived from
+them: the constants its entry stack holds there.  A successor candidate is
+accepted only when the incoming stack holds the same constants; otherwise
+the block is cloned, and the clone shares the tainted positions at once.
+The result gives every usage context its own node, with genuine joins and
+loops preserved.
 
 The reuse-insensitive mode of the same traversal (no taints, no clones,
 all resolvable targets connected) serves as the comparison baseline.
@@ -21,7 +23,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .bytecode import (
     BasicBlock,
@@ -116,11 +119,17 @@ class Cfg:
     its count of parallel edges.  Only `add_edge` and `remove_out_edges`
     write either.
 
+    `tainted` holds the tainted entry-stack indices per (offset, entry
+    depth); only `transfer_taint` adds to it.  A clone's reuse context is
+    derived from its offset's set at its current depth: the constants of its
+    entry stack at those indices, in ascending order, up to the first index
+    whose entry is not a constant.  `reuse_contexts` maps every clone with a
+    non-empty context to it.
+
     `_clones` lists each offset's clones past the original in index order;
-    only `_make_clone` adds to it and `_finalize` drops from it.  `_settled`
-    and `_origins` are caches of the reuse-context step that live only while
-    the graph is being recovered (see `transfer_taint` and
-    `update_reuse_context`); `_finalize` empties them.
+    only `_make_clone` adds to it and `_finalize` drops from it.  `_origins`
+    memoizes def-use chains for `update_reuse_context` while the graph is
+    being recovered; `_finalize` empties it.
     """
 
     mode: Mode
@@ -129,7 +138,7 @@ class Cfg:
     blocks: dict[BlockId, BasicBlock] = field(default_factory=dict)
     succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], Edge]] = field(default_factory=dict)
     pred: dict[BlockId, dict[BlockId, int]] = field(default_factory=dict)
-    reuse_contexts: dict[BlockId, dict[int, int]] = field(default_factory=dict)
+    tainted: dict[tuple[int, int], set[int]] = field(default_factory=dict)
     # Insertion-ordered set of (severity, message, offset).
     diagnostics: dict[tuple[str, str, int], None] = field(default_factory=dict)
     value_table: ValueTable = field(default_factory=ValueTable)
@@ -138,14 +147,20 @@ class Cfg:
     tac: dict[BlockId, list[TacOp]] = field(default_factory=dict)
     end_block_clones: set[BlockId] = field(default_factory=set)
     _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
-    _settled: dict[int, dict[BlockId, tuple[StackState, dict[int, int]]]] = field(
-        default_factory=dict, init=False, repr=False
-    )
     _origins: dict[int, set[int]] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def edges(self) -> EdgeView:
         return EdgeView(self.succ)
+
+    @property
+    def reuse_contexts(self) -> Mapping[BlockId, dict[int, int]]:
+        contexts = {}
+        for block in self.s_start:
+            ctx = _context(self, block)
+            if ctx:
+                contexts[block] = ctx
+        return MappingProxyType(contexts)
 
     def add_diagnostic(self, severity: str, message: str, offset: int = -1) -> None:
         self.diagnostics[(severity, message, offset)] = None
@@ -186,6 +201,29 @@ class Cfg:
         return [dst for dst, kind in self.succ.get(block, ()) if kind is EdgeKind.JUMP]
 
 
+def _context(cfg: Cfg, block: BlockId) -> dict[int, int]:
+    """`block`'s reuse context, derived as described on `Cfg`."""
+    s_start = cfg.s_start.get(block)
+    if s_start is None:
+        return {}
+    entries = s_start.entries
+    table = cfg.value_table
+    ctx: dict[int, int] = {}
+    for idx in sorted(cfg.tainted.get((block.offset, len(entries)), ())):
+        value = table.get(entries[idx])
+        if value.kind != CONST:
+            break  # not a constant: the context ends here
+        ctx[idx] = value.const
+    return ctx
+
+
+def _check_entry_depth(stack: StackState, offset: int) -> None:
+    # No execution enters a block with more items than the EVM stack holds;
+    # a loop that deepens the stack on each turn ends here.
+    if len(stack.entries) > STACK_LIMIT:
+        raise AnalysisError(f"entry stack deeper than {STACK_LIMIT} at offset 0x{offset:x}")
+
+
 # ---------------------------------------------------------------------------
 # Public per-step operations (used by the recovery loop, callable directly)
 # ---------------------------------------------------------------------------
@@ -193,19 +231,15 @@ class Cfg:
 def update_reuse_context(
     cfg: Cfg, block: BlockId, jump_target_value: int, value_table: ValueTable
 ) -> None:
-    """Taint the entry-stack locations feeding `block`'s jump operand.
+    """Taint the entry-stack positions feeding `block`'s jump operand.
 
     The operand's def-use chain is walked back to the pushes that introduced
-    it: every chain value found in a block's entry stack taints that
-    (index, value) location, and the walk continues into each predecessor,
-    re-expanding the chain there, until the block that pushed the value is
-    reached.  If the operand was pushed inside `block` itself, nothing is
-    tainted.  Tainted offsets share their locations across clones.
-
-    Chain values are handled in ascending id order, because a phi position
-    can hold two chain constants and the last write wins.  Each root's chain
-    is kept in `cfg._origins` while the table is the graph's own: values
-    never change once made.
+    it: every constant chain value found in a clone's entry stack taints its
+    positions there (see `transfer_taint`), and the walk continues into each
+    predecessor, re-expanding the chain there, until the block that pushed
+    the value is reached.  If the operand was pushed inside `block` itself,
+    nothing is tainted.  Each root's chain is kept in `cfg._origins` while
+    the table is the graph's own: values never change once made.
     """
     table = value_table
     origins = cfg._origins if table is cfg.value_table else {}
@@ -213,7 +247,6 @@ def update_reuse_context(
     # clone's S_start.
     work: list[tuple[BlockId, int]] = [(block, jump_target_value)]
     visited: set[tuple[BlockId, int]] = set()
-    touched_offsets: list[int] = []
     while work:
         clone, root = work.pop()
         if (clone, root) in visited:
@@ -239,123 +272,57 @@ def update_reuse_context(
         if not found:
             continue  # not pre-pushed relative to this clone
         preds = cfg.pred.get(clone, ())
-        for vid in sorted(found):
-            value = table.get(vid)
-            if value.kind == CONST:
-                ctx = cfg.reuse_contexts.setdefault(clone, {})
-                added = False
-                for idx in found[vid]:
-                    if ctx.get(idx) != value.const:
-                        ctx[idx] = value.const
-                        added = True
-                if added:
-                    touched_offsets.append(clone.offset)
+        for vid, positions in found.items():
+            if table.get(vid).kind == CONST:
+                transfer_taint(cfg, clone, positions)
             # The value flowed in from every predecessor stack that still
             # holds it (or computed it): keep walking toward its push.
             for pred in preds:
                 work.append((pred, vid))
-
-    for offset in dict.fromkeys(touched_offsets):
-        transfer_taint(cfg, offset)
 
 
 def backpropagate_context(cfg: Cfg, pred: BlockId, succ: BlockId) -> None:
     """Extend an existing successor context backwards through a new edge.
 
     When a block with tainted entries gains a predecessor, the values at the
-    tainted positions flowed through that predecessor too; its own entry
-    stack is tainted wherever it still holds them.
+    tainted positions flowed through that predecessor too: the walk runs
+    again from every tainted index of `succ`'s offset and entry depth, in
+    ascending order, and taints the predecessor's entry stack wherever it
+    still holds them.
     """
-    ctx = cfg.reuse_contexts.get(succ)
     s_start = cfg.s_start.get(succ)
-    if not ctx or s_start is None:
+    if s_start is None:
+        return
+    indices = cfg.tainted.get((succ.offset, len(s_start.entries)))
+    if not indices:
         return
     table = cfg.value_table
-    for idx in sorted(ctx):
-        if idx < len(s_start.entries):
-            update_reuse_context(cfg, succ, s_start.entries[idx], table)
+    for idx in sorted(indices):
+        update_reuse_context(cfg, succ, s_start.entries[idx], table)
 
 
-def transfer_taint(cfg: Cfg, offset: int) -> None:
-    """Share tainted locations among the clones of one offset.
+def transfer_taint(cfg: Cfg, block: BlockId, indices: Iterable[int]) -> None:
+    """Taint `indices` for every clone of `block`'s offset and entry depth.
 
-    Identical instructions move the stack identically, so clones keep their
-    pre-pushed operands at the same positions.  For each clone pair, tainted
-    indices are copied across in ascending order while the values at the
-    already-shared indices agree; the first disagreement ends the shared
-    region.  Runs to a fixpoint and is idempotent.
-
-    Only clones changed since the offset's last fixpoint are settled.  At
-    the end of each fixpoint every clone's S_start (by identity) and a copy
-    of its context replace the offset's records in `cfg._settled`; a clone
-    whose state differs from its record, or that has none (it is new, or it
-    had no S_start at the last fixpoint), is dirty, and so is a clone that
-    gains a key here.  A pair runs only when one of its clones is dirty, in
-    the same rounds and clone order as a full pass.  That is exact: a pair
-    reads nothing but its two contexts and the target's S_start, so when
-    none of them changed since a round in which the pair changed nothing,
-    it changes nothing again, and any out-of-range diagnostic it raises is
-    already recorded.
+    Identical instructions move the stack identically, so clones of one
+    offset that enter with the same depth keep their pre-pushed operands at
+    the same positions: the tainted positions belong to `(offset, depth)`,
+    not to one clone, and every clone's context is derived from them (see
+    `Cfg`).  Adding to the shared set is the whole transfer: no clone holds
+    a copy that would need to be kept in sync.
     """
-    clones = [c for c in cfg.clones_at(offset) if cfg.s_start.get(c) is not None]
-    if len(clones) < 2:
-        return
-    table = cfg.value_table
-    contexts = cfg.reuse_contexts
-    settled = cfg._settled.get(offset, {})
-    dirty: set[BlockId] = set()
-    for c in clones:
-        record = settled.get(c)
-        if record is None or record[0] is not cfg.s_start[c] or record[1] != contexts.get(c, {}):
-            dirty.add(c)
-    changed = bool(dirty)
-    while changed:
-        changed = False
-        for a in clones:
-            ctx_a = contexts.get(a)
-            if not ctx_a:
-                continue
-            a_dirty = a in dirty
-            # Only pairs (x, a) write to ctx_a, so its keys hold for a's pass.
-            keys_a = sorted(ctx_a)
-            for b in clones:
-                if a == b or not (a_dirty or b in dirty):
-                    continue
-                s_b = cfg.s_start[b]
-                ctx_b = contexts.setdefault(b, {})
-                for idx in keys_a:
-                    if idx >= len(s_b.entries):
-                        cfg.add_diagnostic(
-                            "info",
-                            f"reuse-context index {idx} out of range for {b}",
-                            offset,
-                        )
-                        continue
-                    value_b = table.get(s_b.entries[idx])
-                    if value_b.kind != CONST:
-                        break  # not a constant: contexts diverge here
-                    if idx not in ctx_b:
-                        ctx_b[idx] = value_b.const
-                        changed = True
-                        dirty.add(b)
-                    if ctx_b[idx] != ctx_a[idx]:
-                        break  # differing operands end the shared context
-    # prune empty context dicts created above
-    for c in clones:
-        if not contexts.get(c):
-            contexts.pop(c, None)
-    cfg._settled[offset] = {
-        c: (cfg.s_start[c], dict(contexts.get(c, {}))) if c in dirty else settled[c]
-        for c in clones
-    }
+    key = (block.offset, len(cfg.s_start[block].entries))
+    cfg.tainted.setdefault(key, set()).update(indices)
 
 
 def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
     """Select a non-reused clone of `target_offset` for `b_c`, cloning when
-    every existing candidate's tainted context disagrees with b_c's exit
+    every existing candidate's reuse context disagrees with b_c's exit
     stack.  Candidates are tried in clone-index order; an unvisited original
     is claimed as-is.  A candidate whose entry stack depth differs cannot be
-    the same usage context and is skipped.
+    the same usage context and is skipped.  A candidate matches when the
+    exit stack holds the same constant at each index of its context, that
+    is, at its tainted indices up to its first non-constant entry.
     """
     s_end = cfg.s_end[b_c]
     table = cfg.value_table
@@ -365,24 +332,17 @@ def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
             return cand  # first visit claims the original
         if len(cand_start.entries) != len(s_end.entries):
             continue
-        ctx = cfg.reuse_contexts.get(cand, {})
-        ok = True
-        for idx, expected in ctx.items():
-            if idx >= len(s_end.entries):
-                ok = False
-                break
+        for idx, expected in _context(cfg, cand).items():
             have = table.get(s_end.entries[idx])
             if have.kind != CONST or have.const != expected:
-                ok = False
                 break
-        if ok:
+        else:
             return cand
+    _check_entry_depth(s_end, target_offset)
     clone = _make_clone(cfg, target_offset)
-    # The clone starts from the connecting block's exit stack, and existing
-    # clones share their tainted locations with it right away so the next
-    # arrival can already be told apart.
+    # The clone starts from the connecting block's exit stack; the tainted
+    # indices of its offset and depth already tell the next arrival apart.
     cfg.s_start[clone] = StackState(s_end.entries)
-    transfer_taint(cfg, target_offset)
     return clone
 
 
@@ -459,12 +419,7 @@ class _Recovery:
             cfg.add_diagnostic(severity, message, succ.offset)
         if not changed:
             return
-        if len(merged.entries) > STACK_LIMIT:
-            # No execution enters a block with more items than the EVM stack
-            # holds; a loop that deepens the stack on each turn ends here.
-            raise AnalysisError(
-                f"entry stack deeper than {STACK_LIMIT} at offset 0x{succ.offset:x}"
-            )
+        _check_entry_depth(merged, succ.offset)
         if self.emulation_count.get(succ, 0) >= self.limits.reemulation_cap:
             merged = self._widen(succ, merged)
             if merged == cfg.s_start.get(succ):
@@ -625,12 +580,10 @@ class _Recovery:
                 del cfg.blocks[block_id]
                 cfg.s_start.pop(block_id, None)
                 cfg.s_end.pop(block_id, None)
-                cfg.reuse_contexts.pop(block_id, None)
                 cfg.tac.pop(block_id, None)
                 cfg.end_block_clones.discard(block_id)
         for extra in cfg._clones.values():
             extra[:] = [c for c in extra if c in cfg.blocks]
-        cfg._settled.clear()
         cfg._origins.clear()
         # Only unreachable blocks can have edges to or from a dropped clone:
         # dropped clones lose all their edges, unreachable originals keep

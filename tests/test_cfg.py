@@ -204,6 +204,11 @@ def test_deepening_loop_ends_in_analysis_error():
             build_cfg(DEEPENING_LOOP, Mode.REUSE_INSENSITIVE)
         with pytest.raises(CloneBudgetError):
             build_cfg(DEEPENING_LOOP, Mode.REUSE_SENSITIVE, Config(clone_budget_per_offset=16))
+        # Each turn arrives deeper and matches no clone, so the sensitive
+        # build makes a new clone per turn: within the default clone budget,
+        # the new clone's entry stack passes the EVM's depth first.
+        with pytest.raises(AnalysisError, match="entry stack deeper than 1024"):
+            build_cfg(DEEPENING_LOOP, Mode.REUSE_SENSITIVE)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

@@ -1,37 +1,50 @@
-"""The reuse-context step against a full-recomputation oracle.
+"""Derived reuse contexts against the per-clone contexts they replace.
 
-`oracle_update_reuse_context` and `oracle_transfer_taint` are the plain
-versions of the two steps: the walk rescans each entry stack once per chain
-value and recomputes every chain, and the transfer re-checks every clone
-pair of the offset on each call.  The library versions settle only what
-changed; they must leave the same contexts and the same diagnostics, in the
-same order, after any sequence of calls and hand edits.
+The reference below is the earlier reuse-context step, which kept one
+context dict per clone and a pairwise transfer fixpoint to keep the clones
+of an offset in sync.  Its four functions are copied in with their storage
+moved to the `ref_contexts` and `ref_settled` attributes of the graph being
+built, plus the entry-depth check that `reuse_handler` now makes before
+cloning.  Building the same input both ways must give the same graph, the
+same contexts and the same error; the only difference allowed is that the
+reference also reports "reuse-context index N out of range" diagnostics,
+which described the transfer rather than the input.
 """
 
+import re
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reusecfg.cfg
 from reusecfg import stress_fixture
-from reusecfg.bytecode import BlockId
+from reusecfg.bytecode import STACK_LIMIT, BlockId
 from reusecfg.cfg import (
+    AnalysisError,
     Config,
     EdgeKind,
     Mode,
+    backpropagate_context,
     _make_clone,
     _Recovery,
     build_cfg,
+    export,
+    reuse_handler,
     transfer_taint,
     update_reuse_context,
 )
-from reusecfg.emulator import CONST, PHI, StackState, ValueTable, trace_origin
+from reusecfg.corpus import Pattern, PatternSpec, generate
+from reusecfg.emulator import CONST, PHI, StackState, trace_origin
 
 # ---------------------------------------------------------------------------
-# Oracle
+# Reference: per-clone contexts and the pairwise transfer fixpoint
 # ---------------------------------------------------------------------------
 
 
-def oracle_update_reuse_context(cfg, block, jump_target_value, value_table):
+def ref_update_reuse_context(cfg, block, jump_target_value, value_table):
     table = value_table
+    origins = cfg._origins if table is cfg.value_table else {}
     work = [(block, jump_target_value)]
     visited = set()
     touched_offsets = []
@@ -43,21 +56,27 @@ def oracle_update_reuse_context(cfg, block, jump_target_value, value_table):
         s_start = cfg.s_start.get(clone)
         if s_start is None:
             continue
-        preds = cfg.predecessors(clone)
-        for vid in sorted(trace_origin(root, table)):
-            positions = []
-            for idx, entry in enumerate(s_start.entries):
-                if entry == vid:
-                    positions.append(idx)
-                elif table.get(entry).kind == PHI and vid in table.get(entry).members:
-                    positions.append(idx)
-            if not positions:
-                continue
+        chain = origins.get(root)
+        if chain is None:
+            chain = origins[root] = trace_origin(root, table)
+        found = {}
+        for idx, entry in enumerate(s_start.entries):
+            if entry in chain:
+                found.setdefault(entry, []).append(idx)
+            value = table.get(entry)
+            if value.kind == PHI:
+                for member in value.members:
+                    if member in chain:
+                        found.setdefault(member, []).append(idx)
+        if not found:
+            continue
+        preds = cfg.pred.get(clone, ())
+        for vid in sorted(found):
             value = table.get(vid)
             if value.kind == CONST:
-                ctx = cfg.reuse_contexts.setdefault(clone, {})
+                ctx = cfg.ref_contexts.setdefault(clone, {})
                 added = False
-                for idx in positions:
+                for idx in found[vid]:
                     if ctx.get(idx) != value.const:
                         ctx[idx] = value.const
                         added = True
@@ -67,27 +86,47 @@ def oracle_update_reuse_context(cfg, block, jump_target_value, value_table):
                 work.append((pred, vid))
 
     for offset in dict.fromkeys(touched_offsets):
-        oracle_transfer_taint(cfg, offset)
+        ref_transfer_taint(cfg, offset)
 
 
-def oracle_transfer_taint(cfg, offset):
+def ref_backpropagate_context(cfg, pred, succ):
+    ctx = cfg.ref_contexts.get(succ)
+    s_start = cfg.s_start.get(succ)
+    if not ctx or s_start is None:
+        return
+    table = cfg.value_table
+    for idx in sorted(ctx):
+        if idx < len(s_start.entries):
+            ref_update_reuse_context(cfg, succ, s_start.entries[idx], table)
+
+
+def ref_transfer_taint(cfg, offset):
     clones = [c for c in cfg.clones_at(offset) if cfg.s_start.get(c) is not None]
     if len(clones) < 2:
         return
     table = cfg.value_table
-    changed = True
+    contexts = cfg.ref_contexts
+    settled = cfg.ref_settled.get(offset, {})
+    dirty = set()
+    for c in clones:
+        record = settled.get(c)
+        if record is None or record[0] is not cfg.s_start[c] or record[1] != contexts.get(c, {}):
+            dirty.add(c)
+    changed = bool(dirty)
     while changed:
         changed = False
         for a in clones:
-            ctx_a = cfg.reuse_contexts.get(a)
+            ctx_a = contexts.get(a)
             if not ctx_a:
                 continue
+            a_dirty = a in dirty
+            keys_a = sorted(ctx_a)
             for b in clones:
-                if a == b:
+                if a == b or not (a_dirty or b in dirty):
                     continue
                 s_b = cfg.s_start[b]
-                ctx_b = cfg.reuse_contexts.setdefault(b, {})
-                for idx in sorted(ctx_a):
+                ctx_b = contexts.setdefault(b, {})
+                for idx in keys_a:
                     if idx >= len(s_b.entries):
                         cfg.add_diagnostic(
                             "info",
@@ -101,226 +140,212 @@ def oracle_transfer_taint(cfg, offset):
                     if idx not in ctx_b:
                         ctx_b[idx] = value_b.const
                         changed = True
+                        dirty.add(b)
                     if ctx_b[idx] != ctx_a[idx]:
                         break
     for c in clones:
-        if not cfg.reuse_contexts.get(c):
-            cfg.reuse_contexts.pop(c, None)
+        if not contexts.get(c):
+            contexts.pop(c, None)
+    cfg.ref_settled[offset] = {
+        c: (cfg.s_start[c], dict(contexts.get(c, {}))) if c in dirty else settled[c]
+        for c in clones
+    }
+
+
+def ref_reuse_handler(cfg, b_c, target_offset):
+    s_end = cfg.s_end[b_c]
+    table = cfg.value_table
+    for cand in cfg.clones_at(target_offset):
+        cand_start = cfg.s_start.get(cand)
+        if cand_start is None:
+            return cand
+        if len(cand_start.entries) != len(s_end.entries):
+            continue
+        ctx = cfg.ref_contexts.get(cand, {})
+        ok = True
+        for idx, expected in ctx.items():
+            if idx >= len(s_end.entries):
+                ok = False
+                break
+            have = table.get(s_end.entries[idx])
+            if have.kind != CONST or have.const != expected:
+                ok = False
+                break
+        if ok:
+            return cand
+    if len(s_end.entries) > STACK_LIMIT:
+        raise AnalysisError(
+            f"entry stack deeper than {STACK_LIMIT} at offset 0x{target_offset:x}"
+        )
+    clone = _make_clone(cfg, target_offset)
+    cfg.s_start[clone] = StackState(s_end.entries)
+    ref_transfer_taint(cfg, target_offset)
+    return clone
+
+
+OUT_OF_RANGE = re.compile(r"reuse-context index \d+ out of range for ")
+
+
+def build_reference(code, limits):
+    """The sensitive build of `code` with the reference step, and its
+    contexts of the blocks kept in the graph."""
+    recovery = _Recovery(code, Mode.REUSE_SENSITIVE, limits)
+    cfg = recovery.cfg
+    cfg.ref_contexts, cfg.ref_settled = {}, {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reusecfg.cfg, "update_reuse_context", ref_update_reuse_context)
+        patch.setattr(reusecfg.cfg, "backpropagate_context", ref_backpropagate_context)
+        patch.setattr(reusecfg.cfg, "transfer_taint", ref_transfer_taint)
+        patch.setattr(reusecfg.cfg, "reuse_handler", ref_reuse_handler)
+        recovery.run()
+    cfg.diagnostics = {d: None for d in cfg.diagnostics if not OUT_OF_RANGE.match(d[1])}
+    return cfg, {b: ctx for b, ctx in cfg.ref_contexts.items() if b in cfg.blocks and ctx}
+
+
+def outcome(build):
+    try:
+        return build(), None
+    except AnalysisError as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_same_recovery(code, limits=Config()):
+    ref, ref_error = outcome(lambda: build_reference(code, limits))
+    cfg, error = outcome(lambda: build_cfg(code, Mode.REUSE_SENSITIVE, limits))
+    assert error == ref_error
+    if error is not None:
+        return
+    ref_cfg, ref_contexts = ref
+    assert export(cfg, "json", emit_tac=True) == export(ref_cfg, "json", emit_tac=True)
+    assert export(cfg, "dot") == export(ref_cfg, "dot")
+    assert dict(cfg.reuse_contexts) == ref_contexts
 
 
 # ---------------------------------------------------------------------------
-# Random clone states
+# Differential tests
 # ---------------------------------------------------------------------------
 
-# Four JUMPDESTs (the last followed by STOP): originals at offsets 0..3.
-CODE = bytes.fromhex("5b5b5b5b00")
-OFFSETS = (0, 1, 2, 3)
-# Few distinct constants, so equal constants under different ids are common.
-CONSTS = (0x10, 0x20, 0x30)
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1500, 6000), st.integers(0, 2**16))
+def test_stress_fixtures_match_reference(size, seed):
+    assert_same_recovery(stress_fixture(size, seed))
 
 
-class Twin:
-    """The same hand-built graph twice: one driven by the oracle, one by the
-    library.  Both share one value table; every edit goes to both."""
-
-    def __init__(self) -> None:
-        self.table = ValueTable()
-        self.old = _Recovery(CODE, Mode.REUSE_SENSITIVE, Config()).cfg
-        self.new = _Recovery(CODE, Mode.REUSE_SENSITIVE, Config()).cfg
-        self.old.value_table = self.new.value_table = self.table
-        # Every stack object each block has held, to put one back later.
-        self.held: dict[BlockId, list[StackState]] = {}
-
-    @property
-    def cfgs(self):
-        return (self.old, self.new)
-
-    def blocks(self) -> list[BlockId]:
-        return list(self.new.blocks)
-
-    def check(self) -> None:
-        assert self.new.reuse_contexts == self.old.reuse_contexts
-        assert list(self.new.diagnostics) == list(self.old.diagnostics)
-
-    def walk(self, block: BlockId, vid: int) -> None:
-        oracle_update_reuse_context(self.old, block, vid, self.table)
-        update_reuse_context(self.new, block, vid, self.table)
-        self.check()
-
-    def transfer(self, offset: int) -> None:
-        oracle_transfer_taint(self.old, offset)
-        transfer_taint(self.new, offset)
-        self.check()
-
-    def clone(self, offset: int) -> BlockId:
-        made = {_make_clone(cfg, offset) for cfg in self.cfgs}
-        assert len(made) == 1
-        return made.pop()
-
-    def set_start(self, block: BlockId, stack: StackState | None) -> None:
-        if stack is not None:
-            self.held.setdefault(block, []).append(stack)
-        for cfg in self.cfgs:
-            if stack is None:
-                cfg.s_start.pop(block, None)
-            else:
-                cfg.s_start[block] = stack
-
-    def set_context(self, block: BlockId, ctx: dict[int, int] | None) -> None:
-        for cfg in self.cfgs:
-            if ctx is None:
-                cfg.reuse_contexts.pop(block, None)
-            else:
-                cfg.reuse_contexts[block] = dict(ctx)
-
-    def add_edge(self, src: BlockId, dst: BlockId, kind: EdgeKind) -> None:
-        for cfg in self.cfgs:
-            cfg.add_edge(src, dst, kind)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(Pattern)), st.integers(1, 6), st.integers(0, 2**16))
+def test_pattern_fixtures_match_reference(pattern, depth, seed):
+    assert_same_recovery(generate(PatternSpec(pattern, seed=seed, nesting_depth=depth)).bytecode)
 
 
-def draw_value(draw, table: ValueTable) -> int:
-    """Append one value: a push, a folded constant, a symbol, a phi or an
-    unknown, over values already in the table."""
-    some = st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=3)
-    kind = draw(st.sampled_from(["const", "folded", "sym", "phi", "unknown"]))
-    if kind == "const":
-        return table.new_const(draw(st.sampled_from(CONSTS)))
-    if kind == "folded":
-        return table.new_const(draw(st.sampled_from(CONSTS)), tuple(draw(some)))
-    if kind == "sym":
-        return table.new_sym("ADD", tuple(draw(some)))
-    if kind == "phi":
-        return table.make_phi(draw(some))
-    return table.new_unknown("test")
+# Random code: mostly stack, arithmetic and control-flow opcodes, pushes of
+# the offset of the k-th JUMPDEST (k drawn, the offset filled in once the
+# layout is known) and now and then any byte, so that random code reaches
+# shared blocks with pre-pushed jump operands.
+_OPS = [0x00, 0x01, 0x33, 0x50, 0x56, 0x57, 0x5B, 0x5F, 0x80, 0x81, 0x90, 0x91]
+_label = st.tuples(st.just("label"), st.integers(0, 15))
+_op = st.sampled_from(_OPS)
+_element = st.one_of(_label, _label, _op, _op, _op, _op, _op, st.integers(0, 255))
 
 
-def draw_stack(draw, table: ValueTable) -> StackState | None:
-    if draw(st.integers(0, 4)) == 0:
-        return None
-    # Mostly the seeded pushes, so that clones share constant positions.
-    entry = st.one_of(st.integers(0, 2 * len(CONSTS) - 1), st.integers(0, len(table) - 1))
-    return StackState(tuple(draw(st.lists(entry, max_size=5))))
-
-
-def draw_context(draw) -> dict[int, int] | None:
-    if draw(st.booleans()):
-        return None
-    return draw(st.dictionaries(st.integers(0, 5), st.sampled_from(CONSTS), max_size=3))
-
-
-def build_twin(draw) -> Twin:
-    twin = Twin()
-    table = twin.table
-    for const in CONSTS + CONSTS:
-        table.new_const(const)
-    for _ in range(draw(st.integers(0, 8))):
-        draw_value(draw, table)
-    for offset in OFFSETS:
-        for _ in range(draw(st.integers(0, 3))):
-            twin.clone(offset)
-    for block in twin.blocks():
-        twin.set_start(block, draw_stack(draw, table))
-        twin.set_context(block, draw_context(draw))
-    blocks = st.sampled_from(twin.blocks())
-    for _ in range(draw(st.integers(0, 10))):
-        twin.add_edge(draw(blocks), draw(blocks), draw(st.sampled_from(list(EdgeKind))))
-    return twin
-
-
-OPS = [
-    "walk", "walk", "transfer", "transfer", "stack", "same-stack", "restore",
-    "context", "clone", "edge", "value",
-]
+def assemble(elements):
+    dests, offset = [], 0
+    for element in elements:
+        if element == 0x5B:
+            dests.append(offset)
+        offset += 2 if isinstance(element, tuple) else 1
+    code = bytearray()
+    for element in elements:
+        if isinstance(element, tuple):
+            k = element[1]
+            code += bytes([0x60, dests[k % len(dests)] % 256 if dests else k])
+        else:
+            code.append(element)
+    return bytes(code)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_matches_oracle_under_random_edits(data):
-    draw = data.draw
-    twin = build_twin(draw)
-    table = twin.table
-    for _ in range(draw(st.integers(1, 16))):
-        op = draw(st.sampled_from(OPS))
-        block = draw(st.sampled_from(twin.blocks()))
-        if op == "walk":
-            twin.walk(block, draw(st.integers(0, len(table) - 1)))
-        elif op == "transfer":
-            twin.transfer(draw(st.sampled_from(OFFSETS)))
-        elif op == "stack":
-            twin.set_start(block, draw_stack(draw, table))
-        elif op == "same-stack":
-            # An equal stack in a new object: must settle to the same result.
-            old = twin.new.s_start.get(block)
-            if old is not None:
-                twin.set_start(block, StackState(old.entries))
-        elif op == "restore":
-            # A stack object the block held before, possibly after it left
-            # the offset's clone set: its old record must not count.
-            if block in twin.held:
-                twin.set_start(block, draw(st.sampled_from(twin.held[block])))
-        elif op == "context":
-            twin.set_context(block, draw_context(draw))
-        elif op == "clone":
-            made = twin.clone(draw(st.sampled_from(OFFSETS)))
-            twin.set_start(made, draw_stack(draw, table))
-        elif op == "edge":
-            twin.add_edge(block, draw(st.sampled_from(twin.blocks())), EdgeKind.JUMP)
-        else:
-            draw_value(draw, table)
-    for offset in OFFSETS:
-        twin.transfer(offset)
+@given(st.lists(_element, min_size=1, max_size=100).map(assemble))
+def test_random_bytes_match_reference(code):
+    assert_same_recovery(code, Config(clone_budget_per_offset=16))
 
 
-def test_phi_position_takes_the_last_chain_constant():
-    # A jump operand folded from two pushes, both of which reach the block
-    # through one phi entry: the chain is handled in ascending id order, so
-    # the constant made last is the one the context keeps, whatever its value.
-    for first, second in ((0x10, 0x20), (0x20, 0x10)):
-        twin = Twin()
-        table = twin.table
-        a = table.new_const(first)
-        b = table.new_const(second)
-        phi = table.make_phi([a, b])
-        operand = table.new_const(0x30, (a, b))
-        block = BlockId(1, 0)
-        twin.set_start(block, StackState((phi,)))
-        twin.walk(block, operand)
-        assert twin.new.reuse_contexts == {block: {0: second}}
+# ---------------------------------------------------------------------------
+# The derived rule
+# ---------------------------------------------------------------------------
 
 
-def test_clone_that_leaves_and_returns_is_settled_again():
-    # Three clones of 0x1 share key 0; the first also holds key 1, out of
-    # range for the one-entry stacks of the others.  While the first has no
-    # entry stack, the second's grows to two entries, so once the first is
-    # back with its old stack, key 1 reaches the second.
-    twin = Twin()
-    table = twin.table
-    first, second, third = BlockId(1, 0), twin.clone(1), twin.clone(1)
-    first_stack = StackState((table.new_const(0x10), table.new_const(0x11)))
-    twin.set_start(first, first_stack)
-    twin.set_start(second, StackState((table.new_const(0x10),)))
-    twin.set_start(third, StackState((table.new_const(0x10),)))
-    twin.set_context(first, {0: 0x10, 1: 0x11})
-    twin.transfer(1)
-    twin.set_start(first, None)
-    twin.set_start(second, StackState((table.new_const(0x10), table.new_const(0x14))))
-    twin.transfer(1)
-    twin.set_start(first, first_stack)
-    twin.transfer(1)
-    assert twin.new.reuse_contexts[second] == {0: 0x10, 1: 0x14}
+def test_contexts_derive_from_tainted_indices_per_offset_and_depth():
+    # Four JUMPDESTs, then STOP: originals at offsets 0..3.
+    cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
+    table = cfg.value_table
+    k10, k20 = table.new_const(0x10), table.new_const(0x20)
+    sym = table.new_sym("CALLER", ())
+    a, b, c, shallow = BlockId(1, 0), _make_clone(cfg, 1), _make_clone(cfg, 1), _make_clone(cfg, 1)
+    cfg.s_start[a] = StackState((k10, k20, k10))
+    cfg.s_start[b] = StackState((k20, sym, k10))
+    cfg.s_start[c] = StackState((k10, k20, k20))
+    cfg.s_start[shallow] = StackState((k10, k20))
+    # A walk taints only constant chain values: here the symbol at index 1
+    # of b is the operand itself.
+    update_reuse_context(cfg, b, sym, table)
+    assert cfg.tainted == {}
+    transfer_taint(cfg, a, [2, 0])
+    transfer_taint(cfg, c, [1])
+    assert cfg.tainted == {(1, 3): {0, 1, 2}}
+    # Every clone of depth 3 reads the shared indices; the symbol at index 1
+    # ends b's context, and the clone of depth 2 has none.
+    assert cfg.reuse_contexts == {
+        a: {0: 0x10, 1: 0x20, 2: 0x10},
+        b: {0: 0x20},
+        c: {0: 0x10, 1: 0x20, 2: 0x20},
+    }
+    transfer_taint(cfg, shallow, [1])
+    assert cfg.reuse_contexts[shallow] == {1: 0x20}
+    assert cfg.reuse_contexts[a] == {0: 0x10, 1: 0x20, 2: 0x10}
+    with pytest.raises(TypeError):
+        cfg.reuse_contexts[a] = {}
+
+    # b accepts any arrival with 0x20 at index 0: its context ends before
+    # the other two tainted indices.
+    pred = BlockId(0, 0)
+    cfg.s_end[pred] = StackState((table.new_const(0x20), table.new_unknown("test"), k20))
+    assert reuse_handler(cfg, pred, 1) == b
+    # A mismatch at index 2 rules out a and c, one at index 0 rules out b:
+    # a new clone, whose context reads the three shared indices at once.
+    cfg.s_end[pred] = StackState((k10, k20, table.new_const(0x30)))
+    made = reuse_handler(cfg, pred, 1)
+    assert made == BlockId(1, 4)
+    assert cfg.reuse_contexts[made] == {0: 0x10, 1: 0x20, 2: 0x30}
 
 
-def test_built_graph_keeps_no_recovery_cache(monkeypatch):
+def test_backpropagation_walks_from_every_tainted_index():
+    # x's tainted indices are 0 and 1; the symbol at 0 ends its context, yet
+    # the constant at 1 still flowed in through a new predecessor p.
+    cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
+    table = cfg.value_table
+    k = table.new_const(0x10)
+    p, x = BlockId(1, 0), BlockId(2, 0)
+    cfg.s_start[p] = StackState((k,))
+    cfg.s_start[x] = StackState((table.new_sym("CALLER", ()), k))
+    transfer_taint(cfg, x, [0, 1])
+    assert x not in cfg.reuse_contexts
+    cfg.add_edge(p, x, EdgeKind.JUMP)
+    backpropagate_context(cfg, p, x)
+    assert cfg.tainted[(1, 1)] == {0}
+    assert cfg.reuse_contexts[p] == {0: 0x10}
+
+
+def test_built_graph_keeps_no_chain_memo(monkeypatch):
     seen = {}
     finalize = _Recovery._finalize
 
     def recording_finalize(self):
-        seen["settled"] = len(self.cfg._settled)
         seen["origins"] = len(self.cfg._origins)
         finalize(self)
 
     monkeypatch.setattr(_Recovery, "_finalize", recording_finalize)
     cfg = build_cfg(stress_fixture(3000, 0))
-    assert seen["settled"] > 0 and seen["origins"] > 0
-    assert cfg._settled == {}
+    assert seen["origins"] > 0
     assert cfg._origins == {}
+    assert cfg.tainted and cfg.reuse_contexts
