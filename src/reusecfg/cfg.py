@@ -21,10 +21,12 @@ all resolvable targets connected) serves as the comparison baseline.
 from __future__ import annotations
 
 import enum
-import json
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .bytecode import (
     BasicBlock,
@@ -76,6 +78,11 @@ class Config:
 
 class AnalysisError(Exception):
     """Recovery could not produce a graph for this input."""
+
+
+class EmptyBytecodeError(AnalysisError, ValueError):
+    """No bytes to recover from.  Also a `ValueError`, which `disassemble`
+    raises for the same input and which earlier releases let escape."""
 
 
 class CloneBudgetError(AnalysisError):
@@ -228,9 +235,7 @@ def _check_entry_depth(stack: StackState, offset: int) -> None:
 # Public per-step operations (used by the recovery loop, callable directly)
 # ---------------------------------------------------------------------------
 
-def update_reuse_context(
-    cfg: Cfg, block: BlockId, jump_target_value: int, value_table: ValueTable
-) -> None:
+def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> None:
     """Taint the entry-stack positions feeding `block`'s jump operand.
 
     The operand's def-use chain is walked back to the pushes that introduced
@@ -238,11 +243,11 @@ def update_reuse_context(
     positions there (see `transfer_taint`), and the walk continues into each
     predecessor, re-expanding the chain there, until the block that pushed
     the value is reached.  If the operand was pushed inside `block` itself,
-    nothing is tainted.  Each root's chain is kept in `cfg._origins` while
-    the table is the graph's own: values never change once made.
+    nothing is tainted.  Each root's chain is kept in `cfg._origins`:
+    values never change once made.
     """
-    table = value_table
-    origins = cfg._origins if table is cfg.value_table else {}
+    table = cfg.value_table
+    origins = cfg._origins
     # (clone, value id) pairs whose def-use chain is matched against that
     # clone's S_start.
     work: list[tuple[BlockId, int]] = [(block, jump_target_value)]
@@ -296,9 +301,8 @@ def backpropagate_context(cfg: Cfg, pred: BlockId, succ: BlockId) -> None:
     indices = cfg.tainted.get((succ.offset, len(s_start.entries)))
     if not indices:
         return
-    table = cfg.value_table
     for idx in sorted(indices):
-        update_reuse_context(cfg, succ, s_start.entries[idx], table)
+        update_reuse_context(cfg, succ, s_start.entries[idx])
 
 
 def transfer_taint(cfg: Cfg, block: BlockId, indices: Iterable[int]) -> None:
@@ -536,7 +540,7 @@ class _Recovery:
                         )
                         continue
                     if self.mode is Mode.REUSE_SENSITIVE:
-                        update_reuse_context(cfg, cur, request.value, cfg.value_table)
+                        update_reuse_context(cfg, cur, request.value)
                     self._connect(cur, target, EdgeKind.JUMP, pending)
             else:
                 offset = request.offset
@@ -598,21 +602,62 @@ class _Recovery:
                 cfg.add_edge(src, dst, kind)
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for the enclosed work.
+
+    Recovery and export allocate many small containers and make no
+    reference cycles, so every collection their allocations trigger scans
+    a growing heap and frees nothing.  The collector's state on entry is
+    restored on exit, also when the work raises: if the caller had already
+    turned it off, it stays off.  The collector is global to the process,
+    so another thread's collections wait for at most the enclosed work.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def build_cfg(
     code: bytes,
     mode: Mode = Mode.REUSE_SENSITIVE,
     limits: Config | None = None,
 ) -> Cfg:
-    """Recover the CFG of `code` starting at offset 0 with an empty stack."""
-    return _Recovery(code, mode, limits or Config()).run()
+    """Recover the CFG of `code` starting at offset 0 with an empty stack.
+
+    Empty `code` raises `EmptyBytecodeError`.  Recovery runs with CPython's
+    cyclic garbage collector paused and restores its state on return or
+    error; other threads' collections wait until then (see
+    `_collector_paused`).
+    """
+    if not code:
+        raise EmptyBytecodeError("empty bytecode")
+    with _collector_paused():
+        return _Recovery(code, mode, limits or Config()).run()
 
 
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
 
-def _sorted_blocks(cfg: Cfg) -> list[BasicBlock]:
-    return [cfg.blocks[k] for k in sorted(cfg.blocks)]
+def _listed_blocks(
+    cfg: Cfg, render: Callable[[list[str]], str]
+) -> Iterator[tuple[BasicBlock, str]]:
+    """Blocks in id order, each with `render` of its instruction listing.
+    Clones share their original's instructions and sort next to it, so
+    each offset's listing is rendered once."""
+    offset = None
+    listing = ""
+    for block_id in sorted(cfg.blocks):
+        block = cfg.blocks[block_id]
+        if block_id.offset != offset:
+            offset = block_id.offset
+            listing = render([ins.listing_line() for ins in block.instructions])
+        yield block, listing
 
 
 def _sorted_edges(cfg: Cfg) -> list[Edge]:
@@ -620,52 +665,84 @@ def _sorted_edges(cfg: Cfg) -> list[Edge]:
 
 
 def export(cfg: Cfg, format: str = "json", emit_tac: bool = False) -> bytes:
-    """Serialize a built CFG; byte-identical for identical inputs."""
-    if format == "json":
-        return _export_json(cfg, emit_tac)
-    if format == "dot":
+    """Serialize a built CFG; byte-identical for identical inputs.
+
+    Like `build_cfg`, runs with the cyclic garbage collector paused and
+    restores its state on return or error.
+    """
+    if format not in ("json", "dot"):
+        raise ValueError(f"unknown export format: {format}")
+    with _collector_paused():
+        if format == "json":
+            return _export_json(cfg, emit_tac)
         return _export_dot(cfg, emit_tac)
-    raise ValueError(f"unknown export format: {format}")
+
+
+def _json_layout(brackets: str, items: list[str], indent: str) -> str:
+    """`items`, each already JSON, inside `brackets` ("[]" or "{}"), laid
+    out as `json.dumps(indent=2)` lays out a container whose closing
+    bracket sits at `indent`."""
+    if not items:
+        return brackets
+    inner = "\n  " + indent
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
 def _export_json(cfg: Cfg, emit_tac: bool) -> bytes:
+    """Write exactly `json.dumps(doc, indent=2) + "\n"` in one pass, where
+    `doc` is the document the fields below describe; `doc` itself is never
+    built.  Strings are quoted as `json.dumps` quotes them."""
+    q = encode_basestring_ascii
+    table = cfg.value_table
     blocks = []
-    for block in _sorted_blocks(cfg):
-        entry = {
-            "id": str(block.id),
-            "offset": block.start_offset,
-            "clone": block.id.clone,
-            "instructions": [ins.listing_line() for ins in block.instructions],
-            "terminator": block.terminator.value,
-            "is_data": block.is_data,
-        }
+    for block, listing in _listed_blocks(
+        cfg, lambda lines: _json_layout("[]", [q(line) for line in lines], "      ")
+    ):
+        fields = [
+            f'"id": {q(str(block.id))}',
+            f'"offset": {block.start_offset}',
+            f'"clone": {block.id.clone}',
+            f'"instructions": {listing}',
+            f'"terminator": {q(block.terminator.value)}',
+            f'"is_data": {"true" if block.is_data else "false"}',
+        ]
         if emit_tac and block.id in cfg.tac:
-            entry["tac"] = [op.render(cfg.value_table) for op in cfg.tac[block.id]]
-        blocks.append(entry)
-    doc = {
-        "entry": str(cfg.entry),
-        "blocks": blocks,
-        "edges": [
-            {"from": str(e.src), "to": str(e.dst), "kind": e.kind.value}
-            for e in _sorted_edges(cfg)
-        ],
-        "diagnostics": [
-            {"severity": s, "message": m, "offset": o} for s, m, o in cfg.diagnostics
-        ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode()
+            tac = [q(op.render(table)) for op in cfg.tac[block.id]]
+            fields.append(f'"tac": {_json_layout("[]", tac, "      ")}')
+        blocks.append(_json_layout("{}", fields, "    "))
+    edges = [
+        _json_layout(
+            "{}",
+            [f'"from": {q(str(e.src))}', f'"to": {q(str(e.dst))}', f'"kind": {q(e.kind.value)}'],
+            "    ",
+        )
+        for e in _sorted_edges(cfg)
+    ]
+    diagnostics = [
+        _json_layout("{}", [f'"severity": {q(s)}', f'"message": {q(m)}', f'"offset": {o}'], "    ")
+        for s, m, o in cfg.diagnostics
+    ]
+    members = [
+        f'"entry": {q(str(cfg.entry))}',
+        f'"blocks": {_json_layout("[]", blocks, "  ")}',
+        f'"edges": {_json_layout("[]", edges, "  ")}',
+        f'"diagnostics": {_json_layout("[]", diagnostics, "  ")}',
+    ]
+    return (_json_layout("{}", members, "") + "\n").encode()
+
+
+def _dot_label_lines(lines: list[str]) -> str:
+    return "\\l".join(line.replace('"', '\\"') for line in lines)
 
 
 def _export_dot(cfg: Cfg, emit_tac: bool) -> bytes:
     lines = ["digraph cfg {", "  node [shape=box, fontname=monospace];"]
-    for block in _sorted_blocks(cfg):
-        body = [ins.listing_line() for ins in block.instructions]
+    for block, listing in _listed_blocks(cfg, _dot_label_lines):
+        body = listing
         if emit_tac and block.id in cfg.tac:
-            body += ["--"] + [op.render(cfg.value_table) for op in cfg.tac[block.id]]
-        label = f"{block.start_offset:#x}_{block.id.clone}\\l" + "\\l".join(
-            line.replace('"', '\\"') for line in body
-        ) + "\\l"
-        attrs = f'label="{label}"'
+            tac = [op.render(cfg.value_table) for op in cfg.tac[block.id]]
+            body += "\\l" + _dot_label_lines(["--", *tac])
+        attrs = f'label="{block.start_offset:#x}_{block.id.clone}\\l{body}\\l"'
         if block.is_data:
             attrs += ", style=dotted"
         lines.append(f'  "{block.id}" [{attrs}];')

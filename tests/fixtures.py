@@ -813,3 +813,10 @@ REENTRANCY_NEGATIVE = [
     ree_neg_no_call,
     ree_neg_hashed_key_differs,
 ]
+
+
+# Found by random-byte fuzzing: a loop back to offset 0x0 re-enters with a
+# deeper stack on every turn.
+DEEPENING_LOOP = bytes.fromhex(
+    "5b8015600a5f80325f610021602355505b5b33555691806021018181545654505f3301015432506019602a"
+)

@@ -5,6 +5,7 @@ import signal
 import pytest
 
 from fixtures import (
+    DEEPENING_LOOP,
     masked_operand_fixture,
     mixed_join_fixture,
     three_exit_fixture,
@@ -183,13 +184,6 @@ def test_clone_budget_abort():
     with pytest.raises(CloneBudgetError) as excinfo:
         build_cfg(gt.bytecode, Mode.REUSE_SENSITIVE, Config(clone_budget_per_offset=2))
     assert "clone explosion" in str(excinfo.value)
-
-
-# Found by random-byte fuzzing: a loop back to offset 0x0 re-enters with a
-# deeper stack on every turn.
-DEEPENING_LOOP = bytes.fromhex(
-    "5b8015600a5f80325f610021602355505b5b33555691806021018181545654505f3301015432506019602a"
-)
 
 
 def _recovery_too_slow(signum, frame):

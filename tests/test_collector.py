@@ -1,0 +1,100 @@
+"""Recovery and export run with CPython's cyclic garbage collector paused.
+
+The pause is safe only because neither makes reference cycles: a cycle
+made while the collector is off stays in memory until it runs again.  These
+tests check that the collector's state is restored on every exit, that a
+caller's choice to keep it off is kept, and that building and exporting
+leave nothing for the collector to find.
+"""
+
+import gc
+
+import pytest
+
+from fixtures import DEEPENING_LOOP
+from reusecfg import stress_fixture
+from reusecfg.cfg import (
+    AnalysisError,
+    CloneBudgetError,
+    Config,
+    EmptyBytecodeError,
+    Mode,
+    build_cfg,
+    export,
+)
+
+MODES = (Mode.REUSE_SENSITIVE, Mode.REUSE_INSENSITIVE)
+EXPORTS = (("json", True), ("json", False), ("dot", True))
+
+
+def _expect_error(error, *args):
+    try:
+        build_cfg(*args)
+    except error:
+        return
+    raise AssertionError(f"no {error.__name__}")
+
+
+def _error_builds():
+    # (error, build_cfg arguments): an empty input, a baseline stack that
+    # outgrows the EVM's, and a sensitive build past its clone budget.
+    return [
+        (AnalysisError, (b"",)),
+        (AnalysisError, (DEEPENING_LOOP, Mode.REUSE_INSENSITIVE)),
+        (CloneBudgetError, (DEEPENING_LOOP, Mode.REUSE_SENSITIVE, Config(clone_budget_per_offset=16))),
+    ]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_empty_bytecode_is_an_analysis_error(mode):
+    with pytest.raises(AnalysisError, match="empty bytecode") as excinfo:
+        build_cfg(b"", mode)
+    # Callers that caught the ValueError of `disassemble` still catch it.
+    assert isinstance(excinfo.value, EmptyBytecodeError)
+    assert isinstance(excinfo.value, ValueError)
+
+
+def test_collector_state_restored():
+    assert gc.isenabled()
+    code = stress_fixture(3000, 0)
+    for mode in MODES:
+        cfg = build_cfg(code, mode)
+        assert gc.isenabled()
+        for fmt, tac in EXPORTS:
+            export(cfg, fmt, emit_tac=tac)
+            assert gc.isenabled()
+    for error, args in _error_builds():
+        _expect_error(error, *args)
+        assert gc.isenabled()
+
+
+def test_caller_disabled_collector_stays_disabled():
+    gc.disable()
+    try:
+        cfg = build_cfg(stress_fixture(3000, 0))
+        assert not gc.isenabled()
+        export(cfg, "json", emit_tac=True)
+        assert not gc.isenabled()
+        _expect_error(AnalysisError, b"")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert cfg.blocks
+
+
+def test_build_and_export_make_no_reference_cycles():
+    gc.disable()
+    try:
+        gc.collect()
+        code = stress_fixture(3000, 0)
+        for mode in MODES:
+            cfg = build_cfg(code, mode)
+            assert gc.collect() == 0, f"{mode.value} build"
+            for fmt, tac in EXPORTS:
+                export(cfg, fmt, emit_tac=tac)
+                assert gc.collect() == 0, f"{mode.value} {fmt} export, emit_tac={tac}"
+        for error, args in _error_builds():
+            _expect_error(error, *args)
+            assert gc.collect() == 0, f"{error.__name__} on {args[0][:8].hex() or 'empty input'}"
+    finally:
+        gc.enable()

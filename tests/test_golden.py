@@ -8,6 +8,11 @@ byte.  It was re-pinned once, when reuse contexts became derived from
 per-(offset, depth) tainted indices: the new value equals the old digest
 with only the "reuse-context index N out of range" info diagnostics removed
 from each JSON export, so no graph changed.
+
+`GOLDEN_DOT_TAC_SHA256` covers the DOT export with TAC (`cfg --format dot
+--emit-tac`) of the same stress fixtures, which the first digest leaves
+out.  It was computed before the JSON export was rewritten to write its
+document in one pass.
 """
 
 import hashlib
@@ -15,6 +20,8 @@ import hashlib
 from reusecfg import Mode, Pattern, PatternSpec, build_cfg, export, generate, stress_fixture
 
 GOLDEN_SHA256 = "5b88fc531fb32a249bd708e5ce473ecd1bd7c39403330355e39e8a1c6e40204a"
+
+GOLDEN_DOT_TAC_SHA256 = "c92d2bea54054db57debda68d475990cffdba7f4ba570fd0bd7e7b7e3a1b1d73"
 
 MODES = (Mode.REUSE_SENSITIVE, Mode.REUSE_INSENSITIVE)
 
@@ -44,9 +51,26 @@ def golden_digest() -> str:
     return h.hexdigest()
 
 
+def dot_tac_digest() -> str:
+    h = hashlib.sha256()
+    for size in (3000, 12000):
+        for seed in (0, 5):
+            code = stress_fixture(size, seed)
+            for mode in MODES:
+                data = export(build_cfg(code, mode), "dot", emit_tac=True)
+                h.update(f"stress/{size}/{seed}/{mode.value}/dot-tac {len(data)}\n".encode())
+                h.update(data)
+    return h.hexdigest()
+
+
 def test_exports_match_golden_digest():
     assert golden_digest() == GOLDEN_SHA256
 
 
+def test_dot_tac_exports_match_golden_digest():
+    assert dot_tac_digest() == GOLDEN_DOT_TAC_SHA256
+
+
 if __name__ == "__main__":
     print(golden_digest())
+    print(dot_tac_digest())

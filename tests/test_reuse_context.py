@@ -42,9 +42,9 @@ from reusecfg.emulator import CONST, PHI, StackState, trace_origin
 # ---------------------------------------------------------------------------
 
 
-def ref_update_reuse_context(cfg, block, jump_target_value, value_table):
-    table = value_table
-    origins = cfg._origins if table is cfg.value_table else {}
+def ref_update_reuse_context(cfg, block, jump_target_value):
+    table = cfg.value_table
+    origins = cfg._origins
     work = [(block, jump_target_value)]
     visited = set()
     touched_offsets = []
@@ -94,10 +94,9 @@ def ref_backpropagate_context(cfg, pred, succ):
     s_start = cfg.s_start.get(succ)
     if not ctx or s_start is None:
         return
-    table = cfg.value_table
     for idx in sorted(ctx):
         if idx < len(s_start.entries):
-            ref_update_reuse_context(cfg, succ, s_start.entries[idx], table)
+            ref_update_reuse_context(cfg, succ, s_start.entries[idx])
 
 
 def ref_transfer_taint(cfg, offset):
@@ -288,7 +287,7 @@ def test_contexts_derive_from_tainted_indices_per_offset_and_depth():
     cfg.s_start[shallow] = StackState((k10, k20))
     # A walk taints only constant chain values: here the symbol at index 1
     # of b is the operand itself.
-    update_reuse_context(cfg, b, sym, table)
+    update_reuse_context(cfg, b, sym)
     assert cfg.tainted == {}
     transfer_taint(cfg, a, [2, 0])
     transfer_taint(cfg, c, [1])
