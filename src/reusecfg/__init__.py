@@ -39,7 +39,6 @@ from .corpus import (
 from .detectors import Finding, detect_reentrancy, detect_tx_origin
 from .emulator import (
     EmulationResult,
-    StackState,
     Value,
     ValueTable,
     emulate_block,

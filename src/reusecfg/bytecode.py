@@ -111,8 +111,6 @@ PUSH1, PUSH32 = 0x60, 0x7F
 
 # Opcodes that end a basic block.
 _TERMINATOR_OPS = {0x00, 0x56, 0x57, 0xF3, 0xFD, 0xFE, 0xFF}
-# Opcodes that end the transaction (no successors at all).
-HALTING_OPS = {0x00, 0xF3, 0xFD, 0xFE, 0xFF}
 
 
 class Terminator(enum.Enum):

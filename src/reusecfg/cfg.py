@@ -39,9 +39,7 @@ from .bytecode import (
 from .emulator import (
     CONST,
     PHI,
-    UNKNOWN,
-    EmulationResult,
-    StackState,
+    Stack,
     TacOp,
     ValueTable,
     emulate_block,
@@ -68,10 +66,9 @@ class Config:
     clone_budget_per_offset: int = 512
     total_block_budget: int = 100_000
     reemulation_cap: int = 64
-    branch_bound: int = 16
 
     def __post_init__(self) -> None:
-        for name in ("clone_budget_per_offset", "total_block_budget", "reemulation_cap", "branch_bound"):
+        for name in ("clone_budget_per_offset", "total_block_budget", "reemulation_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -149,8 +146,8 @@ class Cfg:
     # Insertion-ordered set of (severity, message, offset).
     diagnostics: dict[tuple[str, str, int], None] = field(default_factory=dict)
     value_table: ValueTable = field(default_factory=ValueTable)
-    s_start: dict[BlockId, StackState] = field(default_factory=dict)
-    s_end: dict[BlockId, StackState] = field(default_factory=dict)
+    s_start: dict[BlockId, Stack] = field(default_factory=dict)
+    s_end: dict[BlockId, Stack] = field(default_factory=dict)
     tac: dict[BlockId, list[TacOp]] = field(default_factory=dict)
     end_block_clones: set[BlockId] = field(default_factory=set)
     _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
@@ -213,21 +210,20 @@ def _context(cfg: Cfg, block: BlockId) -> dict[int, int]:
     s_start = cfg.s_start.get(block)
     if s_start is None:
         return {}
-    entries = s_start.entries
     table = cfg.value_table
     ctx: dict[int, int] = {}
-    for idx in sorted(cfg.tainted.get((block.offset, len(entries)), ())):
-        value = table.get(entries[idx])
+    for idx in sorted(cfg.tainted.get((block.offset, len(s_start)), ())):
+        value = table.get(s_start[idx])
         if value.kind != CONST:
             break  # not a constant: the context ends here
         ctx[idx] = value.const
     return ctx
 
 
-def _check_entry_depth(stack: StackState, offset: int) -> None:
+def _check_entry_depth(stack: Stack, offset: int) -> None:
     # No execution enters a block with more items than the EVM stack holds;
     # a loop that deepens the stack on each turn ends here.
-    if len(stack.entries) > STACK_LIMIT:
+    if len(stack) > STACK_LIMIT:
         raise AnalysisError(f"entry stack deeper than {STACK_LIMIT} at offset 0x{offset:x}")
 
 
@@ -266,7 +262,7 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
         # One pass over S_start: chain value -> its positions, ascending.  A
         # phi entry holds each of its members too.
         found: dict[int, list[int]] = {}
-        for idx, entry in enumerate(s_start.entries):
+        for idx, entry in enumerate(s_start):
             if entry in chain:
                 found.setdefault(entry, []).append(idx)
             value = table.get(entry)
@@ -298,11 +294,11 @@ def backpropagate_context(cfg: Cfg, pred: BlockId, succ: BlockId) -> None:
     s_start = cfg.s_start.get(succ)
     if s_start is None:
         return
-    indices = cfg.tainted.get((succ.offset, len(s_start.entries)))
+    indices = cfg.tainted.get((succ.offset, len(s_start)))
     if not indices:
         return
     for idx in sorted(indices):
-        update_reuse_context(cfg, succ, s_start.entries[idx])
+        update_reuse_context(cfg, succ, s_start[idx])
 
 
 def transfer_taint(cfg: Cfg, block: BlockId, indices: Iterable[int]) -> None:
@@ -315,7 +311,7 @@ def transfer_taint(cfg: Cfg, block: BlockId, indices: Iterable[int]) -> None:
     `Cfg`).  Adding to the shared set is the whole transfer: no clone holds
     a copy that would need to be kept in sync.
     """
-    key = (block.offset, len(cfg.s_start[block].entries))
+    key = (block.offset, len(cfg.s_start[block]))
     cfg.tainted.setdefault(key, set()).update(indices)
 
 
@@ -334,10 +330,10 @@ def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
         cand_start = cfg.s_start.get(cand)
         if cand_start is None:
             return cand  # first visit claims the original
-        if len(cand_start.entries) != len(s_end.entries):
+        if len(cand_start) != len(s_end):
             continue
         for idx, expected in _context(cfg, cand).items():
-            have = table.get(s_end.entries[idx])
+            have = table.get(s_end[idx])
             if have.kind != CONST or have.const != expected:
                 break
         else:
@@ -346,7 +342,7 @@ def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
     clone = _make_clone(cfg, target_offset)
     # The clone starts from the connecting block's exit stack; the tainted
     # indices of its offset and depth already tell the next arrival apart.
-    cfg.s_start[clone] = StackState(s_end.entries)
+    cfg.s_start[clone] = s_end
     return clone
 
 
@@ -410,7 +406,6 @@ class _Recovery:
                 )
         self.dirty: set[BlockId] = set()
         self.emulation_count: dict[BlockId, int] = {}
-        self.widened: dict[BlockId, set[int]] = {}
 
     # -- stack bookkeeping ---------------------------------------------------
 
@@ -426,29 +421,18 @@ class _Recovery:
         _check_entry_depth(merged, succ.offset)
         if self.emulation_count.get(succ, 0) >= self.limits.reemulation_cap:
             merged = self._widen(succ, merged)
-            if merged == cfg.s_start.get(succ):
-                return
         cfg.s_start[succ] = merged
         self.dirty.add(succ)
 
-    def _widen(self, block: BlockId, merged: StackState) -> StackState:
+    def _widen(self, block: BlockId, merged: Stack) -> Stack:
         """Past the re-emulation cap, still-changing positions widen to
-        unknown so the fixpoint is forced."""
-        cfg = self.cfg
-        old = cfg.s_start.get(block)
-        if old is None or len(old.entries) != len(merged.entries):
+        unknown so the fixpoint is forced.  `prepare_stack` keeps unknown
+        entries, so a changed position never held one before."""
+        old = self.cfg.s_start.get(block)
+        if old is None or len(old) != len(merged):
             return merged
-        table = cfg.value_table
-        out = list(merged.entries)
-        widened = self.widened.setdefault(block, set())
-        for i, (a, b) in enumerate(zip(old.entries, merged.entries)):
-            if a != b:
-                if i in widened and table.get(old.entries[i]).kind == UNKNOWN:
-                    out[i] = old.entries[i]
-                else:
-                    out[i] = table.new_unknown("widened")
-                    widened.add(i)
-        return StackState(tuple(out))
+        new_unknown = self.cfg.value_table.new_unknown
+        return tuple(a if a == b else new_unknown("widened") for a, b in zip(old, merged))
 
     # -- successor resolution --------------------------------------------------
 
@@ -495,7 +479,7 @@ class _Recovery:
         entry = cfg.entry
         if entry not in cfg.blocks:
             raise AnalysisError("no block at offset 0x0")
-        cfg.s_start[entry] = StackState(())
+        cfg.s_start[entry] = ()
         self.dirty.add(entry)
         worklist: list[tuple[BlockId | None, BlockId]] = [(None, entry)]
         while worklist:
@@ -518,9 +502,7 @@ class _Recovery:
         if self.mode is Mode.REUSE_SENSITIVE:
             # A fresh emulation invalidates previously derived transfers.
             cfg.remove_out_edges(cur)
-        result: EmulationResult = emulate_block(
-            block, cfg.s_start[cur], cfg.value_table
-        )
+        result = emulate_block(block, cfg.s_start[cur], cfg.value_table)
         for severity, message, off in result.diagnostics:
             cfg.add_diagnostic(severity, message, off)
         cfg.s_end[cur] = result.s_end

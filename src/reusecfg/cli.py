@@ -25,7 +25,6 @@ _ENV_FIELDS = {
     "CLONE_BUDGET_PER_OFFSET": "clone_budget_per_offset",
     "TOTAL_BLOCK_BUDGET": "total_block_budget",
     "REEMULATION_CAP": "reemulation_cap",
-    "BRANCH_BOUND": "branch_bound",
 }
 
 
@@ -163,10 +162,9 @@ def _cmd_gen(args) -> int:
     if pattern is None:
         known = ", ".join(sorted(p.value for p in corpus.Pattern))
         raise UsageError(f"unknown pattern {args.pattern!r}; one of: {known}")
-    limits = _config_from_env(args)
     spec = corpus.PatternSpec(pattern, seed=args.seed, nesting_depth=args.depth)
     try:
-        truth = corpus.generate(spec, branch_bound=limits.branch_bound)
+        truth = corpus.generate(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out_dir = Path(args.out_dir)
@@ -193,10 +191,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_interp(args) -> int:
     code = _read_code(args.file)
-    limits = _config_from_env(args)
-    bound = args.branch_bound if args.branch_bound is not None else limits.branch_bound
     try:
-        traces = corpus.interpret(code, branch_bound=bound)
+        traces = corpus.interpret(code, branch_bound=args.branch_bound)
     except corpus.UnsupportedOpcodeError as exc:
         raise AnalysisError(str(exc)) from exc
     for trace in traces:
@@ -264,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interp", help="enumerate concrete execution traces")
     p.add_argument("file")
-    p.add_argument("--branch-bound", type=int)
+    p.add_argument("--branch-bound", type=int, default=corpus.BRANCH_BOUND)
     p.set_defaults(func=_cmd_interp)
 
     return parser

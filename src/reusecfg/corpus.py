@@ -185,10 +185,13 @@ def concrete_op(mnemonic: str, operands: list[int]) -> int:
 
 _MAX_FORKS = 65536
 
+# Branch decisions per run that `interpret` explores by default.
+BRANCH_BOUND = 16
+
 
 def interpret(
     code: bytes,
-    branch_bound: int = 16,
+    branch_bound: int = BRANCH_BOUND,
     env: dict[str, int] | None = None,
 ) -> list[Trace]:
     """Concretely execute `code`, forking both arms at every JUMPI.
@@ -664,7 +667,7 @@ _BUILDERS = {
 }
 
 
-def generate(spec: PatternSpec, branch_bound: int = 16) -> GroundTruth:
+def generate(spec: PatternSpec, branch_bound: int = BRANCH_BOUND) -> GroundTruth:
     """Synthesize one labeled fixture for `spec`."""
     rng = random.Random(f"{spec.pattern.value}:{spec.seed}:{spec.nesting_depth}")
     asm, reused_labels, sens, insens = _BUILDERS[spec.pattern](rng, spec.nesting_depth)

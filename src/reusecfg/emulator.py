@@ -9,7 +9,6 @@ positionally, introducing phi values where entries disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bytecode import (
@@ -169,21 +168,8 @@ class ValueTable:
         return f"v{vid}"
 
 
-@dataclass(frozen=True)
-class StackState:
-    """Stack as value ids; index 0 is the bottom, the last entry the top."""
-
-    entries: tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, idx: int) -> int:
-        return self.entries[idx]
-
-    @property
-    def top(self) -> int | None:
-        return self.entries[-1] if self.entries else None
+# A stack as value ids; index 0 is the bottom, the last entry the top.
+Stack = tuple[int, ...]
 
 
 class TacOp(NamedTuple):
@@ -221,12 +207,17 @@ class SuccessorRequest(NamedTuple):
     value: int | None  # jump operand value id (jump kind only)
 
 
-@dataclass
-class EmulationResult:
-    s_end: StackState
+class EmulationResult(NamedTuple):
+    """What one emulation of a block produced.
+
+    An immutable named tuple: it compares equal to the plain tuple of its
+    fields, in field order.
+    """
+
+    s_end: Stack
     successors: list[SuccessorRequest]
     tac: list[TacOp]
-    diagnostics: list[tuple[str, str, int]] = field(default_factory=list)
+    diagnostics: list[tuple[str, str, int]]
 
 
 # How `emulate_block` treats each opcode.
@@ -253,7 +244,7 @@ _DISPATCH: tuple[tuple, ...] = tuple(_dispatch_entry(op) for op in range(256))
 
 
 def emulate_block(
-    block: BasicBlock, s_start: StackState, table: ValueTable
+    block: BasicBlock, s_start: Stack, table: ValueTable
 ) -> EmulationResult:
     """Run one block symbolically from `s_start`.
 
@@ -261,7 +252,7 @@ def emulate_block(
     failing: dead or data blocks must not abort recovery.  Growth past the
     stack limit is likewise only a diagnostic.
     """
-    stack: list[int] = list(s_start.entries)
+    stack: list[int] = list(s_start)
     tac: list[TacOp] = []
     diags: list[tuple[str, str, int]] = []
     successors: list[SuccessorRequest] = []
@@ -339,30 +330,29 @@ def emulate_block(
     if block.terminator is Terminator.FALLTHROUGH:
         successors.append(SuccessorRequest("fallthrough", block.end_offset, None))
 
-    return EmulationResult(StackState(tuple(stack)), successors, tac, diags)
+    return EmulationResult(tuple(stack), successors, tac, diags)
 
 
 def prepare_stack(
-    pred_s_end: StackState,
-    existing_s_start: StackState | None,
+    pred_s_end: Stack,
+    existing_s_start: Stack | None,
     table: ValueTable,
-) -> tuple[StackState, bool, list[tuple[str, str, int]]]:
+) -> tuple[Stack, bool, list[tuple[str, str, int]]]:
     """Merge a predecessor's exit stack into a block's entry stack.
 
     Positionwise-equal value ids (or equal constants) keep the existing
     entry; disagreeing positions widen to a phi over the union.  Unknown
     entries absorb everything.  Depth mismatches merge top-aligned over the
     deeper stack and are reported as a diagnostic.  An incoming stack equal
-    to the existing one returns the existing `StackState` itself, unchanged.
+    to the existing one returns the existing stack itself, unchanged.
     """
     diags: list[tuple[str, str, int]] = []
     if existing_s_start is None:
-        return StackState(pred_s_end.entries), True, diags
+        return pred_s_end, True, diags
 
-    old = existing_s_start.entries
-    new = pred_s_end.entries
+    old, new = existing_s_start, pred_s_end
     if old == new:
-        return existing_s_start, False, diags
+        return old, False, diags
     changed = False
     if len(old) != len(new):
         diags.append(("warning", "irregular stack depth at join", -1))
@@ -394,7 +384,7 @@ def prepare_stack(
             changed = True
         base[-i] = merged
 
-    return StackState(tuple(base)), changed, diags
+    return tuple(base), changed, diags
 
 
 def trace_origin(vid: int, table: ValueTable) -> set[int]:

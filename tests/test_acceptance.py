@@ -21,7 +21,7 @@ from reusecfg.corpus import (
     stress_fixture,
 )
 from reusecfg.detectors import detect_reentrancy, detect_tx_origin
-from reusecfg.emulator import CONST, FOLDED_OPS, StackState, ValueTable, emulate_block
+from reusecfg.emulator import CONST, FOLDED_OPS, ValueTable, emulate_block
 from reusecfg.bytecode import identify_blocks
 from reusecfg.metrics import count_paths, polymorphic_jump_targets, trace_coverage
 
@@ -128,8 +128,8 @@ def test_criterion_5_oracle_equivalence():
 
             code.append(MNEMONIC_TO_OPCODE[mnemonic])
             block = identify_blocks(disassemble(bytes(code)))[0]
-            result = emulate_block(block, StackState(), table)
-            folded = table.get(result.s_end.entries[-1])
+            result = emulate_block(block, (), table)
+            folded = table.get(result.s_end[-1])
             assert folded.kind == CONST
             assert folded.const == concrete_op(mnemonic, operands), mnemonic
 

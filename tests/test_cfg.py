@@ -23,7 +23,6 @@ from reusecfg.cfg import (
     build_cfg,
     export,
 )
-from reusecfg.emulator import StackState
 from reusecfg.corpus import Pattern, PatternSpec, generate
 from reusecfg.metrics import count_paths, polymorphic_jump_targets
 
@@ -133,8 +132,8 @@ def test_finalize_drops_edges_into_orphaned_clones():
     recovery = _Recovery(bytes.fromhex("5b5b5b00"), Mode.REUSE_SENSITIVE, Config())
     cfg = recovery.cfg
     stale, end = BlockId(1, 0), BlockId(2, 0)
-    cfg.s_start[cfg.entry] = StackState(())
-    cfg.s_start[stale] = StackState(())
+    cfg.s_start[cfg.entry] = ()
+    cfg.s_start[stale] = ()
     orphan = _make_clone(cfg, 2)
     cfg.add_edge(stale, orphan, EdgeKind.JUMP)
     cfg.add_edge(stale, end, EdgeKind.FALLTHROUGH)
@@ -152,7 +151,7 @@ def test_clones_at_lists_clones_kept_past_a_dropped_one():
     # is: dropping the first must not hide the second.
     recovery = _Recovery(bytes.fromhex("5b5b5b00"), Mode.REUSE_SENSITIVE, Config())
     cfg = recovery.cfg
-    cfg.s_start[cfg.entry] = StackState(())
+    cfg.s_start[cfg.entry] = ()
     dropped = _make_clone(cfg, 2)
     kept = _make_clone(cfg, 2)
     cfg.add_edge(cfg.entry, kept, EdgeKind.JUMP)

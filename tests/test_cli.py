@@ -4,7 +4,7 @@ import pytest
 
 import fixtures
 from reusecfg.cli import run
-from reusecfg.corpus import Pattern, PatternSpec, generate
+from reusecfg.corpus import Pattern, PatternSpec, generate, interpret
 
 
 @pytest.fixture
@@ -145,6 +145,19 @@ def test_interp_round_trips_with_cover(tmp_path, capsys):
     assert run(["cover", str(path), "--traces", str(tracefile)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"covered {len(gt.traces)}"
+
+
+def test_interp_branch_bound_flag(tmp_path, capsys):
+    code = generate(PatternSpec(Pattern.FAKE_JOIN_WITH_REAL, seed=2, nesting_depth=2)).bytecode
+    path = tmp_path / "b.hex"
+    path.write_text(code.hex())
+    # The fixture branches before it halts: with no branch decisions
+    # allowed, every fork is abandoned and no trace is printed.
+    assert run(["interp", "--branch-bound", "0", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(["interp", str(path)]) == 0
+    expected = [",".join(f"0x{o:x}" for o in t.offsets) for t in interpret(code)]
+    assert expected and capsys.readouterr().out.splitlines() == expected
 
 
 def test_unknown_pattern_usage_error(tmp_path, capsys):

@@ -7,7 +7,6 @@ from reusecfg.emulator import (
     FOLDED_OPS,
     PHI,
     SYM,
-    StackState,
     ValueTable,
     emulate_block,
     prepare_stack,
@@ -15,7 +14,7 @@ from reusecfg.emulator import (
 )
 
 
-def emulate_hex(hex_code: str, s_start=StackState(), table=None):
+def emulate_hex(hex_code: str, s_start=(), table=None):
     table = table or ValueTable()
     blocks = identify_blocks(disassemble(bytes.fromhex(hex_code)))
     result = emulate_block(blocks[0], s_start, table)
@@ -24,14 +23,14 @@ def emulate_hex(hex_code: str, s_start=StackState(), table=None):
 
 def test_constant_fold_add():
     result, table = emulate_hex("6002600301")
-    assert [table.get(v).const for v in result.s_end.entries] == [5]
+    assert [table.get(v).const for v in result.s_end] == [5]
 
 
 def test_and_with_symbolic_operand_keeps_links():
     table = ValueTable()
     b = table.new_sym("CALLVALUE", ())
-    result, _ = emulate_hex("61ffff16", StackState((b,)), table)
-    top = table.get(result.s_end.entries[-1])
+    result, _ = emulate_hex("61ffff16", (b,), table)
+    top = table.get(result.s_end[-1])
     assert top.kind == SYM and top.op == "AND"
     operands = {table.get(a).kind for a in top.args}
     assert CONST in operands
@@ -51,7 +50,7 @@ def test_folding_matches_concrete_interpreter():
                 asm.push(value, width=32)
             asm.op(mnemonic)
             result, table = emulate_hex(asm.assemble().hex())
-            folded = table.get(result.s_end.entries[-1])
+            folded = table.get(result.s_end[-1])
             assert folded.kind == CONST
             assert folded.const == concrete_op(mnemonic, ops)
 
@@ -78,7 +77,7 @@ def test_random_const_programs_match_interpreter_stack():
                 asm.push(value, width=8)
                 model.append(value)
         result, table = emulate_hex(asm.assemble().hex())
-        got = [table.get(v).const for v in result.s_end.entries]
+        got = [table.get(v).const for v in result.s_end]
         assert got == model
 
 
@@ -110,14 +109,14 @@ def test_stack_effect_law():
 def test_memory_and_environment_stay_symbolic():
     for code, op in (("600051", "MLOAD"), ("600054", "SLOAD"), ("32", "ORIGIN")):
         result, table = emulate_hex(code)
-        top = table.get(result.s_end.entries[-1])
+        top = table.get(result.s_end[-1])
         assert top.kind == SYM and top.op == op
 
 
 def test_underflow_yields_unknown_and_diagnostic():
     result, table = emulate_hex("01")  # ADD on an empty stack
     assert any("underflow" in msg for _, msg, _ in result.diagnostics)
-    assert table.get(result.s_end.entries[-1]).op == "ADD"
+    assert table.get(result.s_end[-1]).op == "ADD"
 
 
 def test_jump_successors():
@@ -140,23 +139,23 @@ def test_tac_listing_renders():
 def test_prepare_stack_identical_unchanged():
     table = ValueTable()
     a = table.new_const(5)
-    merged, changed, _ = prepare_stack(StackState((a,)), StackState((a,)), table)
-    assert not changed and merged.entries == (a,)
+    merged, changed, _ = prepare_stack((a,), (a,), table)
+    assert not changed and merged == (a,)
 
 
 def test_prepare_stack_equal_consts_unchanged():
     table = ValueTable()
     a, b = table.new_const(5), table.new_const(5)
-    merged, changed, _ = prepare_stack(StackState((b,)), StackState((a,)), table)
-    assert not changed and merged.entries == (a,)
+    merged, changed, _ = prepare_stack((b,), (a,), table)
+    assert not changed and merged == (a,)
 
 
 def test_prepare_stack_differing_consts_make_phi():
     table = ValueTable()
     a, b = table.new_const(5), table.new_const(7)
-    merged, changed, _ = prepare_stack(StackState((b,)), StackState((a,)), table)
+    merged, changed, _ = prepare_stack((b,), (a,), table)
     assert changed
-    phi = table.get(merged.entries[0])
+    phi = table.get(merged[0])
     assert phi.kind == PHI
     assert {table.get(m).const for m in phi.members} == {5, 7}
 
@@ -164,26 +163,26 @@ def test_prepare_stack_differing_consts_make_phi():
 def test_prepare_stack_phi_absorbs_existing_member():
     table = ValueTable()
     a, b = table.new_const(5), table.new_const(7)
-    merged, _, _ = prepare_stack(StackState((b,)), StackState((a,)), table)
-    again, changed, _ = prepare_stack(StackState((table.new_const(5),)), merged, table)
+    merged, _, _ = prepare_stack((b,), (a,), table)
+    again, changed, _ = prepare_stack((table.new_const(5),), merged, table)
     assert not changed
-    assert again.entries == merged.entries
+    assert again == merged
 
 
 def test_prepare_stack_absent_copies():
     table = ValueTable()
     a = table.new_const(9)
-    merged, changed, _ = prepare_stack(StackState((a,)), None, table)
-    assert changed and merged.entries == (a,)
+    merged, changed, _ = prepare_stack((a,), None, table)
+    assert changed and merged == (a,)
 
 
 def test_prepare_stack_depth_mismatch_diagnostic():
     table = ValueTable()
     a, b, c = table.new_const(1), table.new_const(2), table.new_const(3)
-    merged, changed, diags = prepare_stack(StackState((c,)), StackState((a, b)), table)
+    merged, changed, diags = prepare_stack((c,), (a, b), table)
     assert any("irregular stack depth" in m for _, m, _ in diags)
     assert len(merged) == 2  # deeper stack is the base
-    top = table.get(merged.entries[-1])
+    top = table.get(merged[-1])
     assert top.kind == PHI
 
 
@@ -239,10 +238,10 @@ def test_trace_origin_idempotent_and_monotone():
 def test_ssa_freshness_and_structural_stability():
     table = ValueTable()
     blocks = identify_blocks(disassemble(bytes.fromhex("6002600301346001011600")))
-    first = emulate_block(blocks[0], StackState(), table)
-    second = emulate_block(blocks[0], StackState(), table)
+    first = emulate_block(blocks[0], (), table)
+    second = emulate_block(blocks[0], (), table)
     assert len(first.s_end) == len(second.s_end)
-    for x, y in zip(first.s_end.entries, second.s_end.entries):
+    for x, y in zip(first.s_end, second.s_end):
         vx, vy = table.get(x), table.get(y)
         assert vx.kind == vy.kind
         if vx.kind == CONST:

@@ -3,15 +3,16 @@
 `oracle_disassemble`, `oracle_emulate_block` and `oracle_prepare_stack` are
 the earlier implementations, kept here as references together with the
 records and value-table methods they used (frozen dataclasses built through
-keyword arguments, folding by a chain of mnemonic compares).  Random byte
-strings over all 256 opcodes are decoded and emulated by both, each against
-its own value table; the tables are driven in lockstep and every result,
-including every value appended, must agree field by field as plain tuples.
+keyword arguments, folding by a chain of mnemonic compares, stacks wrapped
+in a `StackState`).  Random byte strings over all 256 opcodes are decoded
+and emulated by both, each against its own value table; the tables are
+driven in lockstep and every result, including every value appended, must
+agree field by field as plain tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,8 +33,6 @@ from reusecfg.emulator import (
     PHI,
     SYM,
     UNKNOWN,
-    EmulationResult,
-    StackState,
     ValueTable,
     emulate_block,
     prepare_stack,
@@ -47,6 +46,31 @@ ORACLE_FOLDED_OPS = {
     "ADD", "MUL", "SUB", "DIV", "MOD", "EXP", "AND", "OR", "XOR", "NOT",
     "SHL", "SHR", "BYTE", "LT", "GT", "EQ", "ISZERO",
 }
+
+
+@dataclass(frozen=True)
+class StackState:
+    """Stack as value ids; index 0 is the bottom, the last entry the top."""
+
+    entries: tuple[int, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, idx: int) -> int:
+        return self.entries[idx]
+
+    @property
+    def top(self) -> int | None:
+        return self.entries[-1] if self.entries else None
+
+
+@dataclass
+class EmulationResult:
+    s_end: StackState
+    successors: list[OracleSuccessorRequest]
+    tac: list[OracleTacOp]
+    diagnostics: list[tuple[str, str, int]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -420,7 +444,7 @@ class Lockstep:
         assert a == b
         return a
 
-    def stack(self, spec) -> StackState:
+    def stack(self, spec) -> tuple[int, ...]:
         entries, deep = spec
         ids: list[int] = []
         if deep:
@@ -436,7 +460,7 @@ class Lockstep:
                 ids.append(self.both("make_phi", members))
             else:
                 ids.append(self.both("new_unknown", entry[1]))
-        return StackState(tuple(ids))
+        return tuple(ids)
 
     def assert_tables_agree(self) -> None:
         """Every value appended since the last call agrees."""
@@ -463,12 +487,12 @@ def test_emulate_block_and_prepare_stack_match_reference(code, terminator, first
     blocks = identify_blocks(instructions)
     blocks.append(BasicBlock(BlockId(0, 0), 0, instructions, terminator))
     entry_stacks = [tables.stack(first), tables.stack(second)]
-    ends: list[StackState] = []
+    ends: list[tuple[int, ...]] = []
     for block in blocks:
         for s_start in entry_stacks:
             new = emulate_block(block, s_start, tables.new)
-            old = oracle_emulate_block(block, s_start, tables.old)
-            assert new.s_end.entries == old.s_end.entries
+            old = oracle_emulate_block(block, StackState(s_start), tables.old)
+            assert new.s_end == old.s_end.entries
             assert [tuple(s) for s in new.successors] == [astuple(s) for s in old.successors]
             assert [tuple(op) for op in new.tac] == [astuple(op) for op in old.tac]
             assert new.diagnostics == old.diagnostics
@@ -481,18 +505,20 @@ def test_emulate_block_and_prepare_stack_match_reference(code, terminator, first
         for existing in [None, *merged_stacks]:
             merged, changed, diags = prepare_stack(incoming, existing, tables.new)
             old_merged, old_changed, old_diags = oracle_prepare_stack(
-                incoming, existing, tables.old
+                StackState(incoming),
+                None if existing is None else StackState(existing),
+                tables.old,
             )
-            assert (merged.entries, changed, diags) == (old_merged.entries, old_changed, old_diags)
+            assert (merged, changed, diags) == (old_merged.entries, old_changed, old_diags)
             tables.assert_tables_agree()
 
 
 def test_prepare_stack_returns_existing_state_for_an_equal_stack():
     table = ValueTable()
     a, b = table.new_const(1), table.new_sym("CALLER", ())
-    existing = StackState((a, b))
+    existing = (a, b)
     before = len(table)
-    merged, changed, diags = prepare_stack(StackState((a, b)), existing, table)
+    merged, changed, diags = prepare_stack((a, b), existing, table)
     assert merged is existing
     assert not changed and diags == []
     assert len(table) == before

@@ -13,15 +13,32 @@ from each JSON export, so no graph changed.
 --emit-tac`) of the same stress fixtures, which the first digest leaves
 out.  It was computed before the JSON export was rewritten to write its
 document in one pass.
+
+`GOLDEN_WIDEN_SHA256` covers builds at `reemulation_cap` 1 and 2, where
+joins that keep changing at the same depth widen to unknown values; the
+default cap never reaches that path on the inputs above.  It was computed
+before `StackState` was replaced by plain tuples and the widening step was
+cut down to one comprehension.
 """
 
 import hashlib
 
-from reusecfg import Mode, Pattern, PatternSpec, build_cfg, export, generate, stress_fixture
+from reusecfg import (
+    Config,
+    Mode,
+    Pattern,
+    PatternSpec,
+    build_cfg,
+    export,
+    generate,
+    stress_fixture,
+)
 
 GOLDEN_SHA256 = "5b88fc531fb32a249bd708e5ce473ecd1bd7c39403330355e39e8a1c6e40204a"
 
 GOLDEN_DOT_TAC_SHA256 = "c92d2bea54054db57debda68d475990cffdba7f4ba570fd0bd7e7b7e3a1b1d73"
+
+GOLDEN_WIDEN_SHA256 = "a4885d13a366cb86c293f078c09ad5f781b468475011019b401fa0905e7f20f6"
 
 MODES = (Mode.REUSE_SENSITIVE, Mode.REUSE_INSENSITIVE)
 
@@ -63,6 +80,28 @@ def dot_tac_digest() -> str:
     return h.hexdigest()
 
 
+def widen_digest() -> str:
+    h = hashlib.sha256()
+
+    def feed(label: str, data: bytes) -> None:
+        h.update(f"{label} {len(data)}\n".encode())
+        h.update(data)
+
+    inputs = [(f"stress/3000/{seed}", stress_fixture(3000, seed)) for seed in (0, 5)]
+    for pattern in Pattern:
+        for depth in range(1, 5):
+            for seed in range(5):
+                spec = PatternSpec(pattern, seed=seed, nesting_depth=depth)
+                inputs.append((f"{pattern.value}/{depth}/{seed}", generate(spec).bytecode))
+    for cap in (1, 2):
+        limits = Config(reemulation_cap=cap)
+        for tag, code in inputs:
+            for mode in MODES:
+                cfg = build_cfg(code, mode, limits)
+                feed(f"{tag}/cap{cap}/{mode.value}", export(cfg, "json", emit_tac=True))
+    return h.hexdigest()
+
+
 def test_exports_match_golden_digest():
     assert golden_digest() == GOLDEN_SHA256
 
@@ -71,6 +110,11 @@ def test_dot_tac_exports_match_golden_digest():
     assert dot_tac_digest() == GOLDEN_DOT_TAC_SHA256
 
 
+def test_low_cap_widening_exports_match_golden_digest():
+    assert widen_digest() == GOLDEN_WIDEN_SHA256
+
+
 if __name__ == "__main__":
     print(golden_digest())
     print(dot_tac_digest())
+    print(widen_digest())

@@ -35,7 +35,7 @@ from reusecfg.cfg import (
     update_reuse_context,
 )
 from reusecfg.corpus import Pattern, PatternSpec, generate
-from reusecfg.emulator import CONST, PHI, StackState, trace_origin
+from reusecfg.emulator import CONST, PHI, trace_origin
 
 # ---------------------------------------------------------------------------
 # Reference: per-clone contexts and the pairwise transfer fixpoint
@@ -60,7 +60,7 @@ def ref_update_reuse_context(cfg, block, jump_target_value):
         if chain is None:
             chain = origins[root] = trace_origin(root, table)
         found = {}
-        for idx, entry in enumerate(s_start.entries):
+        for idx, entry in enumerate(s_start):
             if entry in chain:
                 found.setdefault(entry, []).append(idx)
             value = table.get(entry)
@@ -95,8 +95,8 @@ def ref_backpropagate_context(cfg, pred, succ):
     if not ctx or s_start is None:
         return
     for idx in sorted(ctx):
-        if idx < len(s_start.entries):
-            ref_update_reuse_context(cfg, succ, s_start.entries[idx])
+        if idx < len(s_start):
+            ref_update_reuse_context(cfg, succ, s_start[idx])
 
 
 def ref_transfer_taint(cfg, offset):
@@ -126,14 +126,14 @@ def ref_transfer_taint(cfg, offset):
                 s_b = cfg.s_start[b]
                 ctx_b = contexts.setdefault(b, {})
                 for idx in keys_a:
-                    if idx >= len(s_b.entries):
+                    if idx >= len(s_b):
                         cfg.add_diagnostic(
                             "info",
                             f"reuse-context index {idx} out of range for {b}",
                             offset,
                         )
                         continue
-                    value_b = table.get(s_b.entries[idx])
+                    value_b = table.get(s_b[idx])
                     if value_b.kind != CONST:
                         break
                     if idx not in ctx_b:
@@ -158,26 +158,26 @@ def ref_reuse_handler(cfg, b_c, target_offset):
         cand_start = cfg.s_start.get(cand)
         if cand_start is None:
             return cand
-        if len(cand_start.entries) != len(s_end.entries):
+        if len(cand_start) != len(s_end):
             continue
         ctx = cfg.ref_contexts.get(cand, {})
         ok = True
         for idx, expected in ctx.items():
-            if idx >= len(s_end.entries):
+            if idx >= len(s_end):
                 ok = False
                 break
-            have = table.get(s_end.entries[idx])
+            have = table.get(s_end[idx])
             if have.kind != CONST or have.const != expected:
                 ok = False
                 break
         if ok:
             return cand
-    if len(s_end.entries) > STACK_LIMIT:
+    if len(s_end) > STACK_LIMIT:
         raise AnalysisError(
             f"entry stack deeper than {STACK_LIMIT} at offset 0x{target_offset:x}"
         )
     clone = _make_clone(cfg, target_offset)
-    cfg.s_start[clone] = StackState(s_end.entries)
+    cfg.s_start[clone] = s_end
     ref_transfer_taint(cfg, target_offset)
     return clone
 
@@ -281,10 +281,10 @@ def test_contexts_derive_from_tainted_indices_per_offset_and_depth():
     k10, k20 = table.new_const(0x10), table.new_const(0x20)
     sym = table.new_sym("CALLER", ())
     a, b, c, shallow = BlockId(1, 0), _make_clone(cfg, 1), _make_clone(cfg, 1), _make_clone(cfg, 1)
-    cfg.s_start[a] = StackState((k10, k20, k10))
-    cfg.s_start[b] = StackState((k20, sym, k10))
-    cfg.s_start[c] = StackState((k10, k20, k20))
-    cfg.s_start[shallow] = StackState((k10, k20))
+    cfg.s_start[a] = (k10, k20, k10)
+    cfg.s_start[b] = (k20, sym, k10)
+    cfg.s_start[c] = (k10, k20, k20)
+    cfg.s_start[shallow] = (k10, k20)
     # A walk taints only constant chain values: here the symbol at index 1
     # of b is the operand itself.
     update_reuse_context(cfg, b, sym)
@@ -308,11 +308,11 @@ def test_contexts_derive_from_tainted_indices_per_offset_and_depth():
     # b accepts any arrival with 0x20 at index 0: its context ends before
     # the other two tainted indices.
     pred = BlockId(0, 0)
-    cfg.s_end[pred] = StackState((table.new_const(0x20), table.new_unknown("test"), k20))
+    cfg.s_end[pred] = (table.new_const(0x20), table.new_unknown("test"), k20)
     assert reuse_handler(cfg, pred, 1) == b
     # A mismatch at index 2 rules out a and c, one at index 0 rules out b:
     # a new clone, whose context reads the three shared indices at once.
-    cfg.s_end[pred] = StackState((k10, k20, table.new_const(0x30)))
+    cfg.s_end[pred] = (k10, k20, table.new_const(0x30))
     made = reuse_handler(cfg, pred, 1)
     assert made == BlockId(1, 4)
     assert cfg.reuse_contexts[made] == {0: 0x10, 1: 0x20, 2: 0x30}
@@ -325,8 +325,8 @@ def test_backpropagation_walks_from_every_tainted_index():
     table = cfg.value_table
     k = table.new_const(0x10)
     p, x = BlockId(1, 0), BlockId(2, 0)
-    cfg.s_start[p] = StackState((k,))
-    cfg.s_start[x] = StackState((table.new_sym("CALLER", ()), k))
+    cfg.s_start[p] = (k,)
+    cfg.s_start[x] = (table.new_sym("CALLER", ()), k)
     transfer_taint(cfg, x, [0, 1])
     assert x not in cfg.reuse_contexts
     cfg.add_edge(p, x, EdgeKind.JUMP)
