@@ -119,9 +119,9 @@ class Cfg:
     `succ` is the one edge store: per source block, its out-edges keyed by
     (destination, kind) in insertion order.  A JUMPI whose target is the
     next block has both a JUMP and a FALLTHROUGH edge to it.  `pred` mirrors
-    it per destination: each source, in the order of its first edge, with
-    its count of parallel edges.  Only `add_edge` and `remove_out_edges`
-    write either.
+    it per destination as an ordered set: each source with any edge to it,
+    in the order of its first edge.  Only `add_edge` and `remove_out_edges`
+    write either; a source's edges are only ever removed all at once.
 
     `tainted` holds the tainted entry-stack indices per (offset, entry
     depth); only `transfer_taint` adds to it.  A clone's reuse context is
@@ -141,7 +141,7 @@ class Cfg:
     limits: Config = field(default_factory=Config)
     blocks: dict[BlockId, BasicBlock] = field(default_factory=dict)
     succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], Edge]] = field(default_factory=dict)
-    pred: dict[BlockId, dict[BlockId, int]] = field(default_factory=dict)
+    pred: dict[BlockId, dict[BlockId, None]] = field(default_factory=dict)
     tainted: dict[tuple[int, int], set[int]] = field(default_factory=dict)
     # Insertion-ordered set of (severity, message, offset).
     diagnostics: dict[tuple[str, str, int], None] = field(default_factory=dict)
@@ -177,17 +177,12 @@ class Cfg:
         if (dst, kind) in out:
             return False
         out[(dst, kind)] = Edge(src, dst, kind)
-        preds = self.pred.setdefault(dst, {})
-        preds[src] = preds.get(src, 0) + 1
+        self.pred.setdefault(dst, {})[src] = None
         return True
 
     def remove_out_edges(self, src: BlockId) -> None:
         for dst, _ in self.succ.pop(src, ()):
-            preds = self.pred[dst]
-            if preds[src] == 1:
-                del preds[src]
-            else:
-                preds[src] -= 1
+            self.pred[dst].pop(src, None)
 
     def predecessors(self, block: BlockId) -> list[BlockId]:
         return list(self.pred.get(block, ()))
@@ -354,16 +349,13 @@ def handle_end_block(cfg: Cfg, b_c: BlockId, end_offset: int) -> BlockId:
     in-degree one at the cost of some redundant clones.
     """
     original = BlockId(end_offset, 0)
-    if cfg.has_edge(b_c, original, EdgeKind.JUMP) or cfg.has_edge(
-        b_c, original, EdgeKind.FALLTHROUGH
-    ):
+    preds = cfg.pred.get(original, ())
+    if b_c in preds:
         return original
-    if not cfg.pred.get(original) and cfg.s_start.get(original) is None:
+    if not preds and cfg.s_start.get(original) is None:
         return original
     for cand in cfg.clones_at(end_offset)[1:]:
-        if cfg.has_edge(b_c, cand, EdgeKind.JUMP) or cfg.has_edge(
-            b_c, cand, EdgeKind.FALLTHROUGH
-        ):
+        if b_c in cfg.pred.get(cand, ()):
             return cand
     clone = _make_clone(cfg, end_offset)
     cfg.end_block_clones.add(clone)
@@ -389,15 +381,9 @@ def _make_clone(cfg: Cfg, offset: int) -> BlockId:
 
 class _Recovery:
     def __init__(self, code: bytes, mode: Mode, limits: Config) -> None:
-        self.code = code
-        self.mode = mode
-        self.limits = limits
         instructions = disassemble(code)
-        blocks = identify_blocks(instructions)
-        self.templates: dict[int, BasicBlock] = {b.start_offset: b for b in blocks}
-        entry = BlockId(0, 0)
-        self.cfg = Cfg(mode=mode, entry=entry, limits=limits)
-        for b in blocks:
+        self.cfg = Cfg(mode=mode, entry=BlockId(0, 0), limits=limits)
+        for b in identify_blocks(instructions):
             self.cfg.blocks[b.id] = b
         for ins in instructions:
             if ins.truncated:
@@ -419,7 +405,7 @@ class _Recovery:
         if not changed:
             return
         _check_entry_depth(merged, succ.offset)
-        if self.emulation_count.get(succ, 0) >= self.limits.reemulation_cap:
+        if self.emulation_count.get(succ, 0) >= cfg.limits.reemulation_cap:
             merged = self._widen(succ, merged)
         cfg.s_start[succ] = merged
         self.dirty.add(succ)
@@ -447,7 +433,7 @@ class _Recovery:
         value = table.get(value_id)
         if value.kind == CONST:
             return [value.const]
-        if self.mode is Mode.REUSE_INSENSITIVE and value.kind == PHI:
+        if self.cfg.mode is Mode.REUSE_INSENSITIVE and value.kind == PHI:
             consts = [
                 table.get(m).const
                 for m in value.members
@@ -460,17 +446,13 @@ class _Recovery:
         )
         return []
 
-    def _valid_jump_target(self, offset: int) -> bool:
-        template = self.templates.get(offset)
-        return template is not None and template.instructions[0].opcode == JUMPDEST
-
-    def _select_successor(self, b_c: BlockId, offset: int) -> BlockId:
-        if self.mode is Mode.REUSE_INSENSITIVE:
-            return BlockId(offset, 0)
-        template = self.templates[offset]
-        if template.halts:
-            return handle_end_block(self.cfg, b_c, offset)
-        return reuse_handler(self.cfg, b_c, offset)
+    def _select_successor(self, b_c: BlockId, original: BasicBlock) -> BlockId:
+        cfg = self.cfg
+        if cfg.mode is Mode.REUSE_INSENSITIVE:
+            return original.id
+        if original.halts:
+            return handle_end_block(cfg, b_c, original.start_offset)
+        return reuse_handler(cfg, b_c, original.start_offset)
 
     # -- main loop -------------------------------------------------------------
 
@@ -484,10 +466,7 @@ class _Recovery:
         worklist: list[tuple[BlockId | None, BlockId]] = [(None, entry)]
         while worklist:
             pred, cur = worklist.pop()
-            if pred is not None and not (
-                cfg.has_edge(pred, cur, EdgeKind.JUMP)
-                or cfg.has_edge(pred, cur, EdgeKind.FALLTHROUGH)
-            ):
+            if pred is not None and pred not in cfg.pred.get(cur, ()):
                 continue  # stale item: the edge was dropped by a re-emulation
             if cur not in self.dirty:
                 continue
@@ -499,7 +478,8 @@ class _Recovery:
     def _emulate(self, cur: BlockId, worklist: list) -> None:
         cfg = self.cfg
         block = cfg.blocks[cur]
-        if self.mode is Mode.REUSE_SENSITIVE:
+        sensitive = cfg.mode is Mode.REUSE_SENSITIVE
+        if sensitive:
             # A fresh emulation invalidates previously derived transfers.
             cfg.remove_out_edges(cur)
         result = emulate_block(block, cfg.s_start[cur], cfg.value_table)
@@ -510,27 +490,24 @@ class _Recovery:
         self.emulation_count[cur] = self.emulation_count.get(cur, 0) + 1
 
         pending: list[tuple[BlockId | None, BlockId]] = []
-        for request in result.successors:
-            if request.kind == "jump":
-                targets = self._jump_targets(request.value, cur.offset)
-                for target in targets:
-                    if not self._valid_jump_target(target):
-                        cfg.add_diagnostic(
-                            "warning",
-                            f"invalid jump target 0x{target:x} at offset 0x{cur.offset:x}",
-                            cur.offset,
-                        )
-                        continue
-                    if self.mode is Mode.REUSE_SENSITIVE:
-                        update_reuse_context(cfg, cur, request.value)
-                    self._connect(cur, target, EdgeKind.JUMP, pending)
-            else:
-                offset = request.offset
-                if offset is None or offset >= len(self.code):
-                    continue  # running off the end halts like STOP
-                if offset not in self.templates:
+        if result.jump is not None:
+            for target in self._jump_targets(result.jump, cur.offset):
+                original = cfg.blocks.get(BlockId(target, 0))
+                if original is None or original.instructions[0].opcode != JUMPDEST:
+                    cfg.add_diagnostic(
+                        "warning",
+                        f"invalid jump target 0x{target:x} at offset 0x{cur.offset:x}",
+                        cur.offset,
+                    )
                     continue
-                self._connect(cur, offset, EdgeKind.FALLTHROUGH, pending)
+                if sensitive:
+                    update_reuse_context(cfg, cur, result.jump)
+                self._connect(cur, original, EdgeKind.JUMP, pending)
+        offset = block.fallthrough_offset
+        # Running off the end of the code halts like STOP.
+        original = None if offset is None else cfg.blocks.get(BlockId(offset, 0))
+        if original is not None:
+            self._connect(cur, original, EdgeKind.FALLTHROUGH, pending)
         # LIFO worklist: queue the fallthrough arm first so the jump arm is
         # explored first and each path completes before its siblings.
         for item in reversed(pending):
@@ -539,15 +516,15 @@ class _Recovery:
     def _connect(
         self,
         cur: BlockId,
-        offset: int,
+        original: BasicBlock,
         kind: EdgeKind,
         pending: list,
     ) -> None:
         cfg = self.cfg
-        succ = self._select_successor(cur, offset)
+        succ = self._select_successor(cur, original)
         new_edge = cfg.add_edge(cur, succ, kind)
         self._merge_into(cur, succ)
-        if self.mode is Mode.REUSE_SENSITIVE and new_edge:
+        if cfg.mode is Mode.REUSE_SENSITIVE and new_edge:
             backpropagate_context(cfg, cur, succ)
         if succ in self.dirty or self.emulation_count.get(succ, 0) == 0:
             self.dirty.add(succ)

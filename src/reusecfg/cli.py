@@ -190,6 +190,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_interp(args) -> int:
+    if args.branch_bound < 0:
+        raise UsageError("--branch-bound must be >= 0")
     code = _read_code(args.file)
     try:
         traces = corpus.interpret(code, branch_bound=args.branch_bound)

@@ -667,7 +667,7 @@ _BUILDERS = {
 }
 
 
-def generate(spec: PatternSpec, branch_bound: int = BRANCH_BOUND) -> GroundTruth:
+def generate(spec: PatternSpec) -> GroundTruth:
     """Synthesize one labeled fixture for `spec`."""
     rng = random.Random(f"{spec.pattern.value}:{spec.seed}:{spec.nesting_depth}")
     asm, reused_labels, sens, insens = _BUILDERS[spec.pattern](rng, spec.nesting_depth)
@@ -685,7 +685,7 @@ def generate(spec: PatternSpec, branch_bound: int = BRANCH_BOUND) -> GroundTruth
             # fallthrough half of a JUMPI block: the arm after the branch
             base = name[: -len("_fall")]
             reused_offsets.add(_fallthrough_offset_of(code, asm.labels[base]))
-    traces = interpret(code, branch_bound=branch_bound)
+    traces = interpret(code)
     return GroundTruth(
         bytecode=code,
         reused_offsets=reused_offsets,

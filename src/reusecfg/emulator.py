@@ -18,7 +18,6 @@ from .bytecode import (
     STACK_LIMIT,
     WORD_MASK,
     BasicBlock,
-    Terminator,
     stack_effect,
 )
 
@@ -107,10 +106,6 @@ class ValueTable:
         values.append(Value(vid, PHI, members=members))
         return vid
 
-    def const_value(self, vid: int) -> int | None:
-        v = self._values[vid]
-        return v.const if v.kind == CONST else None
-
     def values_equal(self, a: int, b: int) -> bool:
         """Id equality, or equal constants (distinct pushes of one value)."""
         if a == b:
@@ -195,27 +190,17 @@ class TacOp(NamedTuple):
         return rhs
 
 
-class SuccessorRequest(NamedTuple):
-    """One control transfer out of a block, before target resolution.
-
-    An immutable named tuple: it compares equal to the plain tuple of its
-    fields, in field order.
-    """
-
-    kind: str  # "jump" | "fallthrough"
-    offset: int | None  # resolved target, None when symbolic
-    value: int | None  # jump operand value id (jump kind only)
-
-
 class EmulationResult(NamedTuple):
     """What one emulation of a block produced.
 
-    An immutable named tuple: it compares equal to the plain tuple of its
-    fields, in field order.
+    `jump` is the value id of the JUMP or JUMPI operand, or None when the
+    block does not jump; where control falls through is the block's own
+    `fallthrough_offset`.  An immutable named tuple: it compares equal to
+    the plain tuple of its fields, in field order.
     """
 
     s_end: Stack
-    successors: list[SuccessorRequest]
+    jump: int | None
     tac: list[TacOp]
     diagnostics: list[tuple[str, str, int]]
 
@@ -255,7 +240,7 @@ def emulate_block(
     stack: list[int] = list(s_start)
     tac: list[TacOp] = []
     diags: list[tuple[str, str, int]] = []
-    successors: list[SuccessorRequest] = []
+    jump: int | None = None
     values = table._values
     new_const = table.new_const
     new_unknown = table.new_unknown
@@ -313,24 +298,18 @@ def emulate_block(
         elif kind == _JUMPDEST:
             emit(TacOp(offset, name, None, ()))
         elif kind == _JUMP:
-            target = pop(offset)
-            emit(TacOp(offset, name, None, (target,)))
-            successors.append(SuccessorRequest("jump", table.const_value(target), target))
+            jump = pop(offset)
+            emit(TacOp(offset, name, None, (jump,)))
         else:  # _JUMPI
-            target = pop(offset)
+            jump = pop(offset)
             cond = pop(offset)
-            emit(TacOp(offset, name, None, (target, cond)))
-            successors.append(SuccessorRequest("jump", table.const_value(target), target))
-            successors.append(SuccessorRequest("fallthrough", offset + 1, None))
+            emit(TacOp(offset, name, None, (jump, cond)))
 
         if not overflow_reported and len(stack) > STACK_LIMIT:
             diags.append(("warning", f"stack overflow at offset 0x{offset:x}", offset))
             overflow_reported = True
 
-    if block.terminator is Terminator.FALLTHROUGH:
-        successors.append(SuccessorRequest("fallthrough", block.end_offset, None))
-
-    return EmulationResult(tuple(stack), successors, tac, diags)
+    return EmulationResult(tuple(stack), jump, tac, diags)
 
 
 def prepare_stack(
@@ -356,23 +335,17 @@ def prepare_stack(
     changed = False
     if len(old) != len(new):
         diags.append(("warning", "irregular stack depth at join", -1))
-        if len(new) > len(old):
-            # Deeper predecessor: adopt its extra bottom entries.
-            base = list(new)
-            overlay = old
-            changed = True
-        else:
-            base = list(old)
-            overlay = new
+    if len(new) > len(old):
+        # Deeper predecessor: adopt its extra bottom entries.
+        base = list(new)
+        changed = True
     else:
         base = list(old)
-        overlay = new
 
     # Top-aligned merge over the common suffix.
-    k = min(len(base), len(overlay))
-    for i in range(1, k + 1):
-        existing_id = old[-i] if i <= len(old) else base[-i]
-        incoming_id = new[-i] if i <= len(new) else base[-i]
+    for i in range(1, min(len(old), len(new)) + 1):
+        existing_id = old[-i]
+        incoming_id = new[-i]
         if existing_id == incoming_id or table.values_equal(existing_id, incoming_id):
             base[-i] = existing_id
             continue

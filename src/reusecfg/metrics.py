@@ -72,19 +72,14 @@ def trace_coverage(
     its offsets never empties; clones collapse to offsets.  Prefix-walk
     semantics: a covered trace need not end at a terminator block.
     """
-    by_offset: dict[int, list[BlockId]] = {}
-    for block_id in cfg.blocks:
-        by_offset.setdefault(block_id.offset, []).append(block_id)
     succs = collapsed_successors(cfg)
 
     covered = 0
     uncovered = []
     for trace in traces:
         offsets = list(trace.offsets)
-        ok = bool(offsets)
-        frontier = {b for b in by_offset.get(offsets[0], []) if b == cfg.entry} if ok else set()
-        if ok and not frontier:
-            ok = False
+        ok = bool(offsets) and offsets[0] == cfg.entry.offset
+        frontier = {cfg.entry}
         for offset in offsets[1:]:
             if not ok:
                 break

@@ -23,7 +23,7 @@ from reusecfg.cfg import (
     build_cfg,
     export,
 )
-from reusecfg.corpus import Pattern, PatternSpec, generate
+from reusecfg.corpus import Assembler, Pattern, PatternSpec, generate
 from reusecfg.metrics import count_paths, polymorphic_jump_targets
 
 
@@ -92,6 +92,56 @@ def test_masked_operand_taints_the_wide_source():
     x = BlockId(labels["X"], 0)
     assert cfg.has_edge(x, BlockId(labels["D"], 0), EdgeKind.JUMP)
     assert cfg.reuse_contexts[x] == {0: wide}
+
+
+def test_new_edge_backpropagates_context_into_a_reused_arm():
+    # Recovery must extend a block's context back through each new edge
+    # into it (`backpropagate_context`); the golden digests and the random
+    # builds do not notice when it is skipped, this program does.  A real
+    # branch sends both arms A and B to the shared block S, with return
+    # address R1 pushed before the branch; a second caller pushes R2 and
+    # reuses A.  The jump arm B reaches S first, and S's jump taints the
+    # path through B.  When A then reaches S, S's entry stack is unchanged
+    # and S is not emulated again: only the backpropagation over the new
+    # edge A->S taints A's entry stack, which makes the second caller clone
+    # A.  Without it S merges both return addresses and its jump is left
+    # unresolved.
+    asm = Assembler()
+    asm.push(0)
+    asm.push_label("BRANCH")
+    asm.op("JUMPI")
+    asm.push_label("CALLER2")
+    asm.op("JUMP")
+    asm.label("BRANCH")
+    asm.op("JUMPDEST")
+    asm.push_label("R1")
+    asm.push(0)
+    asm.push_label("B")
+    asm.op("JUMPI")
+    asm.label("A")
+    asm.op("JUMPDEST")
+    asm.push_label("S")
+    asm.op("JUMP")
+    asm.label("B")
+    asm.op("JUMPDEST")
+    asm.push_label("S")
+    asm.op("JUMP")
+    asm.label("CALLER2")
+    asm.op("JUMPDEST")
+    asm.push_label("R2")
+    asm.push_label("A")
+    asm.op("JUMP")
+    asm.label("S")
+    asm.op("JUMPDEST")
+    asm.op("JUMP")
+    for name in ("R1", "R2"):
+        asm.label(name)
+        asm.op("JUMPDEST")
+        asm.op("STOP")
+    cfg = build_cfg(asm.assemble(), Mode.REUSE_SENSITIVE)
+    assert BlockId(asm.labels["A"], 1) in cfg.blocks
+    assert not cfg.diagnostics
+    assert polymorphic_jump_targets(cfg) == []
 
 
 def test_end_blocks_cloned_per_predecessor():

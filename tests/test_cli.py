@@ -155,6 +155,8 @@ def test_interp_branch_bound_flag(tmp_path, capsys):
     # allowed, every fork is abandoned and no trace is printed.
     assert run(["interp", "--branch-bound", "0", str(path)]) == 0
     assert capsys.readouterr().out == ""
+    assert run(["interp", "--branch-bound", "-1", str(path)]) == 2
+    assert "--branch-bound" in capsys.readouterr().err
     assert run(["interp", str(path)]) == 0
     expected = [",".join(f"0x{o:x}" for o in t.offsets) for t in interpret(code)]
     assert expected and capsys.readouterr().out.splitlines() == expected

@@ -120,13 +120,17 @@ def test_underflow_yields_unknown_and_diagnostic():
 
 
 def test_jump_successors():
-    result, table = emulate_hex("600456")
-    assert [(s.kind, s.offset) for s in result.successors] == [("jump", 4)]
-    result, table = emulate_hex("6001600857")
-    assert [(s.kind, s.offset) for s in result.successors] == [
-        ("jump", 8),
-        ("fallthrough", 5),
-    ]
+    # (code, constant jump operand, fallthrough offset of the first block)
+    for hex_code, target, fallthrough in (
+        ("600456", 4, None),
+        ("6001600857", 8, 5),
+        ("60015b00", None, 2),
+        ("600100", None, None),
+    ):
+        result, table = emulate_hex(hex_code)
+        assert (None if result.jump is None else table.get(result.jump).const) == target
+        block = identify_blocks(disassemble(bytes.fromhex(hex_code)))[0]
+        assert block.fallthrough_offset == fallthrough
 
 
 def test_tac_listing_renders():
