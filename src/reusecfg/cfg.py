@@ -122,6 +122,8 @@ class Cfg:
     it per destination as an ordered set: each source with any edge to it,
     in the order of its first edge.  Only `add_edge` and `remove_out_edges`
     write either; a source's edges are only ever removed all at once.
+    `s_start` holds each visited clone's entry stack; only `set_entry_stack`
+    writes it, and `_finalize` drops the stacks of dropped clones.
 
     `tainted` holds the tainted entry-stack indices per (offset, entry
     depth); only `transfer_taint` adds to it.  A clone's reuse context is
@@ -133,7 +135,13 @@ class Cfg:
     `_clones` lists each offset's clones past the original in index order;
     only `_make_clone` adds to it and `_finalize` drops from it.  `_origins`
     memoizes def-use chains for `update_reuse_context` while the graph is
-    being recovered; `_finalize` empties it.
+    being recovered.  `_walked` is the set of (clone, value id) items that
+    `update_reuse_context` walked, kept as each clone's set of value ids.
+    `add_edge` empties it when a walked clone gains a predecessor, and
+    `set_entry_stack` when a walked clone gets a new entry stack.  Dropping
+    edges needs no emptying: taints only grow, and a walk over fewer
+    predecessors finds a subset of what the earlier one found.  `_finalize`
+    empties both.
     """
 
     mode: Mode
@@ -152,6 +160,7 @@ class Cfg:
     end_block_clones: set[BlockId] = field(default_factory=set)
     _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
     _origins: dict[int, set[int]] = field(default_factory=dict, init=False, repr=False)
+    _walked: dict[BlockId, set[int]] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def edges(self) -> EdgeView:
@@ -177,8 +186,17 @@ class Cfg:
         if (dst, kind) in out:
             return False
         out[(dst, kind)] = Edge(src, dst, kind)
-        self.pred.setdefault(dst, {})[src] = None
+        preds = self.pred.setdefault(dst, {})
+        if src not in preds:
+            preds[src] = None
+            if dst in self._walked:
+                self._walked.clear()  # a walk through dst would now reach src
         return True
+
+    def set_entry_stack(self, block: BlockId, stack: Stack) -> None:
+        self.s_start[block] = stack
+        if block in self._walked:
+            self._walked.clear()  # a walk through block would now match anew
 
     def remove_out_edges(self, src: BlockId) -> None:
         for dst, _ in self.succ.pop(src, ()):
@@ -236,18 +254,26 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     the value is reached.  If the operand was pushed inside `block` itself,
     nothing is tainted.  Each root's chain is kept in `cfg._origins`:
     values never change once made.
+
+    Every walk of a recovery shares `cfg._walked`, the (clone, value id)
+    items walked since a walked clone last gained a predecessor or a new
+    entry stack (see `Cfg`).  An item reads only its clone's entry stack and
+    predecessors, immutable values and the taints it adds to, which only
+    grow; so an item found there has already tainted all that it and every
+    item behind it can, and the walk skips it with its whole upstream tree.
     """
     table = cfg.value_table
     origins = cfg._origins
+    walked = cfg._walked
     # (clone, value id) pairs whose def-use chain is matched against that
     # clone's S_start.
     work: list[tuple[BlockId, int]] = [(block, jump_target_value)]
-    visited: set[tuple[BlockId, int]] = set()
     while work:
         clone, root = work.pop()
-        if (clone, root) in visited:
+        seen = walked.setdefault(clone, set())
+        if root in seen:
             continue
-        visited.add((clone, root))
+        seen.add(root)
         s_start = cfg.s_start.get(clone)
         if s_start is None:
             continue
@@ -284,7 +310,9 @@ def backpropagate_context(cfg: Cfg, pred: BlockId, succ: BlockId) -> None:
     tainted positions flowed through that predecessor too: the walk runs
     again from every tainted index of `succ`'s offset and entry depth, in
     ascending order, and taints the predecessor's entry stack wherever it
-    still holds them.
+    still holds them.  A new predecessor of a walked clone empties
+    `cfg._walked` (see `Cfg`), so these walks reach `pred`; items behind it
+    that were walked since are skipped (see `update_reuse_context`).
     """
     s_start = cfg.s_start.get(succ)
     if s_start is None:
@@ -337,7 +365,7 @@ def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
     clone = _make_clone(cfg, target_offset)
     # The clone starts from the connecting block's exit stack; the tainted
     # indices of its offset and depth already tell the next arrival apart.
-    cfg.s_start[clone] = s_end
+    cfg.set_entry_stack(clone, s_end)
     return clone
 
 
@@ -407,7 +435,7 @@ class _Recovery:
         _check_entry_depth(merged, succ.offset)
         if self.emulation_count.get(succ, 0) >= cfg.limits.reemulation_cap:
             merged = self._widen(succ, merged)
-        cfg.s_start[succ] = merged
+        cfg.set_entry_stack(succ, merged)
         self.dirty.add(succ)
 
     def _widen(self, block: BlockId, merged: Stack) -> Stack:
@@ -461,7 +489,7 @@ class _Recovery:
         entry = cfg.entry
         if entry not in cfg.blocks:
             raise AnalysisError("no block at offset 0x0")
-        cfg.s_start[entry] = ()
+        cfg.set_entry_stack(entry, ())
         self.dirty.add(entry)
         worklist: list[tuple[BlockId | None, BlockId]] = [(None, entry)]
         while worklist:
@@ -480,7 +508,7 @@ class _Recovery:
         block = cfg.blocks[cur]
         sensitive = cfg.mode is Mode.REUSE_SENSITIVE
         if sensitive:
-            # A fresh emulation invalidates previously derived transfers.
+            # Drop the out-edges: this emulation derives them again.
             cfg.remove_out_edges(cur)
         result = emulate_block(block, cfg.s_start[cur], cfg.value_table)
         for severity, message, off in result.diagnostics:
@@ -548,6 +576,7 @@ class _Recovery:
         for extra in cfg._clones.values():
             extra[:] = [c for c in extra if c in cfg.blocks]
         cfg._origins.clear()
+        cfg._walked.clear()
         # Only unreachable blocks can have edges to or from a dropped clone:
         # dropped clones lose all their edges, unreachable originals keep
         # the ones between kept blocks.

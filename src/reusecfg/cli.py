@@ -106,7 +106,10 @@ def _cmd_cfg(args) -> int:
     cfg = build_cfg(code, _mode(args), _config_from_env(args))
     payload = export(cfg, args.format, emit_tac=args.emit_tac)
     if args.output:
-        Path(args.output).write_bytes(payload)
+        try:
+            Path(args.output).write_bytes(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload.decode())
     return 0
@@ -162,9 +165,10 @@ def _cmd_gen(args) -> int:
     if pattern is None:
         known = ", ".join(sorted(p.value for p in corpus.Pattern))
         raise UsageError(f"unknown pattern {args.pattern!r}; one of: {known}")
-    spec = corpus.PatternSpec(pattern, seed=args.seed, nesting_depth=args.depth)
     try:
-        truth = corpus.generate(spec)
+        truth = corpus.generate(
+            corpus.PatternSpec(pattern, seed=args.seed, nesting_depth=args.depth)
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out_dir = Path(args.out_dir)

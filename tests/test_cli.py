@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import pytest
 
@@ -165,6 +167,24 @@ def test_interp_branch_bound_flag(tmp_path, capsys):
 def test_unknown_pattern_usage_error(tmp_path, capsys):
     assert run(["gen", "--pattern", "NoSuchShape", "--out-dir", str(tmp_path)]) == 2
     assert "unknown pattern" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_gen_depth_below_one_usage_error(tmp_path, capsys, depth):
+    out_dir = tmp_path / "out"
+    argv = ["gen", "--pattern", "BasicFakeJoin", "--depth", depth, "--out-dir", str(out_dir)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: nesting_depth must be >= 1\n"
+    assert not out_dir.exists()
+
+
+def test_cfg_unwritable_output_usage_error(fig_sequence, tmp_path, capsys):
+    path, _ = fig_sequence
+    out = tmp_path / "missing" / "x.json"
+    assert run(["cfg", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
+    assert not out.parent.exists()
 
 
 def test_missing_file_usage_error(capsys):

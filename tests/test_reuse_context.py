@@ -335,16 +335,61 @@ def test_backpropagation_walks_from_every_tainted_index():
     assert cfg.reuse_contexts[p] == {0: 0x10}
 
 
+def test_walk_reaches_a_predecessor_added_after_it():
+    # x was walked before p became its predecessor: the next walk from x
+    # must reach p rather than skip x as already walked.
+    cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
+    table = cfg.value_table
+    k = table.new_const(0x10)
+    p, x = BlockId(1, 0), BlockId(2, 0)
+    cfg.set_entry_stack(p, (k,))
+    cfg.set_entry_stack(x, (k,))
+    update_reuse_context(cfg, x, k)
+    assert cfg.tainted == {(2, 1): {0}}
+    assert cfg._walked == {x: {k}}
+    cfg.add_edge(p, x, EdgeKind.JUMP)
+    assert cfg._walked == {}
+    update_reuse_context(cfg, x, k)
+    assert cfg.tainted[(1, 1)] == {0}
+    assert cfg.reuse_contexts[p] == {0: 0x10}
+    # A second edge from a source that already is a predecessor reaches
+    # nothing new: the walked items stay.
+    cfg.add_edge(p, x, EdgeKind.FALLTHROUGH)
+    assert cfg._walked == {x: {k}, p: {k}}
+
+
+def test_walk_rereads_an_entry_stack_changed_after_it():
+    # p held no copy of k when the walk from x passed it; once p's entry
+    # stack holds k, the next walk from x must taint it there.
+    cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
+    table = cfg.value_table
+    k = table.new_const(0x10)
+    p, x = BlockId(1, 0), BlockId(2, 0)
+    cfg.set_entry_stack(p, (table.new_unknown("test"),))
+    cfg.set_entry_stack(x, (k,))
+    cfg.add_edge(p, x, EdgeKind.JUMP)
+    update_reuse_context(cfg, x, k)
+    assert cfg.tainted == {(2, 1): {0}}
+    assert cfg._walked == {x: {k}, p: {k}}
+    cfg.set_entry_stack(p, (k,))
+    assert cfg._walked == {}
+    update_reuse_context(cfg, x, k)
+    assert cfg.tainted[(1, 1)] == {0}
+    assert cfg.reuse_contexts[p] == {0: 0x10}
+
+
 def test_built_graph_keeps_no_chain_memo(monkeypatch):
     seen = {}
     finalize = _Recovery._finalize
 
     def recording_finalize(self):
         seen["origins"] = len(self.cfg._origins)
+        seen["walked"] = len(self.cfg._walked)
         finalize(self)
 
     monkeypatch.setattr(_Recovery, "_finalize", recording_finalize)
     cfg = build_cfg(stress_fixture(3000, 0))
-    assert seen["origins"] > 0
+    assert seen["origins"] > 0 and seen["walked"] > 0
     assert cfg._origins == {}
+    assert cfg._walked == {}
     assert cfg.tainted and cfg.reuse_contexts
