@@ -144,6 +144,12 @@ HALTING_TERMINATORS = {
     Terminator.SELFDESTRUCT,
 }
 
+# Builds a named tuple from all of its fields in order, in C.  Calling the
+# class instead runs its Python-level `__new__`, which costs about twice as
+# much per record; `tuple.__new__` applies no defaults and checks no arity,
+# so every hot site passes every field.
+_new = tuple.__new__
+
 
 class Instruction(NamedTuple):
     """One decoded instruction at a byte offset.
@@ -219,7 +225,7 @@ class BasicBlock:
     def with_clone(self, clone: int) -> "BasicBlock":
         """A clone shares the byte-identical instruction list."""
         return BasicBlock(
-            id=BlockId(self.start_offset, clone),
+            id=_new(BlockId, (self.start_offset, clone)),
             start_offset=self.start_offset,
             instructions=self.instructions,
             terminator=self.terminator,
@@ -263,15 +269,15 @@ def disassemble(code: bytes) -> list[Instruction]:
             end = pc + 1 + width
             if end <= n:
                 value = int.from_bytes(code[pc + 1 : end], "big")
-                append(Instruction(pc, op, names[op], value, 1 + width))
+                append(_new(Instruction, (pc, op, names[op], value, 1 + width, False)))
                 pc = end
             else:
                 consumed = n - pc - 1
                 value = int.from_bytes(code[pc + 1 :] + bytes(width - consumed), "big")
-                append(Instruction(pc, op, names[op], value, 1 + consumed, True))
+                append(_new(Instruction, (pc, op, names[op], value, 1 + consumed, True)))
                 pc = n
         else:
-            append(Instruction(pc, op, names[op]))
+            append(_new(Instruction, (pc, op, names[op], None, 1, False)))
             pc += 1
     return out
 
@@ -293,7 +299,7 @@ def identify_blocks(instructions: list[Instruction]) -> list[BasicBlock]:
         start = current[0].offset
         blocks.append(
             BasicBlock(
-                id=BlockId(start, 0),
+                id=_new(BlockId, (start, 0)),
                 start_offset=start,
                 instructions=current,
                 terminator=terminator,

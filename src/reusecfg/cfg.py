@@ -26,13 +26,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .bytecode import (
     BasicBlock,
     BlockId,
     JUMPDEST,
     STACK_LIMIT,
+    _new,
     disassemble,
     identify_blocks,
 )
@@ -88,8 +89,9 @@ class CloneBudgetError(AnalysisError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """One directed edge.  An immutable named tuple, like `BlockId`."""
+
     src: BlockId
     dst: BlockId
     kind: EdgeKind
@@ -132,8 +134,11 @@ class Cfg:
     whose entry is not a constant.  `reuse_contexts` maps every clone with a
     non-empty context to it.
 
-    `_clones` lists each offset's clones past the original in index order;
-    only `_make_clone` adds to it and `_finalize` drops from it.  `_origins`
+    `blocks` is keyed by `BlockId`, a named tuple, so the plain tuple
+    `(offset, 0)` finds the original at `offset` without building a
+    `BlockId`; the key it finds is the block's `id`.  `_clones` lists each
+    offset's clones past the original in index order; only `_make_clone`
+    adds to it and `_finalize` drops from it.  `_origins`
     memoizes def-use chains for `update_reuse_context` while the graph is
     being recovered.  `_walked` is the set of (clone, value id) items that
     `update_reuse_context` walked, kept as each clone's set of value ids.
@@ -185,7 +190,7 @@ class Cfg:
         out = self.succ.setdefault(src, {})
         if (dst, kind) in out:
             return False
-        out[(dst, kind)] = Edge(src, dst, kind)
+        out[(dst, kind)] = _new(Edge, (src, dst, kind))
         preds = self.pred.setdefault(dst, {})
         if src not in preds:
             preds[src] = None
@@ -209,10 +214,10 @@ class Cfg:
         return list(self.succ.get(block, ()))
 
     def clones_at(self, offset: int) -> list[BlockId]:
-        original = BlockId(offset, 0)
-        if original not in self.blocks:
+        original = self.blocks.get((offset, 0))
+        if original is None:
             return []
-        return [original, *self._clones.get(offset, ())]
+        return [original.id, *self._clones.get(offset, ())]
 
     def jump_successors(self, block: BlockId) -> list[BlockId]:
         return [dst for dst, kind in self.succ.get(block, ()) if kind is EdgeKind.JUMP]
@@ -223,10 +228,10 @@ def _context(cfg: Cfg, block: BlockId) -> dict[int, int]:
     s_start = cfg.s_start.get(block)
     if s_start is None:
         return {}
-    table = cfg.value_table
+    values = cfg.value_table.values
     ctx: dict[int, int] = {}
     for idx in sorted(cfg.tainted.get((block.offset, len(s_start)), ())):
-        value = table.get(s_start[idx])
+        value = values[s_start[idx]]
         if value.kind != CONST:
             break  # not a constant: the context ends here
         ctx[idx] = value.const
@@ -263,6 +268,7 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     item behind it can, and the walk skips it with its whole upstream tree.
     """
     table = cfg.value_table
+    values = table.values
     origins = cfg._origins
     walked = cfg._walked
     # (clone, value id) pairs whose def-use chain is matched against that
@@ -286,7 +292,7 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
         for idx, entry in enumerate(s_start):
             if entry in chain:
                 found.setdefault(entry, []).append(idx)
-            value = table.get(entry)
+            value = values[entry]
             if value.kind == PHI:
                 for member in value.members:
                     if member in chain:
@@ -295,7 +301,7 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
             continue  # not pre-pushed relative to this clone
         preds = cfg.pred.get(clone, ())
         for vid, positions in found.items():
-            if table.get(vid).kind == CONST:
+            if values[vid].kind == CONST:
                 transfer_taint(cfg, clone, positions)
             # The value flowed in from every predecessor stack that still
             # holds it (or computed it): keep walking toward its push.
@@ -348,7 +354,7 @@ def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
     is, at its tainted indices up to its first non-constant entry.
     """
     s_end = cfg.s_end[b_c]
-    table = cfg.value_table
+    values = cfg.value_table.values
     for cand in cfg.clones_at(target_offset):
         cand_start = cfg.s_start.get(cand)
         if cand_start is None:
@@ -356,7 +362,7 @@ def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
         if len(cand_start) != len(s_end):
             continue
         for idx, expected in _context(cfg, cand).items():
-            have = table.get(s_end[idx])
+            have = values[s_end[idx]]
             if have.kind != CONST or have.const != expected:
                 break
         else:
@@ -376,7 +382,7 @@ def handle_end_block(cfg: Cfg, b_c: BlockId, end_offset: int) -> BlockId:
     genuine shared exit; cloning per predecessor keeps every end block at
     in-degree one at the cost of some redundant clones.
     """
-    original = BlockId(end_offset, 0)
+    original = cfg.blocks[(end_offset, 0)].id
     preds = cfg.pred.get(original, ())
     if b_c in preds:
         return original
@@ -396,7 +402,7 @@ def _make_clone(cfg: Cfg, offset: int) -> BlockId:
         raise CloneBudgetError(offset)
     if len(cfg.blocks) >= cfg.limits.total_block_budget:
         raise CloneBudgetError(offset, "total block budget exceeded")
-    original = cfg.blocks[BlockId(offset, 0)]
+    original = cfg.blocks[(offset, 0)]
     clone = original.with_clone(clones[-1].clone + 1)
     cfg.blocks[clone.id] = clone
     cfg._clones.setdefault(offset, []).append(clone.id)
@@ -520,7 +526,7 @@ class _Recovery:
         pending: list[tuple[BlockId | None, BlockId]] = []
         if result.jump is not None:
             for target in self._jump_targets(result.jump, cur.offset):
-                original = cfg.blocks.get(BlockId(target, 0))
+                original = cfg.blocks.get((target, 0))
                 if original is None or original.instructions[0].opcode != JUMPDEST:
                     cfg.add_diagnostic(
                         "warning",
@@ -533,7 +539,7 @@ class _Recovery:
                 self._connect(cur, original, EdgeKind.JUMP, pending)
         offset = block.fallthrough_offset
         # Running off the end of the code halts like STOP.
-        original = None if offset is None else cfg.blocks.get(BlockId(offset, 0))
+        original = None if offset is None else cfg.blocks.get((offset, 0))
         if original is not None:
             self._connect(cur, original, EdgeKind.FALLTHROUGH, pending)
         # LIFO worklist: queue the fallthrough arm first so the jump arm is

@@ -65,6 +65,13 @@ def _read_code(path: str) -> bytes:
     return code
 
 
+def _write(path: Path | str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _mode(args: argparse.Namespace) -> Mode:
     return Mode.REUSE_INSENSITIVE if args.reuse_insensitive else Mode.REUSE_SENSITIVE
 
@@ -106,10 +113,7 @@ def _cmd_cfg(args) -> int:
     cfg = build_cfg(code, _mode(args), _config_from_env(args))
     payload = export(cfg, args.format, emit_tac=args.emit_tac)
     if args.output:
-        try:
-            Path(args.output).write_bytes(payload)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
+        _write(args.output, payload)
     else:
         sys.stdout.write(payload.decode())
     return 0
@@ -172,10 +176,13 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out_dir}: {exc.strerror}") from exc
     stem = f"{pattern.value.lower()}_{args.seed}"
     hex_path = out_dir / f"{stem}.hex"
-    hex_path.write_text(truth.bytecode.hex() + "\n")
+    _write(hex_path, (truth.bytecode.hex() + "\n").encode())
     manifest = {
         "pattern": pattern.value,
         "seed": args.seed,
@@ -187,7 +194,7 @@ def _cmd_gen(args) -> int:
         "traces": [list(t.offsets) for t in truth.traces],
     }
     manifest_path = out_dir / f"{stem}.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    _write(manifest_path, (json.dumps(manifest, indent=2) + "\n").encode())
     print(str(hex_path))
     print(str(manifest_path))
     return 0

@@ -172,6 +172,8 @@ def detect_reentrancy(cfg: Cfg, value_table: ValueTable) -> list[Finding]:
                 calls.append((block_id, op.offset))
             elif op.mnemonic == "SSTORE" and len(op.args) == 2:
                 sstores.append((block_id, op.offset, op.args[0]))
+    if not (sloads and jumpis and calls and sstores):
+        return []  # a finding needs one of each: skip the reachability
 
     reach = dag_reachability(collapsed_successors(cfg), sorted(cfg.blocks))
 

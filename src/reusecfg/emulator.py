@@ -18,6 +18,7 @@ from .bytecode import (
     STACK_LIMIT,
     WORD_MASK,
     BasicBlock,
+    _new,
     stack_effect,
 )
 
@@ -70,7 +71,10 @@ class Value(NamedTuple):
 
 
 class ValueTable:
-    """Append-only arena of Values, owned by one recovery session."""
+    """Append-only arena of Values, owned by one recovery session.
+
+    The `new_*` methods build each Value from all seven fields through
+    `tuple.__new__` (see `bytecode._new`)."""
 
     def __init__(self) -> None:
         self._values: list[Value] = []
@@ -79,31 +83,40 @@ class ValueTable:
     def __len__(self) -> int:
         return len(self._values)
 
+    @property
+    def values(self) -> list[Value]:
+        """The arena itself: entry `vid` is the value with id `vid`.
+
+        For loops that read many values, where indexing this list saves the
+        call `get` costs.  Read-only: only the `new_*` methods append to it,
+        and nothing else may change it."""
+        return self._values
+
     def get(self, vid: int) -> Value:
         return self._values[vid]
 
     def new_const(self, raw: int, args: tuple[int, ...] = ()) -> int:
         values = self._values
         vid = len(values)
-        values.append(Value(vid, CONST, raw & WORD_MASK, None, args))
+        values.append(_new(Value, (vid, CONST, raw & WORD_MASK, None, args, (), None)))
         return vid
 
     def new_sym(self, op: str, args: tuple[int, ...]) -> int:
         values = self._values
         vid = len(values)
-        values.append(Value(vid, SYM, None, op, args))
+        values.append(_new(Value, (vid, SYM, None, op, args, (), None)))
         return vid
 
     def new_unknown(self, reason: str) -> int:
         values = self._values
         vid = len(values)
-        values.append(Value(vid, UNKNOWN, reason=reason))
+        values.append(_new(Value, (vid, UNKNOWN, None, None, (), (), reason)))
         return vid
 
     def new_phi(self, members: tuple[int, ...]) -> int:
         values = self._values
         vid = len(values)
-        values.append(Value(vid, PHI, members=members))
+        values.append(_new(Value, (vid, PHI, None, None, (), members, None)))
         return vid
 
     def values_equal(self, a: int, b: int) -> bool:
@@ -241,7 +254,7 @@ def emulate_block(
     tac: list[TacOp] = []
     diags: list[tuple[str, str, int]] = []
     jump: int | None = None
-    values = table._values
+    values = table.values
     new_const = table.new_const
     new_unknown = table.new_unknown
     emit = tac.append
@@ -259,7 +272,7 @@ def emulate_block(
             data = push_data or 0  # PUSH0 has no payload
             vid = new_const(data)
             stack.append(vid)
-            emit(TacOp(offset, name, vid, (), data))
+            emit(_new(TacOp, (offset, name, vid, (), data)))
         elif kind == _OTHER:
             if n <= len(stack):
                 # Popped top first.
@@ -277,7 +290,7 @@ def emulate_block(
                 if result is None:
                     result = table.new_sym(name, args)
                 stack.append(result)
-            emit(TacOp(offset, name, result, args))
+            emit(_new(TacOp, (offset, name, result, args, None)))
         elif kind == _DUP:
             if len(stack) >= n:
                 vid = stack[-n]
@@ -285,31 +298,31 @@ def emulate_block(
                 diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
                 vid = new_unknown("underflow")
             stack.append(vid)
-            emit(TacOp(offset, name, vid, (vid,)))
+            emit(_new(TacOp, (offset, name, vid, (vid,), None)))
         elif kind == _SWAP:
             if len(stack) <= n:
                 diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
                 while len(stack) <= n:
                     stack.insert(0, new_unknown("underflow"))
             stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
-            emit(TacOp(offset, name, None, (stack[-1], stack[-n - 1])))
+            emit(_new(TacOp, (offset, name, None, (stack[-1], stack[-n - 1]), None)))
         elif kind == _POP:
-            emit(TacOp(offset, name, None, (pop(offset),)))
+            emit(_new(TacOp, (offset, name, None, (pop(offset),), None)))
         elif kind == _JUMPDEST:
-            emit(TacOp(offset, name, None, ()))
+            emit(_new(TacOp, (offset, name, None, (), None)))
         elif kind == _JUMP:
             jump = pop(offset)
-            emit(TacOp(offset, name, None, (jump,)))
+            emit(_new(TacOp, (offset, name, None, (jump,), None)))
         else:  # _JUMPI
             jump = pop(offset)
             cond = pop(offset)
-            emit(TacOp(offset, name, None, (jump, cond)))
+            emit(_new(TacOp, (offset, name, None, (jump, cond), None)))
 
         if not overflow_reported and len(stack) > STACK_LIMIT:
             diags.append(("warning", f"stack overflow at offset 0x{offset:x}", offset))
             overflow_reported = True
 
-    return EmulationResult(tuple(stack), jump, tac, diags)
+    return _new(EmulationResult, (tuple(stack), jump, tac, diags))
 
 
 def prepare_stack(
@@ -366,6 +379,7 @@ def trace_origin(vid: int, table: ValueTable) -> set[int]:
     Walks symbol operands, folded-constant provenance, and phi members;
     plain constants and unknowns are the leaves.
     """
+    values = table.values
     seen: set[int] = set()
     work = [vid]
     while work:
@@ -373,7 +387,7 @@ def trace_origin(vid: int, table: ValueTable) -> set[int]:
         if v in seen:
             continue
         seen.add(v)
-        value = table.get(v)
+        value = values[v]
         work.extend(value.args)
         work.extend(value.members)
     return seen

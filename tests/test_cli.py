@@ -187,6 +187,22 @@ def test_cfg_unwritable_output_usage_error(fig_sequence, tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_gen_out_dir_is_a_file_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "taken"
+    out_dir.write_text("")
+    assert run(["gen", "--pattern", "BasicFakeJoin", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out_dir}: {os.strerror(errno.EEXIST)}\n"
+
+
+def test_gen_out_dir_under_a_file_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "taken" / "out"
+    out_dir.parent.write_text("")
+    assert run(["gen", "--pattern", "BasicFakeJoin", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out_dir}: {os.strerror(errno.ENOTDIR)}\n"
+
+
 def test_missing_file_usage_error(capsys):
     assert run(["disasm", "/nonexistent/path.hex"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 import pytest
 
 import fixtures
+from reusecfg import detectors
 from reusecfg.bytecode import disassemble
 from reusecfg.cfg import Mode, build_cfg
-from reusecfg.corpus import Assembler
+from reusecfg.corpus import Assembler, stress_fixture
 from reusecfg.detectors import detect_reentrancy, detect_tx_origin
 
 
@@ -39,6 +40,16 @@ def test_reentrancy_positive(builder):
 @pytest.mark.parametrize("builder", fixtures.REENTRANCY_NEGATIVE, ids=lambda f: f.__name__)
 def test_reentrancy_negative(builder):
     assert reentrancy_findings(builder()) == []
+
+
+def test_reentrancy_skips_reachability_without_every_role(monkeypatch):
+    # A stress fixture has no SLOAD, CALL or SSTORE, so no finding is
+    # possible and the quadratic reachability must not be built.
+    def unreachable(*args):
+        raise AssertionError("dag_reachability built")
+
+    monkeypatch.setattr(detectors, "dag_reachability", unreachable)
+    assert reentrancy_findings(stress_fixture(3000, 0)) == []
 
 
 def test_finding_sites_are_instruction_offsets():
