@@ -123,6 +123,10 @@ class Terminator(enum.Enum):
     SELFDESTRUCT = "selfdestruct"
     FALLTHROUGH = "fallthrough"
 
+    # Members compare by identity; hash them the same way, in C, rather
+    # than through `Enum.__hash__` (a Python frame per `halts` test).
+    __hash__ = object.__hash__
+
 
 _TERMINATOR_BY_OPCODE = {
     0x56: Terminator.JUMP,

@@ -59,6 +59,10 @@ class EdgeKind(enum.Enum):
     JUMP = "jump"
     FALLTHROUGH = "fallthrough"
 
+    # Members compare by identity; hash them the same way, in C, rather
+    # than through `Enum.__hash__` (a Python frame per edge-key lookup).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Config:
@@ -145,8 +149,10 @@ class Cfg:
     `add_edge` empties it when a walked clone gains a predecessor, and
     `set_entry_stack` when a walked clone gets a new entry stack.  Dropping
     edges needs no emptying: taints only grow, and a walk over fewer
-    predecessors finds a subset of what the earlier one found.  `_finalize`
-    empties both.
+    predecessors finds a subset of what the earlier one found.  A jump
+    operand that its block's emulation pushed is never walked (see
+    `_Recovery._emulate`), so its item is never in `_walked`: it has nothing
+    behind it, and no entry stack holds it.  `_finalize` empties both.
     """
 
     mode: Mode
@@ -257,8 +263,10 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     positions there (see `transfer_taint`), and the walk continues into each
     predecessor, re-expanding the chain there, until the block that pushed
     the value is reached.  If the operand was pushed inside `block` itself,
-    nothing is tainted.  Each root's chain is kept in `cfg._origins`:
-    values never change once made.
+    nothing is tainted; recovery does not call this at all for an operand
+    that is a push of the emulation that used it, whose chain is itself.
+    One folded there from pre-pushed values is still walked.  Each root's
+    chain is kept in `cfg._origins`: values never change once made.
 
     Every walk of a recovery shares `cfg._walked`, the (clone, value id)
     items walked since a walked clone last gained a predecessor or a new
@@ -341,7 +349,11 @@ def transfer_taint(cfg: Cfg, block: BlockId, indices: Iterable[int]) -> None:
     a copy that would need to be kept in sync.
     """
     key = (block.offset, len(cfg.s_start[block]))
-    cfg.tainted.setdefault(key, set()).update(indices)
+    tainted = cfg.tainted.get(key)
+    if tainted is None:
+        cfg.tainted[key] = set(indices)
+    else:
+        tainted.update(indices)
 
 
 def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
@@ -352,18 +364,29 @@ def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
     the same usage context and is skipped.  A candidate matches when the
     exit stack holds the same constant at each index of its context, that
     is, at its tainted indices up to its first non-constant entry.
+
+    Every candidate compared has the exit stack's depth, so the tainted
+    indices are sorted once per call and each candidate's entry constants
+    are read in place; no context dict is built.
     """
     s_end = cfg.s_end[b_c]
+    depth = len(s_end)
     values = cfg.value_table.values
+    indices = None
     for cand in cfg.clones_at(target_offset):
         cand_start = cfg.s_start.get(cand)
         if cand_start is None:
             return cand  # first visit claims the original
-        if len(cand_start) != len(s_end):
+        if len(cand_start) != depth:
             continue
-        for idx, expected in _context(cfg, cand).items():
-            have = values[s_end[idx]]
-            if have.kind != CONST or have.const != expected:
+        if indices is None:
+            indices = sorted(cfg.tainted.get((target_offset, depth), ()))
+        for idx in indices:
+            expected = values[cand_start[idx]]
+            if expected.kind != CONST:
+                return cand  # the context ends here and matched so far
+            # Only constants carry `const`: None never equals a constant.
+            if values[s_end[idx]].const != expected.const:
                 break
         else:
             return cand
@@ -516,7 +539,9 @@ class _Recovery:
         if sensitive:
             # Drop the out-edges: this emulation derives them again.
             cfg.remove_out_edges(cur)
-        result = emulate_block(block, cfg.s_start[cur], cfg.value_table)
+        table = cfg.value_table
+        made_from = len(table)
+        result = emulate_block(block, cfg.s_start[cur], table)
         for severity, message, off in result.diagnostics:
             cfg.add_diagnostic(severity, message, off)
         cfg.s_end[cur] = result.s_end
@@ -524,8 +549,13 @@ class _Recovery:
         self.emulation_count[cur] = self.emulation_count.get(cur, 0) + 1
 
         pending: list[tuple[BlockId | None, BlockId]] = []
-        if result.jump is not None:
-            for target in self._jump_targets(result.jump, cur.offset):
+        jump = result.jump
+        if jump is not None:
+            # An operand this emulation pushed (a new value with no operands)
+            # is its own def-use chain and in no entry stack: its walk would
+            # taint nothing.
+            walk = sensitive and (jump < made_from or bool(table.values[jump].args))
+            for target in self._jump_targets(jump, cur.offset):
                 original = cfg.blocks.get((target, 0))
                 if original is None or original.instructions[0].opcode != JUMPDEST:
                     cfg.add_diagnostic(
@@ -534,8 +564,8 @@ class _Recovery:
                         cur.offset,
                     )
                     continue
-                if sensitive:
-                    update_reuse_context(cfg, cur, result.jump)
+                if walk:
+                    update_reuse_context(cfg, cur, jump)
                 self._connect(cur, original, EdgeKind.JUMP, pending)
         offset = block.fallthrough_offset
         # Running off the end of the code halts like STOP.

@@ -73,48 +73,43 @@ class Value(NamedTuple):
 class ValueTable:
     """Append-only arena of Values, owned by one recovery session.
 
-    The `new_*` methods build each Value from all seven fields through
-    `tuple.__new__` (see `bytecode._new`)."""
+    `values` is the arena itself, a plain list: entry `vid` is the value
+    with id `vid`.  Loops that read many values index it directly rather
+    than call `get`.  Only the `new_*` methods and `emulate_block` append
+    to it, each a Value built from all seven fields through
+    `tuple.__new__` (see `bytecode._new`) with the id it gets there;
+    nothing changes an entry once appended."""
 
     def __init__(self) -> None:
-        self._values: list[Value] = []
+        self.values: list[Value] = []
         self._phi_index: dict[tuple, int] = {}
 
     def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def values(self) -> list[Value]:
-        """The arena itself: entry `vid` is the value with id `vid`.
-
-        For loops that read many values, where indexing this list saves the
-        call `get` costs.  Read-only: only the `new_*` methods append to it,
-        and nothing else may change it."""
-        return self._values
+        return len(self.values)
 
     def get(self, vid: int) -> Value:
-        return self._values[vid]
+        return self.values[vid]
 
     def new_const(self, raw: int, args: tuple[int, ...] = ()) -> int:
-        values = self._values
+        values = self.values
         vid = len(values)
         values.append(_new(Value, (vid, CONST, raw & WORD_MASK, None, args, (), None)))
         return vid
 
     def new_sym(self, op: str, args: tuple[int, ...]) -> int:
-        values = self._values
+        values = self.values
         vid = len(values)
         values.append(_new(Value, (vid, SYM, None, op, args, (), None)))
         return vid
 
     def new_unknown(self, reason: str) -> int:
-        values = self._values
+        values = self.values
         vid = len(values)
         values.append(_new(Value, (vid, UNKNOWN, None, None, (), (), reason)))
         return vid
 
     def new_phi(self, members: tuple[int, ...]) -> int:
-        values = self._values
+        values = self.values
         vid = len(values)
         values.append(_new(Value, (vid, PHI, None, None, (), members, None)))
         return vid
@@ -123,11 +118,11 @@ class ValueTable:
         """Id equality, or equal constants (distinct pushes of one value)."""
         if a == b:
             return True
-        va, vb = self._values[a], self._values[b]
+        va, vb = self.values[a], self.values[b]
         return va.kind == CONST and vb.kind == CONST and va.const == vb.const
 
     def phi_members(self, vid: int) -> tuple[int, ...]:
-        v = self._values[vid]
+        v = self.values[vid]
         return v.members if v.kind == PHI else (vid,)
 
     def make_phi(self, member_ids: list[int]) -> int:
@@ -146,7 +141,7 @@ class ValueTable:
         members: list[int] = []
         key_parts: list[tuple] = []
         for m in flat:
-            v = self._values[m]
+            v = self.values[m]
             if v.kind == CONST:
                 if v.const in seen_consts:
                     continue
@@ -170,7 +165,7 @@ class ValueTable:
         return vid
 
     def render(self, vid: int) -> str:
-        v = self._values[vid]
+        v = self.values[vid]
         if v.kind == CONST:
             return f"0x{v.const:x}"
         return f"v{vid}"
@@ -248,14 +243,16 @@ def emulate_block(
 
     Underflow pops produce unknown values and a diagnostic instead of
     failing: dead or data blocks must not abort recovery.  Growth past the
-    stack limit is likewise only a diagnostic.
+    stack limit is likewise only a diagnostic.  Pushed and folded constants
+    are appended to `table.values` here, as `ValueTable.new_const` would:
+    every PUSH payload and every folder result already fits in a word.
     """
     stack: list[int] = list(s_start)
     tac: list[TacOp] = []
     diags: list[tuple[str, str, int]] = []
     jump: int | None = None
     values = table.values
-    new_const = table.new_const
+    add_value = values.append
     new_unknown = table.new_unknown
     emit = tac.append
 
@@ -270,7 +267,8 @@ def emulate_block(
         kind, n, pushes, folder = _DISPATCH[opcode]
         if kind == _PUSH:
             data = push_data or 0  # PUSH0 has no payload
-            vid = new_const(data)
+            vid = len(values)
+            add_value(_new(Value, (vid, CONST, data, None, (), (), None)))
             stack.append(vid)
             emit(_new(TacOp, (offset, name, vid, (), data)))
         elif kind == _OTHER:
@@ -286,7 +284,9 @@ def emulate_block(
                 if folder is not None:
                     consts = [values[a].const for a in args]  # None unless constant
                     if None not in consts:
-                        result = new_const(folder(*consts), args)
+                        result = len(values)
+                        folded = folder(*consts)
+                        add_value(_new(Value, (result, CONST, folded, None, args, (), None)))
                 if result is None:
                     result = table.new_sym(name, args)
                 stack.append(result)
@@ -307,15 +307,19 @@ def emulate_block(
             stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
             emit(_new(TacOp, (offset, name, None, (stack[-1], stack[-n - 1]), None)))
         elif kind == _POP:
-            emit(_new(TacOp, (offset, name, None, (pop(offset),), None)))
+            emit(_new(TacOp, (offset, name, None, (stack.pop() if stack else pop(offset),), None)))
         elif kind == _JUMPDEST:
             emit(_new(TacOp, (offset, name, None, (), None)))
         elif kind == _JUMP:
-            jump = pop(offset)
+            jump = stack.pop() if stack else pop(offset)
             emit(_new(TacOp, (offset, name, None, (jump,), None)))
         else:  # _JUMPI
-            jump = pop(offset)
-            cond = pop(offset)
+            if len(stack) >= 2:
+                jump = stack.pop()
+                cond = stack.pop()
+            else:
+                jump = pop(offset)
+                cond = pop(offset)
             emit(_new(TacOp, (offset, name, None, (jump, cond), None)))
 
         if not overflow_reported and len(stack) > STACK_LIMIT:

@@ -466,7 +466,7 @@ class Lockstep:
 
     def assert_tables_agree(self) -> None:
         """Every value appended since the last call agrees."""
-        new, old = self.new._values, self.old._values
+        new, old = self.new.values, self.old._values
         assert len(new) == len(old)
         assert [tuple(v) for v in new[self.checked :]] == [astuple(v) for v in old[self.checked :]]
         assert self.new._phi_index == self.old._phi_index

@@ -34,8 +34,9 @@ from reusecfg.cfg import (
     transfer_taint,
     update_reuse_context,
 )
-from reusecfg.corpus import Pattern, PatternSpec, generate
+from reusecfg.corpus import Assembler, Pattern, PatternSpec, generate
 from reusecfg.emulator import CONST, PHI, trace_origin
+from reusecfg.metrics import polymorphic_jump_targets
 
 # ---------------------------------------------------------------------------
 # Reference: per-clone contexts and the pairwise transfer fixpoint
@@ -393,3 +394,76 @@ def test_built_graph_keeps_no_chain_memo(monkeypatch):
     assert cfg._origins == {}
     assert cfg._walked == {}
     assert cfg.tainted and cfg.reuse_contexts
+
+
+def test_candidate_context_ends_at_its_first_non_constant_entry():
+    # Indices 0 and 1 are tainted, but the candidate's entry holds a symbol
+    # at 0: its context is empty, so any arrival of its depth matches, even
+    # one whose constant at index 1 differs.
+    cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
+    table = cfg.value_table
+    cand, pred = BlockId(1, 0), BlockId(0, 0)
+    cfg.s_start[cand] = (table.new_sym("CALLER", ()), table.new_const(0x10))
+    transfer_taint(cfg, cand, [0, 1])
+    cfg.s_end[pred] = (table.new_const(0x99), table.new_const(0x20))
+    assert reuse_handler(cfg, pred, 1) == cand
+    assert cfg.clones_at(1) == [cand]
+
+
+def folded_return_program():
+    """Two call sites push distinct return labels and jump to a shared `f`;
+    `f` jumps to a shared `g`, which returns through `PUSH1 0; ADD; JUMP`:
+    its jump operand is a constant folded from the pre-pushed label."""
+    asm = Assembler()
+    asm.push_label("ret1")
+    asm.push_label("f")
+    asm.op("JUMP")
+    asm.label("ret1")
+    asm.op("JUMPDEST")
+    asm.push_label("ret2")
+    asm.push_label("f")
+    asm.op("JUMP")
+    asm.label("ret2")
+    asm.op("JUMPDEST")
+    asm.op("STOP")
+    asm.label("f")
+    asm.op("JUMPDEST")
+    asm.push_label("g")
+    asm.op("JUMP")
+    asm.label("g")
+    asm.op("JUMPDEST")
+    asm.push(0)
+    asm.op("ADD")
+    asm.op("JUMP")
+    return asm.assemble()
+
+
+def test_operand_folded_in_block_from_a_pre_pushed_value_is_walked():
+    # The folded operand is new to g's emulation but has operands: its
+    # walk must still taint the return label in f and g.
+    code = folded_return_program()
+    assert code.hex() == "610007610011565b61000f610011565b005b610016565b60000156"
+    cfg = build_cfg(code)
+    assert sorted(str(b) for b in cfg.blocks if b.clone) == ["0x11_1", "0x16_1"]
+    assert polymorphic_jump_targets(cfg) == []
+    assert list(cfg.diagnostics) == []
+
+
+def count_walks(monkeypatch, code):
+    calls = []
+    walk = reusecfg.cfg.update_reuse_context
+
+    def counting(cfg, block, jump_target_value):
+        calls.append(block)
+        walk(cfg, block, jump_target_value)
+
+    monkeypatch.setattr(reusecfg.cfg, "update_reuse_context", counting)
+    build_cfg(code)
+    return len(calls)
+
+
+def test_operand_pushed_in_block_is_not_walked(monkeypatch):
+    # PUSH1 3; JUMP; JUMPDEST; STOP: the operand is a push of the jumping
+    # block itself, which no entry stack holds.
+    assert count_walks(monkeypatch, bytes.fromhex("6003565b00")) == 0
+    assert count_walks(monkeypatch, folded_return_program()) >= 1
