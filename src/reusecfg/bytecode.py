@@ -109,10 +109,6 @@ MNEMONIC_TO_OPCODE: dict[str, int] = {name: op for op, (name, _, _) in OPCODES.i
 JUMPDEST = 0x5B
 PUSH1, PUSH32 = 0x60, 0x7F
 
-# Opcodes that end a basic block.
-_TERMINATOR_OPS = {0x00, 0x56, 0x57, 0xF3, 0xFD, 0xFE, 0xFF}
-
-
 class Terminator(enum.Enum):
     JUMP = "jump"
     JUMPI = "jumpi"
@@ -128,6 +124,7 @@ class Terminator(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Opcodes that end a basic block, with the terminator each one gives.
 _TERMINATOR_BY_OPCODE = {
     0x56: Terminator.JUMP,
     0x57: Terminator.JUMPI,
@@ -315,8 +312,9 @@ def identify_blocks(instructions: list[Instruction]) -> list[BasicBlock]:
         if ins.opcode == JUMPDEST and current:
             flush(Terminator.FALLTHROUGH)
         current.append(ins)
-        if ins.opcode in _TERMINATOR_OPS:
-            flush(_TERMINATOR_BY_OPCODE[ins.opcode])
+        terminator = _TERMINATOR_BY_OPCODE.get(ins.opcode)
+        if terminator is not None:
+            flush(terminator)
         elif ins.opcode not in OPCODES:
             # Unknown byte: invalid-class instruction, may simply be data.
             flush(Terminator.INVALID)

@@ -406,12 +406,9 @@ def handle_end_block(cfg: Cfg, b_c: BlockId, end_offset: int) -> BlockId:
     in-degree one at the cost of some redundant clones.
     """
     original = cfg.blocks[(end_offset, 0)].id
-    preds = cfg.pred.get(original, ())
-    if b_c in preds:
-        return original
-    if not preds and cfg.s_start.get(original) is None:
-        return original
-    for cand in cfg.clones_at(end_offset)[1:]:
+    if not cfg.pred.get(original) and cfg.s_start.get(original) is None:
+        return original  # first visit claims the original
+    for cand in cfg.clones_at(end_offset):
         if b_c in cfg.pred.get(cand, ()):
             return cand
     clone = _make_clone(cfg, end_offset)

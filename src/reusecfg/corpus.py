@@ -64,12 +64,20 @@ class GroundTruth:
 
 
 class Assembler:
-    """Two-pass label assembler; all label pushes are fixed-width PUSH2."""
+    """One-pass label assembler; all label pushes are fixed-width PUSH2."""
 
     def __init__(self) -> None:
         self._items: list[tuple] = []  # ("op",opcode) ("push",width,value) ("pushl",label) ("label",name) ("raw",bytes)
         self._declared: set[str] = set()
         self.labels: dict[str, int] = {}
+
+    def jumpdest(self, name: str) -> None:
+        self.label(name)
+        self.op("JUMPDEST")
+
+    def jump(self, name: str) -> None:
+        self.push_label(name)
+        self.op("JUMP")
 
     def label(self, name: str) -> None:
         if name in self._declared:
@@ -102,29 +110,14 @@ class Assembler:
     def raw(self, data: bytes) -> None:
         self._items.append(("raw", data))
 
-    def _sizes(self) -> None:
-        pc = 0
-        self.labels = {}
-        for item in self._items:
-            kind = item[0]
-            if kind == "label":
-                self.labels[item[1]] = pc
-            elif kind == "op":
-                pc += 1
-            elif kind == "push":
-                pc += 1 + item[1]
-            elif kind == "pushl":
-                pc += 3  # PUSH2 + 2 bytes
-            elif kind == "raw":
-                pc += len(item[1])
-
     def assemble(self) -> bytes:
-        self._sizes()
+        """Emit the bytes, recording label offsets on the way; each label
+        push reserves its 2 operand bytes, patched once all are known."""
         out = bytearray()
+        self.labels = labels = {}
+        patches = []
         for item in self._items:
             kind = item[0]
-            if kind == "label":
-                continue
             if kind == "op":
                 out.append(item[1])
             elif kind == "push":
@@ -132,11 +125,16 @@ class Assembler:
                 out.append(0x5F + width)
                 out += value.to_bytes(width, "big")
             elif kind == "pushl":
-                target = self.labels[item[1]]
-                out.append(0x61)  # PUSH2
-                out += target.to_bytes(2, "big")
+                out += b"\x61\0\0"  # PUSH2
+                patches.append((len(out), item[1]))
+            elif kind == "label":
+                labels[item[1]] = len(out)
             elif kind == "raw":
                 out += item[1]
+        for end, name in patches:
+            target = labels[name]
+            out[end - 2] = target >> 8
+            out[end - 1] = target & 0xFF
         return bytes(out)
 
 
@@ -337,14 +335,19 @@ def _filler(asm: Assembler, rng: random.Random, budget: int = 2) -> None:
             asm.op("POP")
 
 
-def _dispatcher(asm: Assembler, rng: random.Random, arms: list[str]) -> None:
+def _block(asm: Assembler, rng: random.Random, name: str) -> None:
+    """Jump destination `name` followed by filler."""
+    asm.jumpdest(name)
+    _filler(asm, rng)
+
+
+def _dispatcher(asm: Assembler, arms: list[str]) -> None:
     """Chain of JUMPIs routing to `arms`; the last arm is the fallthrough."""
     for target in arms[:-1]:
         asm.push(0)
         asm.push_label(target)
         asm.op("JUMPI")
-    asm.push_label(arms[-1])
-    asm.op("JUMP")
+    asm.jump(arms[-1])
 
 
 def _data_tail(asm: Assembler, rng: random.Random) -> None:
@@ -358,49 +361,33 @@ def _build_basic_fake_join(rng: random.Random, depth: int):
     k = depth + 1
     asm = Assembler()
     callers = [f"caller{i}" for i in range(k)]
-    _dispatcher(asm, rng, callers)
+    _dispatcher(asm, callers)
     for i in range(k):
-        asm.label(callers[i])
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, callers[i])
         asm.push_label(f"ret{i}")
-        asm.push_label("shared")
-        asm.op("JUMP")
-    asm.label("shared")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+        asm.jump("shared")
+    _block(asm, rng, "shared")
     asm.op("JUMP")
     for i in range(k):
-        asm.label(f"ret{i}")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, f"ret{i}")
         asm.op("STOP")
     return asm, ["shared"], k, k * k
 
 
 def _build_basic_fake_loop(rng: random.Random, depth: int):
     """One callee revisited d+1 times along a single path."""
-    k = depth + 1  # times the shared block executes
     asm = Assembler()
     # Entry pre-pushes every continuation, last use first popped.
     asm.push_label("exit")
     for i in range(depth, 0, -1):
         asm.push_label(f"mid{i}")
-    asm.push_label("shared")
-    asm.op("JUMP")
-    asm.label("shared")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+    asm.jump("shared")
+    _block(asm, rng, "shared")
     asm.op("JUMP")
     for i in range(1, depth + 1):
-        asm.label(f"mid{i}")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
-        asm.push_label("shared")
-        asm.op("JUMP")
-    asm.label("exit")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+        _block(asm, rng, f"mid{i}")
+        asm.jump("shared")
+    _block(asm, rng, "exit")
     asm.op("STOP")
     return asm, ["shared"], 1, depth + 1
 
@@ -410,12 +397,10 @@ def _build_fake_join_sequence(rng: random.Random, depth: int):
     prologue/epilogue pair, so a whole block sequence is shared."""
     asm = Assembler()
     callers = [f"caller{i}" for i in range(depth + 1)]
-    _dispatcher(asm, rng, callers)
+    _dispatcher(asm, callers)
     # caller 0 uses the core block alone; caller k uses pro_k..pro_1 core epi_1..epi_k
     for k in range(depth + 1):
-        asm.label(callers[k])
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, callers[k])
         asm.push_label(f"ret{k}")
         for j in range(k, 0, -1):
             asm.push_label(f"epi{j}")
@@ -425,27 +410,19 @@ def _build_fake_join_sequence(rng: random.Random, depth: int):
             asm.push_label(f"pro{k}")
         asm.op("JUMP")
     for j in range(1, depth + 1):
-        asm.label(f"pro{j}")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, f"pro{j}")
         if j == 1:
             asm.push_label("core")
         else:
             asm.push_label(f"pro{j-1}")
         asm.op("JUMP")
-    asm.label("core")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+    _block(asm, rng, "core")
     asm.op("JUMP")
     for j in range(1, depth + 1):
-        asm.label(f"epi{j}")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, f"epi{j}")
         asm.op("JUMP")
     for k in range(depth + 1):
-        asm.label(f"ret{k}")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, f"ret{k}")
         asm.op("STOP")
     reused = ["core"]
     for j in range(1, depth):  # pro_j/epi_j run on levels j..depth
@@ -466,39 +443,23 @@ def _build_nested_fake_loops(rng: random.Random, depth: int):
     asm = Assembler()
     inner = "body" if depth == 1 else f"w{depth}_in"
     asm.push_label("m1")
-    asm.push_label(inner)
-    asm.op("JUMP")
-    asm.label("m1")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+    asm.jump(inner)
+    _block(asm, rng, "m1")
     asm.push_label("m2")
-    asm.push_label(inner)
-    asm.op("JUMP")
-    asm.label("m2")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+    asm.jump(inner)
+    _block(asm, rng, "m2")
     asm.op("STOP")
     for k in range(depth, 1, -1):
         called = "body" if k == 2 else f"w{k-1}_in"
-        asm.label(f"w{k}_in")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, f"w{k}_in")
         asm.push_label(f"w{k}_r1")
-        asm.push_label(called)
-        asm.op("JUMP")
-        asm.label(f"w{k}_r1")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        asm.jump(called)
+        _block(asm, rng, f"w{k}_r1")
         asm.push_label(f"w{k}_r2")
-        asm.push_label(called)
-        asm.op("JUMP")
-        asm.label(f"w{k}_r2")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        asm.jump(called)
+        _block(asm, rng, f"w{k}_r2")
         asm.op("JUMP")  # pops this level's own pre-pushed return
-    asm.label("body")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+    _block(asm, rng, "body")
     asm.op("JUMP")
     reused = ["body"]
     for k in range(2, depth + 1):
@@ -510,28 +471,18 @@ def _build_fake_join_with_real(rng: random.Random, depth: int):
     """One caller reuses the shared block; d+1 more form a real join on it."""
     asm = Assembler()
     callers = ["reuser"] + [f"joiner{i}" for i in range(depth + 1)]
-    _dispatcher(asm, rng, callers)
-    asm.label("reuser")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+    _dispatcher(asm, callers)
+    _block(asm, rng, "reuser")
     asm.push_label("ret_a")
-    asm.push_label("shared")
-    asm.op("JUMP")
+    asm.jump("shared")
     for i in range(depth + 1):
-        asm.label(f"joiner{i}")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, f"joiner{i}")
         asm.push_label("ret_b")
-        asm.push_label("shared")
-        asm.op("JUMP")
-    asm.label("shared")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+        asm.jump("shared")
+    _block(asm, rng, "shared")
     asm.op("JUMP")
     for name in ("ret_a", "ret_b"):
-        asm.label(name)
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, name)
         asm.op("STOP")
     k = depth + 2
     return asm, ["shared"], k, 2 * k
@@ -544,28 +495,22 @@ def _build_fake_loop_with_real_loop(rng: random.Random, depth: int):
     asm.push_label("exit")
     for r in range(depth, 0, -1):
         asm.push_label(f"hop{r}")
-    asm.push_label("head")
-    asm.op("JUMP")
+    asm.jump("head")
     # head tests the pre-pushed exit target without consuming it.
-    asm.label("head")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+    _block(asm, rng, "head")
     asm.push(0)
     asm.op("DUP2")
     asm.op("JUMPI")
     # fallthrough: loop body, jumps back to head.
+    asm.label("head_fall")
     _filler(asm, rng)
-    asm.push_label("head")
-    asm.op("JUMP")
+    asm.jump("head")
     for r in range(1, depth + 1):
-        asm.label(f"hop{r}")
-        asm.op("JUMPDEST")
+        asm.jumpdest(f"hop{r}")
         asm.op("POP")
         _filler(asm, rng)
-        asm.push_label("head")
-        asm.op("JUMP")
-    asm.label("exit")
-    asm.op("JUMPDEST")
+        asm.jump("head")
+    asm.jumpdest("exit")
     asm.op("POP")
     _filler(asm, rng)
     asm.op("STOP")
@@ -576,36 +521,25 @@ def _build_fake_join_multi_exit(rng: random.Random, depth: int):
     """Reused cluster with a real branch and a real join inside it."""
     asm = Assembler()
     callers = [f"caller{i}" for i in range(depth + 1)]
-    _dispatcher(asm, rng, callers)
+    _dispatcher(asm, callers)
     for i in range(depth + 1):
-        asm.label(callers[i])
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, callers[i])
         asm.push_label(f"ret{i}")
-        asm.push_label("cluster")
-        asm.op("JUMP")
-    asm.label("cluster")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+        asm.jump("cluster")
+    _block(asm, rng, "cluster")
     asm.push(0)
     asm.push_label("arm_b")
     asm.op("JUMPI")
-    # fallthrough arm
+    asm.label("cluster_fall")  # fallthrough arm
     _filler(asm, rng)
     asm.op("JUMP")
-    asm.label("arm_b")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+    _block(asm, rng, "arm_b")
     asm.op("JUMP")
     for i in range(depth + 1):
-        asm.label(f"ret{i}")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
-        asm.push_label(f"fin{i}")
-        asm.op("JUMP")
+        _block(asm, rng, f"ret{i}")
+        asm.jump(f"fin{i}")
     for i in range(depth + 1):
-        asm.label(f"fin{i}")
-        asm.op("JUMPDEST")
+        asm.jumpdest(f"fin{i}")
         asm.op("STOP")
     k = depth + 1
     return asm, ["cluster", "cluster_fall", "arm_b"], 2 * k, 2 * k * k
@@ -617,39 +551,25 @@ def _build_fake_loop_with_transfers(rng: random.Random, depth: int):
     asm = Assembler()
     asm.push_label("exit")
     asm.push_label("back")
-    asm.push_label("head")
-    asm.op("JUMP")
-    asm.label("head")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+    asm.jump("head")
+    _block(asm, rng, "head")
     asm.push(0)
     asm.push_label("arm_b")
     asm.op("JUMPI")
+    asm.label("head_fall")
     _filler(asm, rng)
-    asm.push_label("tail1")
-    asm.op("JUMP")
-    asm.label("arm_b")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
-    asm.push_label("tail1")
-    asm.op("JUMP")
+    asm.jump("tail1")
+    _block(asm, rng, "arm_b")
+    asm.jump("tail1")
     for j in range(1, depth + 1):
-        asm.label(f"tail{j}")
-        asm.op("JUMPDEST")
-        _filler(asm, rng)
+        _block(asm, rng, f"tail{j}")
         if j < depth:
-            asm.push_label(f"tail{j+1}")
-            asm.op("JUMP")
+            asm.jump(f"tail{j+1}")
         else:
             asm.op("JUMP")  # pops the pre-pushed continuation
-    asm.label("back")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
-    asm.push_label("head")
-    asm.op("JUMP")
-    asm.label("exit")
-    asm.op("JUMPDEST")
-    _filler(asm, rng)
+    _block(asm, rng, "back")
+    asm.jump("head")
+    _block(asm, rng, "exit")
     asm.op("STOP")
     reused = ["head", "head_fall", "arm_b"] + [f"tail{j}" for j in range(1, depth + 1)]
     return asm, reused, 4, 4
@@ -677,32 +597,15 @@ def generate(spec: PatternSpec) -> GroundTruth:
         raise ValueError(
             f"fixture exceeds deployable code size limit ({len(code)} > {CODE_SIZE_LIMIT})"
         )
-    reused_offsets = set()
-    for name in reused_labels:
-        if name in asm.labels:
-            reused_offsets.add(asm.labels[name])
-        elif name.endswith("_fall"):
-            # fallthrough half of a JUMPI block: the arm after the branch
-            base = name[: -len("_fall")]
-            reused_offsets.add(_fallthrough_offset_of(code, asm.labels[base]))
     traces = interpret(code)
     return GroundTruth(
         bytecode=code,
-        reused_offsets=reused_offsets,
+        reused_offsets={asm.labels[name] for name in reused_labels},
         expected_sensitive_paths=sens,
         expected_insensitive_paths=insens,
         traces=traces,
         label_offsets=dict(asm.labels),
     )
-
-
-def _fallthrough_offset_of(code: bytes, block_start: int) -> int:
-    """Offset of the fallthrough block following the JUMPI block at
-    `block_start`."""
-    for block in identify_blocks(disassemble(code)):
-        if block.start_offset <= block_start < block.end_offset:
-            return block.end_offset
-    raise ValueError(f"no block covers offset {block_start:#x}")
 
 
 def stress_fixture(target_size: int = 24_000, seed: int = 0) -> bytes:
@@ -735,15 +638,9 @@ def stress_fixture(target_size: int = 24_000, seed: int = 0) -> bytes:
 
     asm = Assembler()
     names = [f"seg{j}_" for j in range(len(segment_asms))]
-    for name in names[:-1]:
-        asm.push(0)
-        asm.push_label(name + "entry")
-        asm.op("JUMPI")
-    asm.push_label(names[-1] + "entry")
-    asm.op("JUMP")
+    _dispatcher(asm, [name + "entry" for name in names])
     for name, seg in zip(names, segment_asms):
-        asm.label(name + "entry")
-        asm.op("JUMPDEST")
+        asm.jumpdest(name + "entry")
         asm.absorb(seg, name)
     code = asm.assemble()
     if len(code) < target_size:

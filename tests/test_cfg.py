@@ -235,6 +235,18 @@ def test_clone_budget_abort():
     assert "clone explosion" in str(excinfo.value)
 
 
+def test_total_block_budget_abort():
+    # Eight blocks, then the shared block at 0x20 needs a clone for its
+    # second caller: a ninth block.
+    code = generate(PatternSpec(Pattern.BASIC_FAKE_JOIN, seed=0, nesting_depth=1)).bytecode
+    with pytest.raises(CloneBudgetError) as excinfo:
+        build_cfg(code, Mode.REUSE_SENSITIVE, Config(total_block_budget=8))
+    assert str(excinfo.value) == "total block budget exceeded"
+    assert excinfo.value.offset == 0x20
+    cfg = build_cfg(code, Mode.REUSE_SENSITIVE, Config(total_block_budget=9))
+    assert len(cfg.blocks) == 9
+
+
 def _recovery_too_slow(signum, frame):
     raise TimeoutError("recovery still running after 5 s")
 

@@ -229,6 +229,14 @@ def test_clone_budget_env_override_exit_code(tmp_path, capsys, monkeypatch):
     assert "clone explosion" in capsys.readouterr().err
 
 
+def test_total_blocks_flag_exit_code(tmp_path, capsys):
+    gt = generate(PatternSpec(Pattern.BASIC_FAKE_JOIN, seed=0, nesting_depth=1))
+    path = tmp_path / "join.hex"
+    path.write_text(gt.bytecode.hex())
+    assert run(["cfg", "--total-blocks", "8", str(path)]) == 1
+    assert capsys.readouterr().err == "analysis error: total block budget exceeded\n"
+
+
 def test_flag_overrides_env(tmp_path, monkeypatch):
     gt = generate(PatternSpec(Pattern.BASIC_FAKE_JOIN, seed=0, nesting_depth=4))
     path = tmp_path / "ok.hex"

@@ -19,6 +19,11 @@ joins that keep changing at the same depth widen to unknown values; the
 default cap never reaches that path on the inputs above.  It was computed
 before `StackState` was replaced by plain tuples and the widening step was
 cut down to one comprehension.
+
+`GOLDEN_CORPUS_SHA256` covers the generator itself: each pattern fixture's
+bytes, reused offsets, both expected path counts and interpreter traces,
+and the `stress_fixture` bytes up to 48 kB.  It was computed before the
+pattern builders were rewritten in terms of block primitives.
 """
 
 import hashlib
@@ -39,6 +44,8 @@ GOLDEN_SHA256 = "5b88fc531fb32a249bd708e5ce473ecd1bd7c39403330355e39e8a1c6e40204
 GOLDEN_DOT_TAC_SHA256 = "c92d2bea54054db57debda68d475990cffdba7f4ba570fd0bd7e7b7e3a1b1d73"
 
 GOLDEN_WIDEN_SHA256 = "a4885d13a366cb86c293f078c09ad5f781b468475011019b401fa0905e7f20f6"
+
+GOLDEN_CORPUS_SHA256 = "8be8ab0283863d96a3e56cf1f7f0f056cb2abe2b566277776c372a8166f1c7d1"
 
 MODES = (Mode.REUSE_SENSITIVE, Mode.REUSE_INSENSITIVE)
 
@@ -102,6 +109,32 @@ def widen_digest() -> str:
     return h.hexdigest()
 
 
+def corpus_digest() -> str:
+    h = hashlib.sha256()
+
+    def feed(label: str, data: bytes) -> None:
+        h.update(f"{label} {len(data)}\n".encode())
+        h.update(data)
+
+    for pattern in Pattern:
+        for depth in range(1, 7):
+            for seed in range(10):
+                gt = generate(PatternSpec(pattern, seed=seed, nesting_depth=depth))
+                truth = (
+                    sorted(gt.reused_offsets),
+                    gt.expected_sensitive_paths,
+                    gt.expected_insensitive_paths,
+                    [t.offsets for t in gt.traces],
+                )
+                tag = f"{pattern.value}/{depth}/{seed}"
+                feed(tag + "/bytes", gt.bytecode)
+                feed(tag + "/truth", repr(truth).encode())
+    for size in (3000, 6000, 12000, 24000, 48000):
+        for seed in range(20):
+            feed(f"stress/{size}/{seed}", stress_fixture(size, seed))
+    return h.hexdigest()
+
+
 def test_exports_match_golden_digest():
     assert golden_digest() == GOLDEN_SHA256
 
@@ -114,7 +147,12 @@ def test_low_cap_widening_exports_match_golden_digest():
     assert widen_digest() == GOLDEN_WIDEN_SHA256
 
 
+def test_generator_output_matches_golden_digest():
+    assert corpus_digest() == GOLDEN_CORPUS_SHA256
+
+
 if __name__ == "__main__":
     print(golden_digest())
     print(dot_tac_digest())
     print(widen_digest())
+    print(corpus_digest())
