@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 WORD_MASK = (1 << 256) - 1
@@ -197,15 +196,16 @@ class BlockId(NamedTuple):
         return f"0x{self.offset:x}_{self.clone}"
 
 
-@dataclass
-class BasicBlock:
-    """Straight-line instruction run with a single entry and exit."""
+class BasicBlock(NamedTuple):
+    """Straight-line instruction run with a single entry and exit.
+
+    An immutable named tuple; its offset is `id.offset`.  A clone is the
+    same record with another `id`, sharing the original's instructions.
+    """
 
     id: BlockId
-    start_offset: int
     instructions: list[Instruction]
     terminator: Terminator
-    is_data: bool = False
 
     @property
     def end_offset(self) -> int:
@@ -222,16 +222,6 @@ class BasicBlock:
     @property
     def halts(self) -> bool:
         return self.terminator in HALTING_TERMINATORS
-
-    def with_clone(self, clone: int) -> "BasicBlock":
-        """A clone shares the byte-identical instruction list."""
-        return BasicBlock(
-            id=_new(BlockId, (self.start_offset, clone)),
-            start_offset=self.start_offset,
-            instructions=self.instructions,
-            terminator=self.terminator,
-            is_data=self.is_data,
-        )
 
 
 def stack_effect(opcode: int) -> tuple[int, int]:
@@ -295,18 +285,10 @@ def identify_blocks(instructions: list[Instruction]) -> list[BasicBlock]:
 
     def flush(terminator: Terminator) -> None:
         nonlocal current
-        if not current:
-            return
-        start = current[0].offset
-        blocks.append(
-            BasicBlock(
-                id=_new(BlockId, (start, 0)),
-                start_offset=start,
-                instructions=current,
-                terminator=terminator,
-            )
-        )
-        current = []
+        if current:
+            block_id = _new(BlockId, (current[0].offset, 0))
+            blocks.append(_new(BasicBlock, (block_id, current, terminator)))
+            current = []
 
     for ins in instructions:
         if ins.opcode == JUMPDEST and current:

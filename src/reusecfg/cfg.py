@@ -103,33 +103,41 @@ class Edge(NamedTuple):
 
 class EdgeView:
     """Read-only view of every edge of a `Cfg`, grouped by source, each
-    group in insertion order.  Sized without listing the edges."""
+    group in insertion order.  The store holds no `Edge` records: iterating
+    builds one per edge.  Sized without listing the edges."""
 
     __slots__ = ("_succ",)
 
-    def __init__(self, succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], Edge]]) -> None:
+    def __init__(self, succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], None]]) -> None:
         self._succ = succ
 
     def __len__(self) -> int:
         return sum(map(len, self._succ.values()))
 
     def __iter__(self) -> Iterator[Edge]:
-        for out in self._succ.values():
-            yield from out.values()
+        for src, out in self._succ.items():
+            for dst, kind in out:
+                yield _new(Edge, (src, dst, kind))
 
 
 @dataclass
 class Cfg:
     """Recovered control-flow graph plus per-clone analysis state.
 
-    `succ` is the one edge store: per source block, its out-edges keyed by
-    (destination, kind) in insertion order.  A JUMPI whose target is the
-    next block has both a JUMP and a FALLTHROUGH edge to it.  `pred` mirrors
-    it per destination as an ordered set: each source with any edge to it,
-    in the order of its first edge.  Only `add_edge` and `remove_out_edges`
-    write either; a source's edges are only ever removed all at once.
+    `blocks` holds the decoded blocks and their clones, all immutable (see
+    `BasicBlock`); what recovery learns about a block lives here, by id.
+
+    `succ` is the one edge store: per source block, an ordered set of its
+    out-edges as (destination, kind) pairs, in insertion order; `edges`
+    views them as `Edge` records.  A JUMPI whose target is the next block
+    has both a JUMP and a FALLTHROUGH edge to it.  `pred` mirrors it per
+    destination as an ordered set: each source with any edge to it, in the
+    order of its first edge.  Only `add_edge` and `remove_out_edges` write
+    either; a source's edges are only ever removed all at once.
     `s_start` holds each visited clone's entry stack; only `set_entry_stack`
-    writes it, and `_finalize` drops the stacks of dropped clones.
+    writes it, and `_finalize` drops the stacks of dropped clones.  Every
+    clone gets one when made (in `reuse_handler` or `_merge_into`), so after
+    recovery a block without one was never reached: the exports' `is_data`.
 
     `tainted` holds the tainted entry-stack indices per (offset, entry
     depth); only `transfer_taint` adds to it.  A clone's reuse context is
@@ -159,7 +167,7 @@ class Cfg:
     entry: BlockId
     limits: Config = field(default_factory=Config)
     blocks: dict[BlockId, BasicBlock] = field(default_factory=dict)
-    succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], Edge]] = field(default_factory=dict)
+    succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], None]] = field(default_factory=dict)
     pred: dict[BlockId, dict[BlockId, None]] = field(default_factory=dict)
     tainted: dict[tuple[int, int], set[int]] = field(default_factory=dict)
     # Insertion-ordered set of (severity, message, offset).
@@ -196,7 +204,7 @@ class Cfg:
         out = self.succ.setdefault(src, {})
         if (dst, kind) in out:
             return False
-        out[(dst, kind)] = _new(Edge, (src, dst, kind))
+        out[(dst, kind)] = None
         preds = self.pred.setdefault(dst, {})
         if src not in preds:
             preds[src] = None
@@ -423,10 +431,10 @@ def _make_clone(cfg: Cfg, offset: int) -> BlockId:
     if len(cfg.blocks) >= cfg.limits.total_block_budget:
         raise CloneBudgetError(offset, "total block budget exceeded")
     original = cfg.blocks[(offset, 0)]
-    clone = original.with_clone(clones[-1].clone + 1)
-    cfg.blocks[clone.id] = clone
-    cfg._clones.setdefault(offset, []).append(clone.id)
-    return clone.id
+    clone = _new(BlockId, (offset, clones[-1].clone + 1))
+    cfg.blocks[clone] = _new(BasicBlock, (clone, original.instructions, original.terminator))
+    cfg._clones.setdefault(offset, []).append(clone)
+    return clone
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +459,10 @@ class _Recovery:
 
     def _merge_into(self, pred: BlockId, succ: BlockId) -> None:
         cfg = self.cfg
-        merged, changed, diags = prepare_stack(
-            cfg.s_end[pred], cfg.s_start.get(succ), cfg.value_table
-        )
-        for severity, message, _ in diags:
-            cfg.add_diagnostic(severity, message, succ.offset)
+        incoming, existing = cfg.s_end[pred], cfg.s_start.get(succ)
+        if existing is not None and len(existing) != len(incoming):
+            cfg.add_diagnostic("warning", "irregular stack depth at join", succ.offset)
+        merged, changed = prepare_stack(incoming, existing, cfg.value_table)
         if not changed:
             return
         _check_entry_depth(merged, succ.offset)
@@ -472,7 +479,7 @@ class _Recovery:
         if old is None or len(old) != len(merged):
             return merged
         new_unknown = self.cfg.value_table.new_unknown
-        return tuple(a if a == b else new_unknown("widened") for a, b in zip(old, merged))
+        return tuple(a if a == b else new_unknown() for a, b in zip(old, merged))
 
     # -- successor resolution --------------------------------------------------
 
@@ -505,8 +512,8 @@ class _Recovery:
         if cfg.mode is Mode.REUSE_INSENSITIVE:
             return original.id
         if original.halts:
-            return handle_end_block(cfg, b_c, original.start_offset)
-        return reuse_handler(cfg, b_c, original.start_offset)
+            return handle_end_block(cfg, b_c, original.id.offset)
+        return reuse_handler(cfg, b_c, original.id.offset)
 
     # -- main loop -------------------------------------------------------------
 
@@ -592,15 +599,12 @@ class _Recovery:
             pending.append((cur, succ))
 
     def _finalize(self) -> None:
-        """Mark never-visited originals as data, drop orphaned clones and
-        empty the recovery-time caches."""
+        """Drop orphaned clones and empty the recovery-time caches."""
         cfg = self.cfg
         postorder, _ = dfs(collapsed_successors(cfg), [cfg.entry])
         reachable = set(postorder)
-        for block_id, block in list(cfg.blocks.items()):
-            if block_id.clone == 0:
-                block.is_data = cfg.s_start.get(block_id) is None
-            elif block_id not in reachable:
+        for block_id in list(cfg.blocks):
+            if block_id.clone and block_id not in reachable:
                 del cfg.blocks[block_id]
                 cfg.s_start.pop(block_id, None)
                 cfg.s_end.pop(block_id, None)
@@ -721,11 +725,11 @@ def _export_json(cfg: Cfg, emit_tac: bool) -> bytes:
     ):
         fields = [
             f'"id": {q(str(block.id))}',
-            f'"offset": {block.start_offset}',
+            f'"offset": {block.id.offset}',
             f'"clone": {block.id.clone}',
             f'"instructions": {listing}',
             f'"terminator": {q(block.terminator.value)}',
-            f'"is_data": {"true" if block.is_data else "false"}',
+            f'"is_data": {"false" if block.id in cfg.s_start else "true"}',
         ]
         if emit_tac and block.id in cfg.tac:
             tac = [q(op.render(table)) for op in cfg.tac[block.id]]
@@ -763,8 +767,8 @@ def _export_dot(cfg: Cfg, emit_tac: bool) -> bytes:
         if emit_tac and block.id in cfg.tac:
             tac = [op.render(cfg.value_table) for op in cfg.tac[block.id]]
             body += "\\l" + _dot_label_lines(["--", *tac])
-        attrs = f'label="{block.start_offset:#x}_{block.id.clone}\\l{body}\\l"'
-        if block.is_data:
+        attrs = f'label="{block.id.offset:#x}_{block.id.clone}\\l{body}\\l"'
+        if block.id not in cfg.s_start:
             attrs += ", style=dotted"
         lines.append(f'  "{block.id}" [{attrs}];')
     for e in _sorted_edges(cfg):

@@ -173,7 +173,7 @@ def _cmd_gen(args) -> int:
         truth = corpus.generate(
             corpus.PatternSpec(pattern, seed=args.seed, nesting_depth=args.depth)
         )
-    except ValueError as exc:
+    except (ValueError, AnalysisError) as exc:  # e.g. too deep to assemble or enumerate
         raise UsageError(str(exc)) from exc
     out_dir = Path(args.out_dir)
     try:

@@ -28,6 +28,7 @@ from .bytecode import (
     disassemble,
     identify_blocks,
 )
+from .cfg import AnalysisError
 from .metrics import Trace
 
 
@@ -181,7 +182,11 @@ def concrete_op(mnemonic: str, operands: list[int]) -> int:
     raise UnsupportedOpcodeError(mnemonic)
 
 
+# Bounds on one `interpret` call's JUMPI forks and instructions executed over
+# all forks.  Golden fixtures need at most 7,927 steps; 2^19 also lets a
+# chain of forks a few instructions apart reach the fork bound.
 _MAX_FORKS = 65536
+_MAX_STEPS = 1 << 19
 
 # Branch decisions per run that `interpret` explores by default.
 BRANCH_BOUND = 16
@@ -199,23 +204,32 @@ def interpret(
     end their fork as a revert-class trace, which is still recorded.  A fork
     that revisits one of its own exact (pc, stack) states makes no progress
     and is pruned.  Environment opcodes are only legal when `env` supplies a
-    constant for their mnemonic.
+    constant for their mnemonic.  More than `_MAX_FORKS` forks or
+    `_MAX_STEPS` instructions executed raise `AnalysisError`.
     """
     env = env or {}
     instructions = disassemble(code)
-    block_starts = {b.start_offset for b in identify_blocks(instructions)}
+    block_starts = {b.id.offset for b in identify_blocks(instructions)}
     # Bytes inside push payloads are not legal landing sites.
     valid_dests = {i.offset for i in instructions if i.opcode == JUMPDEST}
     n = len(code)
 
+    # A trace so far is a linked list, newest block first: (offset, rest),
+    # ending in None; extending it and sharing it with a fork are O(1).
     # (pc, stack tuple, decisions used, trace so far, seen decision states)
-    initial = (0, (), 0, (0,), frozenset())
+    initial = (0, (), 0, (0, None), frozenset())
     stack_of_states = [initial]
     traces: list[Trace] = []
     seen_traces: set[tuple[int, ...]] = set()
     forks = 0
+    steps_left = _MAX_STEPS
 
-    def record(trace: tuple[int, ...]) -> None:
+    def record(node) -> None:
+        offsets = []
+        while node is not None:
+            offset, node = node
+            offsets.append(offset)
+        trace = tuple(reversed(offsets))
         if trace not in seen_traces:
             seen_traces.add(trace)
             traces.append(Trace(trace))
@@ -224,6 +238,9 @@ def interpret(
         pc, stack, used, trace, seen = stack_of_states.pop()
         stack = list(stack)
         while True:
+            steps_left -= 1
+            if steps_left < 0:
+                raise AnalysisError(f"interpreter step budget of {_MAX_STEPS} exceeded")
             if pc >= n:  # implicit STOP beyond the end of code
                 record(trace)
                 break
@@ -282,9 +299,9 @@ def interpret(
                 fall_pc = pc + 1
                 forks += 1
                 if forks > _MAX_FORKS:
-                    raise RuntimeError("interpreter fork budget exceeded")
+                    raise AnalysisError(f"interpreter fork budget of {_MAX_FORKS} exceeded")
                 # Explore fallthrough via the work stack, continue on taken.
-                fall_trace = trace + ((fall_pc,) if fall_pc in block_starts else ())
+                fall_trace = (fall_pc, trace) if fall_pc in block_starts else trace
                 stack_of_states.append(
                     (fall_pc, tuple(stack), used + 1, fall_trace, seen)
                 )
@@ -307,7 +324,7 @@ def interpret(
                 record(trace)
                 break
             if next_pc in block_starts and next_pc != pc:
-                trace = trace + (next_pc,)
+                trace = (next_pc, trace)
             pc = next_pc
 
     return traces

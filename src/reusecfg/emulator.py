@@ -56,29 +56,28 @@ class Value(NamedTuple):
     """SSA value: 256-bit constant, operation result, phi, or unknown.
 
     An immutable named tuple: it compares equal to the plain tuple of its
-    fields, in field order.  Only constants carry `const`.  Constants
-    produced by folding keep their operand ids in `args` so taint tracing
-    can walk from a resolved jump target back to the pushes that fed it.
+    fields, in field order.  Its id is its index in its `ValueTable`.  Only
+    constants carry `const`.  Constants produced by folding keep their
+    operand ids in `args` so taint tracing can walk from a resolved jump
+    target back to the pushes that fed it.
     """
 
-    vid: int
     kind: str
     const: int | None = None
     op: str | None = None
     args: tuple[int, ...] = ()
     members: tuple[int, ...] = ()
-    reason: str | None = None
 
 
 class ValueTable:
     """Append-only arena of Values, owned by one recovery session.
 
-    `values` is the arena itself, a plain list: entry `vid` is the value
-    with id `vid`.  Loops that read many values index it directly rather
-    than call `get`.  Only the `new_*` methods and `emulate_block` append
-    to it, each a Value built from all seven fields through
-    `tuple.__new__` (see `bytecode._new`) with the id it gets there;
-    nothing changes an entry once appended."""
+    `values` is the arena itself, a plain list: a value's id is its index
+    there, which every `new_*` method returns.  Loops that read many values
+    index it directly rather than call `get`.  Only the `new_*` methods and
+    `emulate_block` append to it, each a Value built from all five fields
+    through `tuple.__new__` (see `bytecode._new`); nothing changes an entry
+    once appended."""
 
     def __init__(self) -> None:
         self.values: list[Value] = []
@@ -92,27 +91,23 @@ class ValueTable:
 
     def new_const(self, raw: int, args: tuple[int, ...] = ()) -> int:
         values = self.values
-        vid = len(values)
-        values.append(_new(Value, (vid, CONST, raw & WORD_MASK, None, args, (), None)))
-        return vid
+        values.append(_new(Value, (CONST, raw & WORD_MASK, None, args, ())))
+        return len(values) - 1
 
     def new_sym(self, op: str, args: tuple[int, ...]) -> int:
         values = self.values
-        vid = len(values)
-        values.append(_new(Value, (vid, SYM, None, op, args, (), None)))
-        return vid
+        values.append(_new(Value, (SYM, None, op, args, ())))
+        return len(values) - 1
 
-    def new_unknown(self, reason: str) -> int:
+    def new_unknown(self) -> int:
         values = self.values
-        vid = len(values)
-        values.append(_new(Value, (vid, UNKNOWN, None, None, (), (), reason)))
-        return vid
+        values.append(_new(Value, (UNKNOWN, None, None, (), ())))
+        return len(values) - 1
 
     def new_phi(self, members: tuple[int, ...]) -> int:
         values = self.values
-        vid = len(values)
-        values.append(_new(Value, (vid, PHI, None, None, (), members, None)))
-        return vid
+        values.append(_new(Value, (PHI, None, None, (), members)))
+        return len(values) - 1
 
     def values_equal(self, a: int, b: int) -> bool:
         """Id equality, or equal constants (distinct pushes of one value)."""
@@ -260,7 +255,7 @@ def emulate_block(
         if stack:
             return stack.pop()
         diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
-        return new_unknown("underflow")
+        return new_unknown()
 
     overflow_reported = False
     for offset, opcode, name, push_data, _, _ in block.instructions:
@@ -268,7 +263,7 @@ def emulate_block(
         if kind == _PUSH:
             data = push_data or 0  # PUSH0 has no payload
             vid = len(values)
-            add_value(_new(Value, (vid, CONST, data, None, (), (), None)))
+            add_value(_new(Value, (CONST, data, None, (), ())))
             stack.append(vid)
             emit(_new(TacOp, (offset, name, vid, (), data)))
         elif kind == _OTHER:
@@ -286,7 +281,7 @@ def emulate_block(
                     if None not in consts:
                         result = len(values)
                         folded = folder(*consts)
-                        add_value(_new(Value, (result, CONST, folded, None, args, (), None)))
+                        add_value(_new(Value, (CONST, folded, None, args, ())))
                 if result is None:
                     result = table.new_sym(name, args)
                 stack.append(result)
@@ -296,14 +291,14 @@ def emulate_block(
                 vid = stack[-n]
             else:
                 diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
-                vid = new_unknown("underflow")
+                vid = new_unknown()
             stack.append(vid)
             emit(_new(TacOp, (offset, name, vid, (vid,), None)))
         elif kind == _SWAP:
             if len(stack) <= n:
                 diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
                 while len(stack) <= n:
-                    stack.insert(0, new_unknown("underflow"))
+                    stack.insert(0, new_unknown())
             stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
             emit(_new(TacOp, (offset, name, None, (stack[-1], stack[-n - 1]), None)))
         elif kind == _POP:
@@ -333,25 +328,23 @@ def prepare_stack(
     pred_s_end: Stack,
     existing_s_start: Stack | None,
     table: ValueTable,
-) -> tuple[Stack, bool, list[tuple[str, str, int]]]:
-    """Merge a predecessor's exit stack into a block's entry stack.
+) -> tuple[Stack, bool]:
+    """Merge a predecessor's exit stack into a block's entry stack, and
+    tell whether the result differs from the existing one.
 
     Positionwise-equal value ids (or equal constants) keep the existing
     entry; disagreeing positions widen to a phi over the union.  Unknown
     entries absorb everything.  Depth mismatches merge top-aligned over the
-    deeper stack and are reported as a diagnostic.  An incoming stack equal
-    to the existing one returns the existing stack itself, unchanged.
+    deeper stack; the caller reports them where the join is.  An incoming
+    stack equal to the existing one returns the existing stack itself.
     """
-    diags: list[tuple[str, str, int]] = []
     if existing_s_start is None:
-        return pred_s_end, True, diags
+        return pred_s_end, True
 
     old, new = existing_s_start, pred_s_end
     if old == new:
-        return old, False, diags
+        return old, False
     changed = False
-    if len(old) != len(new):
-        diags.append(("warning", "irregular stack depth at join", -1))
     if len(new) > len(old):
         # Deeper predecessor: adopt its extra bottom entries.
         base = list(new)
@@ -374,7 +367,7 @@ def prepare_stack(
             changed = True
         base[-i] = merged
 
-    return tuple(base), changed, diags
+    return tuple(base), changed
 
 
 def trace_origin(vid: int, table: ValueTable) -> set[int]:

@@ -1,6 +1,26 @@
 """Hand-assembled bytecode fixtures shared across the test modules."""
 
+import signal
+from contextlib import contextmanager
+
 from reusecfg import Assembler
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise `TimeoutError` in the enclosed work once `seconds` of wall time
+    have passed, through SIGALRM; the previous handler is put back after."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def two_branch_shared_increment() -> bytes:
@@ -820,3 +840,17 @@ REENTRANCY_NEGATIVE = [
 DEEPENING_LOOP = bytes.fromhex(
     "5b8015600a5f80325f610021602355505b5b33555691806021018181545654505f3301015432506019602a"
 )
+
+
+def fork_chain(units: int) -> bytes:
+    """`units` times PUSH1 0; PUSH2 next; JUMPI; JUMPDEST, then STOP.  Both
+    arms of each JUMPI land on the next unit, so a concrete run forks
+    2^units ways."""
+    asm = Assembler()
+    for i in range(units):
+        asm.push(0)
+        asm.push_label(f"u{i}")
+        asm.op("JUMPI")
+        asm.jumpdest(f"u{i}")
+    asm.op("STOP")
+    return asm.assemble()

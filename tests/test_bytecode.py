@@ -113,7 +113,7 @@ def test_empty_input_rejected():
 def test_blocks_split_on_jumpdest_and_terminators():
     # JUMPDEST; PUSH1 0x08; JUMP; JUMPDEST; STOP
     blocks = identify_blocks(disassemble(bytes.fromhex("5b6008565b00")))
-    assert [b.start_offset for b in blocks] == [0, 4]
+    assert [b.id.offset for b in blocks] == [0, 4]
     assert blocks[0].terminator is Terminator.JUMP
     assert blocks[1].terminator is Terminator.STOP
 
@@ -121,7 +121,7 @@ def test_blocks_split_on_jumpdest_and_terminators():
 def test_jumpi_block_records_fallthrough_boundary():
     # PUSH1 0x06; JUMPI; STOP; JUMPDEST; STOP
     blocks = identify_blocks(disassemble(bytes.fromhex("600657005b00")))
-    assert [b.start_offset for b in blocks] == [0, 3, 4]
+    assert [b.id.offset for b in blocks] == [0, 3, 4]
     assert blocks[0].terminator is Terminator.JUMPI
     assert blocks[0].fallthrough_offset == 3
 
@@ -134,7 +134,7 @@ def test_partition_properties():
         blocks = identify_blocks(instructions)
         collected = [i for b in blocks for i in b.instructions]
         assert collected == instructions
-        starts = [b.start_offset for b in blocks]
+        starts = [b.id.offset for b in blocks]
         assert starts == sorted(starts)
         assert len(set(starts)) == len(starts)
         for b in blocks:

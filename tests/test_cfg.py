@@ -1,6 +1,5 @@
 import json
 import random
-import signal
 
 import pytest
 
@@ -9,6 +8,7 @@ from fixtures import (
     masked_operand_fixture,
     mixed_join_fixture,
     three_exit_fixture,
+    time_limit,
     two_branch_shared_increment,
 )
 from reusecfg.bytecode import BlockId
@@ -193,7 +193,9 @@ def test_finalize_drops_edges_into_orphaned_clones():
     assert [(e.src, e.dst, e.kind) for e in cfg.edges] == [(stale, end, EdgeKind.FALLTHROUGH)]
     assert cfg.predecessors(end) == [stale]
     assert cfg.predecessors(orphan) == []
-    assert not cfg.blocks[stale].is_data
+    # Visited, so not data, though no longer reachable.
+    flags = {b["id"]: b["is_data"] for b in json.loads(export(cfg))["blocks"]}
+    assert flags == {"0x0_0": False, "0x1_0": False, "0x2_0": True}
 
 
 def test_clones_at_lists_clones_kept_past_a_dropped_one():
@@ -214,11 +216,25 @@ def test_data_tail_kept_and_flagged():
     # STOP then unreachable trailing bytes (a JUMPDEST and friends).
     code = bytes.fromhex("005b6001")
     cfg = build_cfg(code, Mode.REUSE_SENSITIVE)
-    data_blocks = [b for k, b in cfg.blocks.items() if b.is_data]
+    data_blocks = [b for b in json.loads(export(cfg))["blocks"] if b["is_data"]]
     assert data_blocks, "trailing region must stay in the block map"
-    assert all(b.start_offset >= 1 for b in data_blocks)
+    assert all(b["offset"] >= 1 for b in data_blocks)
     listed = sorted(cfg.blocks)
     assert BlockId(1, 0) in listed
+
+
+def test_irregular_stack_depth_reported_at_join():
+    # PUSH1 0; PUSH1 7; JUMPI; PUSH1 1; JUMPDEST; JUMPDEST; STOP.  The jump
+    # arm reaches the join at 0x7 with an empty stack, the fallthrough arm
+    # through 0x5 with one entry.
+    code = bytes.fromhex("600060075760015b5b00")
+    cfg = build_cfg(code, Mode.REUSE_INSENSITIVE)
+    assert ("warning", "irregular stack depth at join", 0x7) in cfg.diagnostics
+    assert len(cfg.s_start[BlockId(7, 0)]) == 1  # merged over the deeper stack
+    # Reuse-sensitive recovery gives each depth its own clone: no join.
+    cfg = build_cfg(code, Mode.REUSE_SENSITIVE)
+    assert cfg.clones_at(7) == [BlockId(7, 0), BlockId(7, 1)]
+    assert not any("irregular" in message for _, message, _ in cfg.diagnostics)
 
 
 def test_jumpi_constant_zero_still_yields_both_edges():
@@ -247,14 +263,8 @@ def test_total_block_budget_abort():
     assert len(cfg.blocks) == 9
 
 
-def _recovery_too_slow(signum, frame):
-    raise TimeoutError("recovery still running after 5 s")
-
-
 def test_deepening_loop_ends_in_analysis_error():
-    previous = signal.signal(signal.SIGALRM, _recovery_too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 5)
-    try:
+    with time_limit(5):
         with pytest.raises(AnalysisError, match="entry stack deeper than 1024 at offset 0x10"):
             build_cfg(DEEPENING_LOOP, Mode.REUSE_INSENSITIVE)
         with pytest.raises(CloneBudgetError):
@@ -264,9 +274,6 @@ def test_deepening_loop_ends_in_analysis_error():
         # the new clone's entry stack passes the EVM's depth first.
         with pytest.raises(AnalysisError, match="entry stack deeper than 1024"):
             build_cfg(DEEPENING_LOOP, Mode.REUSE_SENSITIVE)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_clone_instructions_identical():

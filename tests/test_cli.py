@@ -203,6 +203,24 @@ def test_gen_out_dir_under_a_file_usage_error(tmp_path, capsys):
     assert err == f"error: cannot write {out_dir}: {os.strerror(errno.ENOTDIR)}\n"
 
 
+def test_interp_fork_budget_analysis_error(tmp_path, capsys):
+    path = tmp_path / "forks.hex"
+    path.write_text(fixtures.fork_chain(18).hex())
+    with fixtures.time_limit(5):
+        assert run(["interp", "--branch-bound", "20", str(path)]) == 1
+    assert capsys.readouterr().err == "analysis error: interpreter fork budget of 65536 exceeded\n"
+
+
+def test_gen_past_step_budget_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["gen", "--pattern", "NestedFakeLoops", "--depth", "30", "--out-dir", str(out_dir)]
+    # The innermost block would run 2^30 times: the step budget ends it.
+    with fixtures.time_limit(5):
+        assert run(argv) == 2
+    assert capsys.readouterr().err == "error: interpreter step budget of 524288 exceeded\n"
+    assert not out_dir.exists()
+
+
 def test_missing_file_usage_error(capsys):
     assert run(["disasm", "/nonexistent/path.hex"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -1,7 +1,8 @@
 import pytest
 
+from fixtures import fork_chain, time_limit
 from reusecfg.bytecode import CODE_SIZE_LIMIT, disassemble, identify_blocks
-from reusecfg.cfg import Mode, build_cfg
+from reusecfg.cfg import AnalysisError, Mode, build_cfg
 from reusecfg.corpus import (
     Assembler,
     Pattern,
@@ -172,3 +173,17 @@ def test_interpreter_prunes_unproductive_loops():
     traces = interpret(asm.assemble(), branch_bound=64)
     # terminates: the loop is re-entered at most once per decision state
     assert sorted(tuple(t.offsets) for t in traces) == [(0, 0, 7), (0, 7)]
+
+
+def test_fork_budget_ends_in_structured_error():
+    # 2^18 runs: past the fork budget long before the branch bound of 20.
+    with time_limit(1), pytest.raises(AnalysisError, match="fork budget of 65536"):
+        interpret(fork_chain(18), branch_bound=20)
+
+
+def test_step_budget_ends_in_structured_error():
+    # JUMPDEST; PUSH1 0; JUMP: an endless loop with no JUMPI, so neither the
+    # fork budget nor the branch bound applies.
+    with time_limit(1), pytest.raises(AnalysisError, match="step budget of 524288"):
+        interpret(bytes.fromhex("5b600056"))
+

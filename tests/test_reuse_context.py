@@ -360,7 +360,7 @@ def test_contexts_derive_from_tainted_indices_per_offset_and_depth():
     # b accepts any arrival with 0x20 at index 0: its context ends before
     # the other two tainted indices.
     pred = BlockId(0, 0)
-    cfg.s_end[pred] = (table.new_const(0x20), table.new_unknown("test"), k20)
+    cfg.s_end[pred] = (table.new_const(0x20), table.new_unknown(), k20)
     assert reuse_handler(cfg, pred, 1) == b
     # A mismatch at index 2 rules out a and c, one at index 0 rules out b:
     # a new clone, whose context reads the three shared indices at once.
@@ -417,7 +417,7 @@ def test_walk_rereads_an_entry_stack_changed_after_it():
     table = cfg.value_table
     k = table.new_const(0x10)
     p, x = BlockId(1, 0), BlockId(2, 0)
-    cfg.set_entry_stack(p, (table.new_unknown("test"),))
+    cfg.set_entry_stack(p, (table.new_unknown(),))
     cfg.set_entry_stack(x, (k,))
     cfg.add_edge(p, x, EdgeKind.JUMP)
     update_reuse_context(cfg, x, k)
