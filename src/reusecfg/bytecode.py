@@ -312,7 +312,7 @@ def format_listing(instructions: list[Instruction]) -> str:
     return "\n".join(ins.listing_line() for ins in instructions)
 
 
-_HEX_RE = re.compile(r"^(0[xX])?[0-9a-fA-F]*$")
+_HEX_RE = re.compile(r"^[0-9a-fA-F]*$")
 
 
 def parse_hex(text: str) -> bytes:

@@ -8,8 +8,10 @@ which offsets are deliberately reused, closed-form path counts for both
 recovery modes, and the execution traces enumerated by the interpreter.
 
 The interpreter is intentionally written as a standalone concrete machine
-(its arithmetic does not share code with the symbolic emulator) so it can
-act as an independent oracle for constant folding and trace coverage.
+so it can act as an independent oracle for constant folding and trace
+coverage: it steps over the blocks that `disassemble` and `identify_blocks`
+decode, but its arithmetic, halting and opcode classification share no
+code with the symbolic emulator.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .bytecode import (
     OPCODES,
     STACK_LIMIT,
     WORD_MASK,
+    Instruction,
     disassemble,
     identify_blocks,
 )
@@ -65,12 +68,16 @@ class GroundTruth:
 
 
 class Assembler:
-    """One-pass label assembler; all label pushes are fixed-width PUSH2."""
+    """One-pass label assembler; all label pushes are fixed-width PUSH2.
+
+    `size` is the number of bytes the items added so far assemble to.
+    """
 
     def __init__(self) -> None:
         self._items: list[tuple] = []  # ("op",opcode) ("push",width,value) ("pushl",label) ("label",name) ("raw",bytes)
         self._declared: set[str] = set()
         self.labels: dict[str, int] = {}
+        self.size = 0
 
     def jumpdest(self, name: str) -> None:
         self.label(name)
@@ -88,6 +95,7 @@ class Assembler:
 
     def absorb(self, other: "Assembler", prefix: str) -> None:
         """Inline another program's items with namespaced labels."""
+        self.size += other.size
         for item in other._items:
             kind = item[0]
             if kind == "label":
@@ -99,17 +107,23 @@ class Assembler:
 
     def op(self, mnemonic: str) -> None:
         self._items.append(("op", MNEMONIC_TO_OPCODE[mnemonic]))
+        self.size += 1
 
     def push(self, value: int, width: int | None = None) -> None:
         if width is None:
             width = max(1, (value.bit_length() + 7) // 8)
+        if not 0 <= width <= 32 or not 0 <= value < 1 << (8 * width):
+            raise ValueError(f"cannot push {value:#x} in {width} bytes")
         self._items.append(("push", width, value))
+        self.size += 1 + width
 
     def push_label(self, name: str) -> None:
         self._items.append(("pushl", name))
+        self.size += 3
 
     def raw(self, data: bytes) -> None:
         self._items.append(("raw", data))
+        self.size += len(data)
 
     def assemble(self) -> bytes:
         """Emit the bytes, recording label offsets on the way; each label
@@ -191,6 +205,11 @@ _MAX_STEPS = 1 << 19
 # Branch decisions per run that `interpret` explores by default.
 BRANCH_BOUND = 16
 
+_HALTING = frozenset({"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"})
+
+# What a fork runs once it passes the end of code.
+_IMPLICIT_STOP = (Instruction(0, 0x00, "STOP"),)
+
 
 def interpret(
     code: bytes,
@@ -199,28 +218,32 @@ def interpret(
 ) -> list[Trace]:
     """Concretely execute `code`, forking both arms at every JUMPI.
 
-    Returns the distinct block-offset traces that reach a terminator within
+    Steps over the decoded blocks: a fork appends a block's offset to its
+    trace on entering it, runs its instructions and goes on to the jump
+    target or the next block; past the end of code it stops as on STOP.
+    Returns the distinct traces that reach a terminator within
     `branch_bound` branch decisions per run.  Invalid jumps and underflows
     end their fork as a revert-class trace, which is still recorded.  A fork
-    that revisits one of its own exact (pc, stack) states makes no progress
-    and is pruned.  Environment opcodes are only legal when `env` supplies a
-    constant for their mnemonic.  More than `_MAX_FORKS` forks or
+    that revisits one of its own exact (JUMPI offset, stack) states makes no
+    progress and is pruned.  Environment opcodes are only legal when `env`
+    supplies a constant for their mnemonic.  More than `_MAX_FORKS` forks or
     `_MAX_STEPS` instructions executed raise `AnalysisError`.
     """
     env = env or {}
-    instructions = disassemble(code)
-    block_starts = {b.id.offset for b in identify_blocks(instructions)}
-    # Bytes inside push payloads are not legal landing sites.
-    valid_dests = {i.offset for i in instructions if i.opcode == JUMPDEST}
-    n = len(code)
+    # block offset -> (instructions, offset the block falls through to)
+    blocks = {
+        b.id.offset: (b.instructions, b.end_offset)
+        for b in identify_blocks(disassemble(code))
+    }
+    # Bytes inside push payloads are not legal landing sites; every
+    # JUMPDEST opens a block.
+    valid_dests = {o for o, (ins, _) in blocks.items() if ins[0].opcode == JUMPDEST}
 
     # A trace so far is a linked list, newest block first: (offset, rest),
     # ending in None; extending it and sharing it with a fork are O(1).
-    # (pc, stack tuple, decisions used, trace so far, seen decision states)
-    initial = (0, (), 0, (0, None), frozenset())
-    stack_of_states = [initial]
-    traces: list[Trace] = []
-    seen_traces: set[tuple[int, ...]] = set()
+    # (next block, stack tuple, decisions used, trace so far, seen decision states)
+    work = [(0, (), 0, None, frozenset())]
+    found: dict[tuple[int, ...], None] = {}  # distinct traces, in the order first reached
     forks = 0
     steps_left = _MAX_STEPS
 
@@ -229,105 +252,83 @@ def interpret(
         while node is not None:
             offset, node = node
             offsets.append(offset)
-        trace = tuple(reversed(offsets))
-        if trace not in seen_traces:
-            seen_traces.add(trace)
-            traces.append(Trace(trace))
+        found[tuple(reversed(offsets))] = None
 
-    while stack_of_states:
-        pc, stack, used, trace, seen = stack_of_states.pop()
+    while work:
+        offset, stack, used, trace, seen = work.pop()
         stack = list(stack)
         while True:
-            steps_left -= 1
-            if steps_left < 0:
-                raise AnalysisError(f"interpreter step budget of {_MAX_STEPS} exceeded")
-            if pc >= n:  # implicit STOP beyond the end of code
-                record(trace)
-                break
-            op = code[pc]
-            entry = OPCODES.get(op)
-            if entry is None:
-                record(trace)  # invalid-class: transaction aborts here
-                break
-            name, pops, pushes = entry
-            if name in ("STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"):
-                record(trace)
-                break
-            if len(stack) < pops:
-                record(trace)  # underflow reverts
-                break
-
-            next_pc = pc + 1
-            if 0x60 <= op <= 0x7F:
-                width = op - 0x5F
-                payload = code[pc + 1 : pc + 1 + width]
-                value = int.from_bytes(payload + b"\x00" * (width - len(payload)), "big")
-                stack.append(value)
-                next_pc = pc + 1 + len(payload)
-            elif name == "PUSH0":
-                stack.append(0)
-            elif 0x80 <= op <= 0x8F:
-                stack.append(stack[-(op - 0x7F)])
-            elif 0x90 <= op <= 0x9F:
-                depth = op - 0x8F
-                stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
-            elif name == "POP":
-                stack.pop()
-            elif name == "JUMPDEST":
-                pass
-            elif name == "JUMP":
-                target = stack.pop()
-                if target not in valid_dests:
-                    record(trace)  # invalid jump reverts
-                    break
-                next_pc = target
-            elif name == "JUMPI":
-                target = stack.pop()
-                stack.pop()  # condition: both arms are explored regardless
-                if used >= branch_bound:
-                    break  # fork abandoned, no trace
-                # A decision state may recur once (one extra loop lap);
-                # beyond that the fork makes no progress and is pruned.
-                state_key = (pc, tuple(stack))
-                if (state_key, 1) not in seen:
-                    seen = seen | {(state_key, 1)}
-                elif (state_key, 2) not in seen:
-                    seen = seen | {(state_key, 2)}
-                else:
-                    break
-                taken_ok = target in valid_dests
-                fall_pc = pc + 1
-                forks += 1
-                if forks > _MAX_FORKS:
-                    raise AnalysisError(f"interpreter fork budget of {_MAX_FORKS} exceeded")
-                # Explore fallthrough via the work stack, continue on taken.
-                fall_trace = (fall_pc, trace) if fall_pc in block_starts else trace
-                stack_of_states.append(
-                    (fall_pc, tuple(stack), used + 1, fall_trace, seen)
-                )
-                if not taken_ok:
-                    record(trace)  # taken arm reverts on a bad target
-                    break
-                used += 1
-                next_pc = target
-            elif name in env:
-                for _ in range(pops):
-                    stack.pop()
-                if pushes:
-                    stack.append(env[name] & WORD_MASK)
+            block = blocks.get(offset)
+            if block is None:
+                instructions = _IMPLICIT_STOP
             else:
-                result = concrete_op(name, [stack.pop() for _ in range(pops)])
-                if pushes:
-                    stack.append(result)
+                trace = (offset, trace)
+                instructions, offset = block
+            # A `break` ends the fork; running off the block goes on to `offset`.
+            for pc, op, name, data, _, _ in instructions:
+                steps_left -= 1
+                if steps_left < 0:
+                    raise AnalysisError(f"interpreter step budget of {_MAX_STEPS} exceeded")
+                entry = OPCODES.get(op)
+                # Invalid-class and halting opcodes end the run; underflow reverts.
+                if entry is None or name in _HALTING or len(stack) < entry[1]:
+                    record(trace)
+                    break
+                if data is not None:
+                    stack.append(data)
+                elif name == "PUSH0":
+                    stack.append(0)
+                elif 0x80 <= op <= 0x8F:
+                    stack.append(stack[-(op - 0x7F)])
+                elif 0x90 <= op <= 0x9F:
+                    depth = op - 0x8F
+                    stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
+                elif name == "POP":
+                    stack.pop()
+                elif name == "JUMPDEST":
+                    pass
+                elif name == "JUMP":
+                    offset = stack.pop()
+                    if offset not in valid_dests:
+                        record(trace)  # invalid jump reverts
+                        break
+                elif name == "JUMPI":
+                    target = stack.pop()
+                    stack.pop()  # condition: both arms are explored regardless
+                    if used >= branch_bound:
+                        break  # fork abandoned, no trace
+                    # A decision state may recur once (one extra loop lap);
+                    # beyond that the fork makes no progress and is pruned.
+                    state_key = (pc, tuple(stack))
+                    if (state_key, 1) not in seen:
+                        seen = seen | {(state_key, 1)}
+                    elif (state_key, 2) not in seen:
+                        seen = seen | {(state_key, 2)}
+                    else:
+                        break
+                    forks += 1
+                    if forks > _MAX_FORKS:
+                        raise AnalysisError(f"interpreter fork budget of {_MAX_FORKS} exceeded")
+                    used += 1
+                    # Explore the fall arm via the work list, continue on taken.
+                    work.append((offset, tuple(stack), used, trace, seen))
+                    if target not in valid_dests:
+                        record(trace)  # taken arm reverts on a bad target
+                        break
+                    offset = target
+                else:
+                    operands = [stack.pop() for _ in range(entry[1])]
+                    result = env[name] & WORD_MASK if name in env else concrete_op(name, operands)
+                    if entry[2]:
+                        stack.append(result)
+                if len(stack) > STACK_LIMIT:
+                    record(trace)
+                    break
+            else:
+                continue
+            break
 
-            if len(stack) > STACK_LIMIT:
-                record(trace)
-                break
-            if next_pc in block_starts and next_pc != pc:
-                trace = (next_pc, trace)
-            pc = next_pc
-
-    return traces
+    return [Trace(trace) for trace in found]
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +646,11 @@ def stress_fixture(target_size: int = 24_000, seed: int = 0) -> bytes:
         pat = cycle[i % len(cycle)]
         sub_rng = random.Random(f"stress:{seed}:{i}")
         sub_asm, _, _, _ = _BUILDERS[pat](sub_rng, 4)
-        size = len(sub_asm.assemble())
-        # dispatcher arm (5 bytes) + entry JUMPDEST per segment
-        if estimated + size + 6 + 1 > target_size:
+        # dispatcher arm (6 bytes) + entry JUMPDEST per segment
+        if estimated + sub_asm.size + 6 + 1 > target_size:
             break
         segment_asms.append(sub_asm)
-        estimated += size + 6 + 1
+        estimated += sub_asm.size + 6 + 1
         i += 1
 
     asm = Assembler()

@@ -854,3 +854,41 @@ def fork_chain(units: int) -> bytes:
         asm.jumpdest(f"u{i}")
     asm.op("STOP")
     return asm.assemble()
+
+
+# Random code: mostly stack, arithmetic and control-flow opcodes, pushes of
+# the offset of the k-th JUMPDEST (k drawn, the offset filled in once the
+# layout is known) and now and then any byte, so that random code reaches
+# shared blocks with pre-pushed jump operands.
+_OPS = [0x00, 0x01, 0x33, 0x50, 0x56, 0x57, 0x5B, 0x5F, 0x80, 0x81, 0x90, 0x91]
+
+
+def _assemble_elements(elements):
+    dests, offset = [], 0
+    for element in elements:
+        if element == 0x5B:
+            dests.append(offset)
+        offset += 2 if isinstance(element, tuple) else 1
+    code = bytearray()
+    for element in elements:
+        if isinstance(element, tuple):
+            k = element[1]
+            code += bytes([0x60, dests[k % len(dests)] % 256 if dests else k])
+        else:
+            code.append(element)
+    return bytes(code)
+
+
+def random_program(rng):
+    """1 to 100 elements: a JUMPDEST push 2 times in 8, a listed opcode 5
+    times in 8, any byte 1 time in 8."""
+    elements = []
+    for _ in range(rng.randint(1, 100)):
+        kind = rng.randrange(8)
+        if kind < 2:
+            elements.append(("label", rng.randrange(16)))
+        elif kind < 7:
+            elements.append(rng.choice(_OPS))
+        else:
+            elements.append(rng.randrange(256))
+    return _assemble_elements(elements)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from reusecfg.bytecode import (
+    OPCODES,
     Terminator,
     disassemble,
     format_listing,
@@ -142,6 +143,10 @@ def test_partition_properties():
             for a, c in zip(offs, offs[1:]):
                 assert c.offset == a.offset + a.length
                 assert c.opcode != 0x5B  # JUMPDEST only block-initial
+            # JUMP, JUMPI, halting opcodes and unknown bytes only block-final
+            for a in offs[:-1]:
+                assert a.opcode in OPCODES, a
+                assert a.opcode not in (0x56, 0x57, 0x00, 0xF3, 0xFD, 0xFE, 0xFF), a
 
 
 def test_listing_format():
@@ -157,6 +162,9 @@ def test_parse_hex_variants():
         parse_hex("60011")
     with pytest.raises(ValueError):
         parse_hex("zz")
+    for doubled in ("0x0x12", "0X0x12", "0x 0x12"):
+        with pytest.raises(ValueError, match="malformed hex input"):
+            parse_hex(doubled)
 
 
 def test_load_bytecode_autodetect():

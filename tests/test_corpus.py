@@ -1,6 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
-from fixtures import fork_chain, time_limit
+from fixtures import fork_chain, random_program, time_limit
 from reusecfg.bytecode import CODE_SIZE_LIMIT, disassemble, identify_blocks
 from reusecfg.cfg import AnalysisError, Mode, build_cfg
 from reusecfg.corpus import (
@@ -136,6 +139,8 @@ def test_invalid_depth_rejected():
 def test_assembler_round_trip():
     asm = Assembler()
     asm.push(0x1234, width=2)
+    asm.push(0, width=0)
+    asm.push(1 << 255)
     asm.push_label("end")
     asm.op("JUMP")
     asm.label("end")
@@ -143,8 +148,21 @@ def test_assembler_round_trip():
     asm.op("STOP")
     code = asm.assemble()
     mnemonics = [i.mnemonic for i in disassemble(code)]
-    assert mnemonics == ["PUSH2", "PUSH2", "JUMP", "JUMPDEST", "STOP"]
-    assert asm.labels["end"] == 7
+    assert mnemonics == ["PUSH2", "PUSH0", "PUSH32", "PUSH2", "JUMP", "JUMPDEST", "STOP"]
+    assert asm.labels["end"] == 41
+    assert asm.size == len(code)
+
+
+@pytest.mark.parametrize(
+    "value, width",
+    [(1 << 256, None), (5, 40), (256, 1), (1, 0), (-1, None)],
+    ids=["word-overflow", "width-40", "too-big-for-width", "nonzero-push0", "negative"],
+)
+def test_assembler_rejects_pushes_that_do_not_fit(value, width):
+    asm = Assembler()
+    with pytest.raises(ValueError):
+        asm.push(value, width)
+    assert asm.assemble() == b""
 
 
 def test_assembler_rejects_duplicate_labels():
@@ -187,3 +205,64 @@ def test_step_budget_ends_in_structured_error():
     with time_limit(1), pytest.raises(AnalysisError, match="step budget of 524288"):
         interpret(bytes.fromhex("5b600056"))
 
+
+@pytest.mark.parametrize(
+    "code, traces, steps",
+    [
+        ("5b60", [(0,)], 3),  # JUMPDEST; PUSH1 with its payload cut off
+        # JUMPDEST; PUSH1 0; PUSH1 0; JUMPI as the last byte: the fall arm
+        # runs past the end of code.
+        ("5b6000600057", [(0, 0), (0,)], 14),
+        ("600160020150", [(0,)], 5),  # PUSH1 1; PUSH1 2; ADD; POP; then no terminator
+        ("5b5f5f57", [(0, 0), (0,)], 14),  # JUMPDEST; PUSH0; PUSH0; JUMPI back to 0
+    ],
+)
+def test_exact_traces_and_steps_at_the_end_of_code(code, traces, steps, monkeypatch):
+    # `steps` counts instructions executed over all forks, one for each
+    # implicit STOP past the end of code included, so a budget of exactly
+    # `steps` suffices and one less does not.
+    monkeypatch.setattr("reusecfg.corpus._MAX_STEPS", steps)
+    assert [t.offsets for t in interpret(bytes.fromhex(code))] == traces
+    monkeypatch.setattr("reusecfg.corpus._MAX_STEPS", steps - 1)
+    with pytest.raises(AnalysisError, match=f"step budget of {steps - 1} exceeded"):
+        interpret(bytes.fromhex(code))
+
+
+# Traces, in order, or the exception type and message of `interpret` on
+# 2,000 seeded `random_program`s and 1,000 random byte strings, at branch
+# bounds 0, 1, 4 and 16 in turn, half of them with environment constants.
+# Computed before `interpret` was rewritten to step over decoded blocks.
+INTERPRET_RANDOM_SHA256 = "ccb8596e36ff8cf0623c01fc3c6b5ec96ff3e7862c1041500392d6f0495b82e3"
+
+_ENV = {
+    "CALLER": 0x33,
+    "CALLVALUE": 1,
+    "ORIGIN": 0xAB,
+    "SLOAD": 0,
+    "CALLDATALOAD": 7,
+    "MSTORE": 0,
+    "MLOAD": 4,
+}
+
+
+def interpret_random_digest() -> str:
+    rng = random.Random(15)
+    h = hashlib.sha256()
+    for i in range(3000):
+        bound = (0, 1, 4, 16)[i % 4]
+        if i < 2000:
+            code = random_program(rng)
+        else:
+            code = bytes(rng.randrange(256) for _ in range(rng.randint(1, 120)))
+        env = _ENV if rng.randrange(2) else None
+        try:
+            data = repr([t.offsets for t in interpret(code, bound, env)])
+        except (UnsupportedOpcodeError, AnalysisError) as exc:
+            data = f"{type(exc).__name__}: {exc}"
+        h.update(f"{code.hex()} {bound} {env is not None} {len(data)}\n".encode())
+        h.update(data.encode())
+    return h.hexdigest()
+
+
+def test_interpreter_on_random_code_matches_pinned_digest():
+    assert interpret_random_digest() == INTERPRET_RANDOM_SHA256

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import random_program
 import reusecfg.cfg
 from reusecfg import stress_fixture
 from reusecfg.bytecode import STACK_LIMIT, BlockId
@@ -244,44 +245,6 @@ def test_stress_fixtures_match_reference(size, seed):
 @given(st.sampled_from(list(Pattern)), st.integers(1, 6), st.integers(0, 2**16))
 def test_pattern_fixtures_match_reference(pattern, depth, seed):
     assert_same_recovery(generate(PatternSpec(pattern, seed=seed, nesting_depth=depth)).bytecode)
-
-
-# Random code: mostly stack, arithmetic and control-flow opcodes, pushes of
-# the offset of the k-th JUMPDEST (k drawn, the offset filled in once the
-# layout is known) and now and then any byte, so that random code reaches
-# shared blocks with pre-pushed jump operands.
-_OPS = [0x00, 0x01, 0x33, 0x50, 0x56, 0x57, 0x5B, 0x5F, 0x80, 0x81, 0x90, 0x91]
-
-
-def assemble(elements):
-    dests, offset = [], 0
-    for element in elements:
-        if element == 0x5B:
-            dests.append(offset)
-        offset += 2 if isinstance(element, tuple) else 1
-    code = bytearray()
-    for element in elements:
-        if isinstance(element, tuple):
-            k = element[1]
-            code += bytes([0x60, dests[k % len(dests)] % 256 if dests else k])
-        else:
-            code.append(element)
-    return bytes(code)
-
-
-def random_program(rng):
-    """1 to 100 elements: a JUMPDEST push 2 times in 8, a listed opcode 5
-    times in 8, any byte 1 time in 8."""
-    elements = []
-    for _ in range(rng.randint(1, 100)):
-        kind = rng.randrange(8)
-        if kind < 2:
-            elements.append(("label", rng.randrange(16)))
-        elif kind < 7:
-            elements.append(rng.choice(_OPS))
-        else:
-            elements.append(rng.randrange(256))
-    return assemble(elements)
 
 
 # Two programs on which the reference differs.  On the first only in
