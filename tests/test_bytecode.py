@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reusecfg.bytecode import (
     OPCODES,
@@ -68,6 +70,13 @@ def test_truncated_trailing_push_zero_padded():
     assert ins[0].truncated
     assert ins[0].length == 2
     assert serialize(ins) == bytes.fromhex("61ff")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(min_size=1, max_size=200))
+def test_only_the_last_instruction_can_be_truncated(code):
+    # Recovery checks only the last instruction for a truncated push.
+    assert not any(ins.truncated for ins in disassemble(code)[:-1])
 
 
 def test_unknown_opcode_decodes_as_invalid_class():

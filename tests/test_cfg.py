@@ -2,9 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (
     DEEPENING_LOOP,
+    random_program,
     masked_operand_fixture,
     mixed_join_fixture,
     three_exit_fixture,
@@ -14,6 +17,7 @@ from fixtures import (
 from reusecfg.bytecode import BlockId
 from reusecfg.cfg import (
     AnalysisError,
+    Cfg,
     CloneBudgetError,
     Config,
     EdgeKind,
@@ -24,6 +28,7 @@ from reusecfg.cfg import (
     export,
 )
 from reusecfg.corpus import Assembler, Pattern, PatternSpec, generate
+from reusecfg.graph import collapsed_successors, dfs
 from reusecfg.metrics import count_paths, polymorphic_jump_targets
 
 
@@ -210,6 +215,65 @@ def test_clones_at_lists_clones_kept_past_a_dropped_one():
     recovery._finalize()
     assert dropped not in cfg.blocks
     assert cfg.clones_at(2) == [BlockId(2, 0), kept]
+
+
+# 84 bytes on which sensitive recovery orphans clones: re-emulations drop
+# 64 non-empty out-edge sets, after which 64 clones of 0x40 are reached by
+# nothing.
+ORPHANING = bytes.fromhex(
+    "603a33505f9060178157f7604c60175f80603a5f5757805b4cf00056a65090008181604b"
+    "8157604c603a80603a905f604c800060170149603a575b0190603a5781604cc2330180603a"
+    "604b5b5b905fde6017604b"
+)
+
+
+def test_recovery_drops_clones_it_orphaned(monkeypatch):
+    dropped_sets = []
+    remove = Cfg.remove_out_edges
+
+    def counted(self, src):
+        dropped = remove(self, src)
+        dropped_sets.append(dropped)
+        return dropped
+
+    monkeypatch.setattr(Cfg, "remove_out_edges", counted)
+    recovery = _Recovery(ORPHANING, Mode.REUSE_SENSITIVE, Config())
+    cfg = recovery.run()
+    assert recovery.dropped_edges
+    assert sum(dropped_sets) == 64
+    assert (len(cfg.blocks), len(cfg.edges)) == (22, 6)
+    assert cfg.clones_at(0x40) == [BlockId(0x40, 0), BlockId(0x40, 65)]
+    # Clone indices are never reused, so the gaps count the dropped clones.
+    offsets = {b.offset for b in cfg.blocks}
+    gaps = {off: cfg.clones_at(off)[-1].clone + 1 - len(cfg.clones_at(off)) for off in offsets}
+    assert {off: n for off, n in gaps.items() if n} == {0x40: 64}
+    reachable = set(dfs(collapsed_successors(cfg), [cfg.entry])[0])
+    assert set(cfg.s_start) <= reachable
+
+
+def _graph_state(cfg):
+    return (
+        dict(cfg.blocks),
+        list(cfg.edges),
+        dict(cfg.s_start),
+        {off: list(extra) for off, extra in cfg._clones.items()},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(list(Mode)))
+def test_sweeping_a_built_graph_again_changes_nothing(rng, mode):
+    recovery = _Recovery(random_program(rng), mode, Config())
+    try:
+        cfg = recovery.run()
+    except AnalysisError:
+        return  # bounded abort is the defined behavior
+    if mode is Mode.REUSE_INSENSITIVE:
+        assert not recovery.dropped_edges  # so the baseline never sweeps
+    built = _graph_state(cfg)
+    recovery.dropped_edges = True
+    recovery._finalize()
+    assert _graph_state(cfg) == built
 
 
 def test_data_tail_kept_and_flagged():

@@ -8,6 +8,7 @@ leave nothing for the collector to find.
 """
 
 import gc
+import weakref
 
 import pytest
 
@@ -98,3 +99,23 @@ def test_build_and_export_make_no_reference_cycles():
             assert gc.collect() == 0, f"{error.__name__} on {args[0][:8].hex() or 'empty input'}"
     finally:
         gc.enable()
+
+
+class _Cycle:
+    def __init__(self):
+        self.me = self
+
+
+def test_collector_keeps_collecting_across_builds():
+    # Each build leaves its allocations in generation 0 on exit, so the
+    # collector runs on the first allocation after it and frees the cycles
+    # the caller made meanwhile.  Resetting the counts on exit (as
+    # `gc.freeze(); gc.unfreeze()` would) skips that pass on every build and
+    # the caller's cycles are never freed.
+    assert gc.isenabled()
+    code = stress_fixture(3000, 0)
+    refs = []
+    for _ in range(50):
+        refs.append(weakref.ref(_Cycle()))
+        build_cfg(code)
+    assert [ref for ref in refs if ref() is not None] == []
