@@ -140,7 +140,8 @@ class Cfg:
     clone's entry stack; only `set_entry_stack` writes it, and `_finalize`
     drops the stacks of dropped clones.  Every clone gets one when made (in
     `reuse_handler` or `_merge_into`), so after recovery a block without
-    one was never reached: the exports' `is_data`.
+    one was never reached: the exports' `is_data`.  No exit stack is kept:
+    each emulation hands its own to its successors (`_Recovery._connect`).
 
     `tainted` holds the tainted entry-stack indices per (offset, entry
     depth); only `transfer_taint` adds to it.  A clone's reuse context is
@@ -177,7 +178,6 @@ class Cfg:
     diagnostics: dict[tuple[str, str, int], None] = field(default_factory=dict)
     value_table: ValueTable = field(default_factory=ValueTable)
     s_start: dict[BlockId, Stack] = field(default_factory=dict)
-    s_end: dict[BlockId, Stack] = field(default_factory=dict)
     tac: dict[BlockId, list[TacOp]] = field(default_factory=dict)
     end_block_clones: set[BlockId] = field(default_factory=set)
     _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
@@ -333,15 +333,15 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
                 work.append((pred, vid))
 
 
-def backpropagate_context(cfg: Cfg, pred: BlockId, succ: BlockId) -> None:
+def backpropagate_context(cfg: Cfg, succ: BlockId) -> None:
     """Extend an existing successor context backwards through a new edge.
 
     When a block with tainted entries gains a predecessor, the values at the
     tainted positions flowed through that predecessor too: the walk runs
     again from every tainted index of `succ`'s offset and entry depth, in
-    ascending order, and taints the predecessor's entry stack wherever it
-    still holds them.  A new predecessor of a walked clone empties
-    `cfg._walked` (see `Cfg`), so these walks reach `pred`; items behind it
+    ascending order, and taints the new predecessor's entry stack wherever
+    it still holds them.  A new predecessor of a walked clone empties
+    `cfg._walked` (see `Cfg`), so these walks reach it; items behind it
     that were walked since are skipped (see `update_reuse_context`).
     """
     s_start = cfg.s_start.get(succ)
@@ -372,20 +372,19 @@ def transfer_taint(cfg: Cfg, block: BlockId, indices: Iterable[int]) -> None:
         tainted.update(indices)
 
 
-def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
-    """Select a non-reused clone of `target_offset` for `b_c`, cloning when
-    every existing candidate's reuse context disagrees with b_c's exit
-    stack.  Candidates are tried in clone-index order; an unvisited original
-    is claimed as-is.  A candidate whose entry stack depth differs cannot be
-    the same usage context and is skipped.  A candidate matches when the
-    exit stack holds the same constant at each index of its context, that
-    is, at its tainted indices up to its first non-constant entry.
+def reuse_handler(cfg: Cfg, s_end: Stack, target_offset: int) -> BlockId:
+    """Select a non-reused clone of `target_offset` for an arrival stack
+    `s_end`, cloning when every existing candidate's reuse context disagrees
+    with it.  Candidates are tried in clone-index order; an unvisited
+    original is claimed as-is.  A candidate whose entry stack depth differs
+    cannot be the same usage context and is skipped.  A candidate matches
+    when the arrival stack holds the same constant at each index of its
+    context, that is, at its tainted indices up to its first non-constant entry.
 
-    Every candidate compared has the exit stack's depth, so the tainted
+    Every candidate compared has the arrival stack's depth, so the tainted
     indices are sorted once per call and each candidate's entry constants
     are read in place; no context dict is built.
     """
-    s_end = cfg.s_end[b_c]
     depth = len(s_end)
     values = cfg.value_table.values
     indices = None
@@ -408,8 +407,8 @@ def reuse_handler(cfg: Cfg, b_c: BlockId, target_offset: int) -> BlockId:
             return cand
     _check_entry_depth(s_end, target_offset)
     clone = _make_clone(cfg, target_offset)
-    # The clone starts from the connecting block's exit stack; the tainted
-    # indices of its offset and depth already tell the next arrival apart.
+    # The clone starts from the arrival stack; the tainted indices of its
+    # offset and depth already tell the next arrival apart.
     cfg.set_entry_stack(clone, s_end)
     return clone
 
@@ -419,13 +418,12 @@ def handle_end_block(cfg: Cfg, b_c: BlockId, end_offset: int) -> BlockId:
 
     End blocks never expose a jump operand, so reuse cannot be told from a
     genuine shared exit; cloning per predecessor keeps every end block at
-    in-degree one at the cost of some redundant clones.
+    in-degree one at the cost of some redundant clones.  The first candidate
+    without an entry stack is claimed: it was never visited, so it has no
+    predecessor yet.  Otherwise `b_c` keeps the candidate it already feeds.
     """
-    original = cfg.blocks[(end_offset, 0)].id
-    if not cfg.pred.get(original) and cfg.s_start.get(original) is None:
-        return original  # first visit claims the original
     for cand in cfg.clones_at(end_offset):
-        if b_c in cfg.pred.get(cand, ()):
+        if cand not in cfg.s_start or b_c in cfg.pred.get(cand, ()):
             return cand
     clone = _make_clone(cfg, end_offset)
     cfg.end_block_clones.add(clone)
@@ -471,9 +469,9 @@ class _Recovery:
 
     # -- stack bookkeeping ---------------------------------------------------
 
-    def _merge_into(self, pred: BlockId, succ: BlockId) -> None:
+    def _merge_into(self, incoming: Stack, succ: BlockId) -> None:
         cfg = self.cfg
-        incoming, existing = cfg.s_end[pred], cfg.s_start.get(succ)
+        existing = cfg.s_start.get(succ)
         if existing is not None and len(existing) != len(incoming):
             cfg.add_diagnostic("warning", "irregular stack depth at join", succ.offset)
         merged, changed = prepare_stack(incoming, existing, cfg.value_table)
@@ -488,9 +486,10 @@ class _Recovery:
     def _widen(self, block: BlockId, merged: Stack) -> Stack:
         """Past the re-emulation cap, still-changing positions widen to
         unknown so the fixpoint is forced.  `prepare_stack` keeps unknown
-        entries, so a changed position never held one before."""
-        old = self.cfg.s_start.get(block)
-        if old is None or len(old) != len(merged):
+        entries, so a changed position never held one before.  A block past
+        the cap has been emulated, so it has an entry stack."""
+        old = self.cfg.s_start[block]
+        if len(old) != len(merged):
             return merged
         new_unknown = self.cfg.value_table.new_unknown
         return tuple(a if a == b else new_unknown() for a, b in zip(old, merged))
@@ -520,14 +519,6 @@ class _Recovery:
             "warning", f"unresolved jump at offset 0x{offset_hint:x}", offset_hint
         )
         return []
-
-    def _select_successor(self, b_c: BlockId, original: BasicBlock) -> BlockId:
-        cfg = self.cfg
-        if cfg.mode is Mode.REUSE_INSENSITIVE:
-            return original.id
-        if original.halts:
-            return handle_end_block(cfg, b_c, original.id.offset)
-        return reuse_handler(cfg, b_c, original.id.offset)
 
     # -- main loop -------------------------------------------------------------
 
@@ -564,7 +555,6 @@ class _Recovery:
         result = emulate_block(block, cfg.s_start[cur], table)
         for severity, message, off in result.diagnostics:
             cfg.add_diagnostic(severity, message, off)
-        cfg.s_end[cur] = result.s_end
         cfg.tac[cur] = result.tac
         self.emulation_count[cur] = self.emulation_count.get(cur, 0) + 1
 
@@ -586,30 +576,34 @@ class _Recovery:
                     continue
                 if walk:
                     update_reuse_context(cfg, cur, jump)
-                self._connect(cur, original, EdgeKind.JUMP, pending)
+                self._connect(cur, result.s_end, original, EdgeKind.JUMP, pending)
         offset = block.fallthrough_offset
         # Running off the end of the code halts like STOP.
         original = None if offset is None else cfg.blocks.get((offset, 0))
         if original is not None:
-            self._connect(cur, original, EdgeKind.FALLTHROUGH, pending)
+            self._connect(cur, result.s_end, original, EdgeKind.FALLTHROUGH, pending)
         # LIFO worklist: queue the fallthrough arm first so the jump arm is
         # explored first and each path completes before its siblings.
         for item in reversed(pending):
             worklist.append(item)
 
     def _connect(
-        self,
-        cur: BlockId,
-        original: BasicBlock,
-        kind: EdgeKind,
-        pending: list,
+        self, cur: BlockId, s_end: Stack, original: BasicBlock, kind: EdgeKind, pending: list
     ) -> None:
+        """Connect `cur`, which exits with `s_end`, to a clone of `original`.
+        A sensitive emulation dropped `cur`'s out-edges first, so this edge
+        is new and the successor's context is walked back through it."""
         cfg = self.cfg
-        succ = self._select_successor(cur, original)
-        new_edge = cfg.add_edge(cur, succ, kind)
-        self._merge_into(cur, succ)
-        if cfg.mode is Mode.REUSE_SENSITIVE and new_edge:
-            backpropagate_context(cfg, cur, succ)
+        if cfg.mode is Mode.REUSE_INSENSITIVE:
+            succ = original.id
+        elif original.halts:
+            succ = handle_end_block(cfg, cur, original.id.offset)
+        else:
+            succ = reuse_handler(cfg, s_end, original.id.offset)
+        cfg.add_edge(cur, succ, kind)
+        self._merge_into(s_end, succ)
+        if cfg.mode is Mode.REUSE_SENSITIVE:
+            backpropagate_context(cfg, succ)
         if succ in self.dirty or self.emulation_count.get(succ, 0) == 0:
             self.dirty.add(succ)
             pending.append((cur, succ))
@@ -636,7 +630,6 @@ class _Recovery:
             if block_id.clone and block_id not in reachable:
                 del cfg.blocks[block_id]
                 cfg.s_start.pop(block_id, None)
-                cfg.s_end.pop(block_id, None)
                 cfg.tac.pop(block_id, None)
                 cfg.end_block_clones.discard(block_id)
         for extra in cfg._clones.values():

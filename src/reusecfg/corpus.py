@@ -648,6 +648,11 @@ def stress_fixture(target_size: int = 24_000, seed: int = 0) -> bytes:
         sub_asm, _, _, _ = _BUILDERS[pat](sub_rng, 4)
         # dispatcher arm (6 bytes) + entry JUMPDEST per segment
         if estimated + sub_asm.size + 6 + 1 > target_size:
+            if not segment_asms:
+                raise ValueError(
+                    f"stress fixture target size {target_size} is below one segment "
+                    f"({sub_asm.size + 6 + 1} bytes at seed {seed})"
+                )
             break
         segment_asms.append(sub_asm)
         estimated += sub_asm.size + 6 + 1

@@ -14,6 +14,7 @@ from fixtures import (
     time_limit,
     two_branch_shared_increment,
 )
+import reusecfg.cfg
 from reusecfg.bytecode import BlockId
 from reusecfg.cfg import (
     AnalysisError,
@@ -274,6 +275,51 @@ def test_sweeping_a_built_graph_again_changes_nothing(rng, mode):
     recovery.dropped_edges = True
     recovery._finalize()
     assert _graph_state(cfg) == built
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(list(Mode)),
+    st.sampled_from([1, Config().reemulation_cap]),
+)
+def test_successor_step_invariants(rng, mode, cap):
+    # The successor step relies on these without testing them: (a) a
+    # sensitive emulation drops its block's out-edges first, so every edge it
+    # adds is new; (b) a block without an entry stack has no predecessor, so
+    # an end block's first visit needs no test of its own; (c) a block past
+    # the re-emulation cap has been emulated, so it has an entry stack to
+    # widen against.
+    violations = []
+    add_edge, handle_end_block, widen = Cfg.add_edge, reusecfg.cfg.handle_end_block, _Recovery._widen
+
+    def checked_add_edge(self, src, dst, kind):
+        added = add_edge(self, src, dst, kind)
+        if self.mode is Mode.REUSE_SENSITIVE and not added:
+            violations.append(("edge not new", src, dst, kind))
+        return added
+
+    def checked_handle_end_block(cfg, b_c, end_offset):
+        for cand in cfg.clones_at(end_offset):
+            if cfg.pred.get(cand) and cand not in cfg.s_start:
+                violations.append(("predecessor without entry stack", cand))
+        return handle_end_block(cfg, b_c, end_offset)
+
+    def checked_widen(self, block, merged):
+        if block not in self.cfg.s_start:
+            violations.append(("widened without entry stack", block))
+        return widen(self, block, merged)
+
+    recovery = _Recovery(random_program(rng), mode, Config(reemulation_cap=cap))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Cfg, "add_edge", checked_add_edge)
+        patch.setattr(reusecfg.cfg, "handle_end_block", checked_handle_end_block)
+        patch.setattr(_Recovery, "_widen", checked_widen)
+        try:
+            recovery.run()
+        except AnalysisError:
+            pass  # the invariants hold up to a bounded abort
+    assert violations == []
 
 
 def test_data_tail_kept_and_flagged():

@@ -179,6 +179,15 @@ def test_stress_fixture_is_large_and_wellformed():
     assert len(blocks) > 100
 
 
+# The smallest target size that fits one segment, per seed.
+@pytest.mark.parametrize("seed, smallest", [(0, 203), (1, 223), (2, 255), (3, 247), (4, 193)])
+def test_stress_fixture_below_one_segment_rejected(seed, smallest):
+    assert len(stress_fixture(smallest, seed)) == smallest
+    for size in (smallest - 1, 0):
+        with pytest.raises(ValueError, match=f"target size {size} is below one segment"):
+            stress_fixture(size, seed)
+
+
 def test_interpreter_prunes_unproductive_loops():
     # JUMPDEST; PUSH1 0; PUSH1 0; JUMPI back to 0 forever
     asm = Assembler()

@@ -99,7 +99,7 @@ def ref_update_reuse_context(cfg, block, jump_target_value):
         ref_transfer_taint(cfg, offset)
 
 
-def ref_backpropagate_context(cfg, pred, succ):
+def ref_backpropagate_context(cfg, succ):
     ctx = cfg.ref_contexts.get(succ)
     s_start = cfg.s_start.get(succ)
     if not ctx or s_start is None:
@@ -161,8 +161,7 @@ def ref_transfer_taint(cfg, offset):
     }
 
 
-def ref_reuse_handler(cfg, b_c, target_offset):
-    s_end = cfg.s_end[b_c]
+def ref_reuse_handler(cfg, s_end, target_offset):
     table = cfg.value_table
     for cand in cfg.clones_at(target_offset):
         cand_start = cfg.s_start.get(cand)
@@ -322,13 +321,10 @@ def test_contexts_derive_from_tainted_indices_per_offset_and_depth():
 
     # b accepts any arrival with 0x20 at index 0: its context ends before
     # the other two tainted indices.
-    pred = BlockId(0, 0)
-    cfg.s_end[pred] = (table.new_const(0x20), table.new_unknown(), k20)
-    assert reuse_handler(cfg, pred, 1) == b
+    assert reuse_handler(cfg, (table.new_const(0x20), table.new_unknown(), k20), 1) == b
     # A mismatch at index 2 rules out a and c, one at index 0 rules out b:
     # a new clone, whose context reads the three shared indices at once.
-    cfg.s_end[pred] = (k10, k20, table.new_const(0x30))
-    made = reuse_handler(cfg, pred, 1)
+    made = reuse_handler(cfg, (k10, k20, table.new_const(0x30)), 1)
     assert made == BlockId(1, 4)
     assert cfg.reuse_contexts[made] == {0: 0x10, 1: 0x20, 2: 0x30}
 
@@ -345,7 +341,7 @@ def test_backpropagation_walks_from_every_tainted_index():
     transfer_taint(cfg, x, [0, 1])
     assert x not in cfg.reuse_contexts
     cfg.add_edge(p, x, EdgeKind.JUMP)
-    backpropagate_context(cfg, p, x)
+    backpropagate_context(cfg, x)
     assert cfg.tainted[(1, 1)] == {0}
     assert cfg.reuse_contexts[p] == {0: 0x10}
 
@@ -416,11 +412,10 @@ def test_candidate_context_ends_at_its_first_non_constant_entry():
     # one whose constant at index 1 differs.
     cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
     table = cfg.value_table
-    cand, pred = BlockId(1, 0), BlockId(0, 0)
+    cand = BlockId(1, 0)
     cfg.s_start[cand] = (table.new_sym("CALLER", ()), table.new_const(0x10))
     transfer_taint(cfg, cand, [0, 1])
-    cfg.s_end[pred] = (table.new_const(0x99), table.new_const(0x20))
-    assert reuse_handler(cfg, pred, 1) == cand
+    assert reuse_handler(cfg, (table.new_const(0x99), table.new_const(0x20)), 1) == cand
     assert cfg.clones_at(1) == [cand]
 
 
