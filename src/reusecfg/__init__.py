@@ -43,6 +43,7 @@ from .emulator import (
     ValueTable,
     emulate_block,
     prepare_stack,
+    tac_ops,
     trace_origin,
 )
 from .metrics import PathReport, Trace, count_paths, polymorphic_jump_targets, trace_coverage

@@ -45,6 +45,7 @@ from .emulator import (
     ValueTable,
     emulate_block,
     prepare_stack,
+    tac_ops,
     trace_origin,
 )
 from .graph import collapsed_successors, dfs
@@ -120,6 +121,31 @@ class EdgeView:
                 yield _new(Edge, (src, dst, kind))
 
 
+class TacView(Mapping[BlockId, list[TacOp]]):
+    """Read-only view of the three-address form of every emulated block of
+    a `Cfg`, by block id.  The store holds each block's last emulation's
+    `tac_ids`, not `TacOp`s: reading a block builds its ops with `tac_ops`,
+    anew on every read.  Membership, size and iteration read the store alone."""
+
+    __slots__ = ("_blocks", "_ids")
+
+    def __init__(self, blocks: dict[BlockId, BasicBlock], ids: dict[BlockId, list[int]]) -> None:
+        self._blocks = blocks
+        self._ids = ids
+
+    def __getitem__(self, block: BlockId) -> list[TacOp]:
+        return tac_ops(self._blocks[block], self._ids[block])
+
+    def __contains__(self, block: object) -> bool:
+        return block in self._ids
+
+    def __iter__(self) -> Iterator[BlockId]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
 @dataclass
 class Cfg:
     """Recovered control-flow graph plus per-clone analysis state.
@@ -142,6 +168,9 @@ class Cfg:
     `reuse_handler` or `_merge_into`), so after recovery a block without
     one was never reached: the exports' `is_data`.  No exit stack is kept:
     each emulation hands its own to its successors (`_Recovery._connect`).
+    `tac_ids` holds each emulated clone's last emulation's value ids (see
+    `EmulationResult`), and `tac` views them as `TacOp`s, built on read;
+    recovery itself never reads them.
 
     `tainted` holds the tainted entry-stack indices per (offset, entry
     depth); only `transfer_taint` adds to it.  A clone's reuse context is
@@ -153,8 +182,9 @@ class Cfg:
     `blocks` is keyed by `BlockId`, a named tuple, so the plain tuple
     `(offset, 0)` finds the original at `offset` without building a
     `BlockId`; the key it finds is the block's `id`.  `_clones` lists each
-    offset's clones past the original in index order; only `_make_clone`
-    adds to it and `_finalize` drops from it.  `_origins`
+    offset's original and clones in index order, made on the first
+    `clones_at` of the offset; only `_make_clone` adds to it and `_finalize`
+    drops from it.  `_origins`
     memoizes def-use chains for `update_reuse_context` while the graph is
     being recovered.  `_walked` is the set of (clone, value id) items that
     `update_reuse_context` walked, kept as each clone's set of value ids.
@@ -178,7 +208,7 @@ class Cfg:
     diagnostics: dict[tuple[str, str, int], None] = field(default_factory=dict)
     value_table: ValueTable = field(default_factory=ValueTable)
     s_start: dict[BlockId, Stack] = field(default_factory=dict)
-    tac: dict[BlockId, list[TacOp]] = field(default_factory=dict)
+    tac_ids: dict[BlockId, list[int]] = field(default_factory=dict)
     end_block_clones: set[BlockId] = field(default_factory=set)
     _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
     _origins: dict[int, set[int]] = field(default_factory=dict, init=False, repr=False)
@@ -187,6 +217,10 @@ class Cfg:
     @property
     def edges(self) -> EdgeView:
         return EdgeView(self.succ)
+
+    @property
+    def tac(self) -> TacView:
+        return TacView(self.blocks, self.tac_ids)
 
     @property
     def reuse_contexts(self) -> Mapping[BlockId, dict[int, int]]:
@@ -236,10 +270,16 @@ class Cfg:
         return list(self.succ.get(block, ()))
 
     def clones_at(self, offset: int) -> list[BlockId]:
-        original = self.blocks.get((offset, 0))
-        if original is None:
-            return []
-        return [original.id, *self._clones.get(offset, ())]
+        """The original at `offset` and its clones, in index order, or an
+        empty list when no block starts there.  This is the stored list
+        itself (see `Cfg`): callers read it and never change it."""
+        clones = self._clones.get(offset)
+        if clones is None:
+            original = self.blocks.get((offset, 0))
+            if original is None:
+                return []
+            clones = self._clones[offset] = [original.id]
+        return clones
 
     def jump_successors(self, block: BlockId) -> list[BlockId]:
         return [dst for dst, kind in self.succ.get(block, ()) if kind is EdgeKind.JUMP]
@@ -439,7 +479,7 @@ def _make_clone(cfg: Cfg, offset: int) -> BlockId:
     original = cfg.blocks[(offset, 0)]
     clone = _new(BlockId, (offset, clones[-1].clone + 1))
     cfg.blocks[clone] = _new(BasicBlock, (clone, original.instructions, original.terminator))
-    cfg._clones.setdefault(offset, []).append(clone)
+    clones.append(clone)
     return clone
 
 
@@ -555,7 +595,7 @@ class _Recovery:
         result = emulate_block(block, cfg.s_start[cur], table)
         for severity, message, off in result.diagnostics:
             cfg.add_diagnostic(severity, message, off)
-        cfg.tac[cur] = result.tac
+        cfg.tac_ids[cur] = result.tac_ids
         self.emulation_count[cur] = self.emulation_count.get(cur, 0) + 1
 
         pending: list[tuple[BlockId | None, BlockId]] = []
@@ -630,10 +670,10 @@ class _Recovery:
             if block_id.clone and block_id not in reachable:
                 del cfg.blocks[block_id]
                 cfg.s_start.pop(block_id, None)
-                cfg.tac.pop(block_id, None)
+                cfg.tac_ids.pop(block_id, None)
                 cfg.end_block_clones.discard(block_id)
-        for extra in cfg._clones.values():
-            extra[:] = [c for c in extra if c in cfg.blocks]
+        for clones in cfg._clones.values():
+            clones[:] = [c for c in clones if c in cfg.blocks]
         # Only unreachable blocks can have edges to or from a dropped clone:
         # dropped clones lose all their edges, unreachable originals keep
         # the ones between kept blocks.
@@ -749,6 +789,7 @@ def _export_json(cfg: Cfg, emit_tac: bool) -> bytes:
     built.  Strings are quoted as `json.dumps` quotes them."""
     q = encode_basestring_ascii
     table = cfg.value_table
+    tac = cfg.tac
     blocks = []
     for block, listing in _listed_blocks(
         cfg, lambda lines: _json_layout("[]", [q(line) for line in lines], "      ")
@@ -761,9 +802,9 @@ def _export_json(cfg: Cfg, emit_tac: bool) -> bytes:
             f'"terminator": {q(block.terminator.value)}',
             f'"is_data": {"false" if block.id in cfg.s_start else "true"}',
         ]
-        if emit_tac and block.id in cfg.tac:
-            tac = [q(op.render(table)) for op in cfg.tac[block.id]]
-            fields.append(f'"tac": {_json_layout("[]", tac, "      ")}')
+        if emit_tac and block.id in tac:
+            lines = [q(op.render(table)) for op in tac[block.id]]
+            fields.append(f'"tac": {_json_layout("[]", lines, "      ")}')
         blocks.append(_json_layout("{}", fields, "    "))
     edges = [
         _json_layout(
@@ -792,11 +833,12 @@ def _dot_label_lines(lines: list[str]) -> str:
 
 def _export_dot(cfg: Cfg, emit_tac: bool) -> bytes:
     lines = ["digraph cfg {", "  node [shape=box, fontname=monospace];"]
+    tac = cfg.tac
     for block, listing in _listed_blocks(cfg, _dot_label_lines):
         body = listing
-        if emit_tac and block.id in cfg.tac:
-            tac = [op.render(cfg.value_table) for op in cfg.tac[block.id]]
-            body += "\\l" + _dot_label_lines(["--", *tac])
+        if emit_tac and block.id in tac:
+            ops = [op.render(cfg.value_table) for op in tac[block.id]]
+            body += "\\l" + _dot_label_lines(["--", *ops])
         attrs = f'label="{block.id.offset:#x}_{block.id.clone}\\l{body}\\l"'
         if block.id not in cfg.s_start:
             attrs += ", style=dotted"

@@ -66,55 +66,47 @@ def _chain_sources(
     return found
 
 
-def _sym_offsets(cfg: Cfg, mnemonic: str) -> dict[int, int]:
-    """value id -> instruction offset for every `mnemonic` result."""
-    out: dict[int, int] = {}
-    for block_id in sorted(cfg.blocks):
-        for op in cfg.tac.get(block_id, []):
-            if op.mnemonic == mnemonic and op.result is not None:
-                out[op.result] = op.offset
-    return out
-
-
 def detect_tx_origin(cfg: Cfg, value_table: ValueTable) -> list[Finding]:
     """Transaction-origin authentication misuse.
 
     Flags (a) any branch condition that depends on an ORIGIN result through
     EQ/ISZERO/AND plumbing, and (b) any EQ whose two sides derive from
     ORIGIN and CALLER respectively (address-equality against the caller is
-    the textbook phishing-prone check).
+    the textbook phishing-prone check).  One pass over the TAC collects the
+    ORIGIN sites and both kinds of candidate; the candidates are resolved
+    after it, in the same order, since evidence names ORIGIN sites anywhere.
     """
     table = value_table
-    origin_sites = _sym_offsets(cfg, "ORIGIN")
-    findings: dict[tuple, Finding] = {}
-    for block_id in sorted(cfg.blocks):
-        for op in cfg.tac.get(block_id, []):
-            if op.mnemonic == "JUMPI" and len(op.args) == 2:
-                cond = op.args[1]
-                sources = _chain_sources(cond, table, _CONDITION_CHAIN_OPS)
-                if "ORIGIN" in sources:
-                    origin_off = origin_sites.get(sources["ORIGIN"], op.offset)
-                    finding = Finding(
-                        "TxOrigin",
-                        op.offset,
-                        (("origin", origin_off), ("check", op.offset)),
-                    )
-                    findings.setdefault(("check", op.offset), finding)
+    tac = cfg.tac
+    origin_sites: dict[int, int] = {}  # ORIGIN result -> its offset
+    checks: list[tuple[int, int]] = []  # JUMPI offset, condition
+    compares: list[tuple[int, tuple[int, ...]]] = []  # EQ offset, operands
+    for block_id in sorted(tac):
+        for op in tac[block_id]:
+            if op.mnemonic == "ORIGIN" and op.result is not None:
+                origin_sites[op.result] = op.offset
+            elif op.mnemonic == "JUMPI" and len(op.args) == 2:
+                checks.append((op.offset, op.args[1]))
             elif op.mnemonic == "EQ" and len(op.args) == 2:
-                left = _chain_sources(op.args[0], table, None)
-                right = _chain_sources(op.args[1], table, None)
-                pair_hit = ("ORIGIN" in left and "CALLER" in right) or (
-                    "ORIGIN" in right and "CALLER" in left
-                )
-                if pair_hit:
-                    origin_vid = left.get("ORIGIN", right.get("ORIGIN"))
-                    origin_off = origin_sites.get(origin_vid, op.offset)
-                    finding = Finding(
-                        "TxOrigin",
-                        op.offset,
-                        (("origin", origin_off), ("compare", op.offset)),
-                    )
-                    findings.setdefault(("compare", op.offset), finding)
+                compares.append((op.offset, op.args))
+    findings: dict[tuple, Finding] = {}
+    for offset, cond in checks:
+        sources = _chain_sources(cond, table, _CONDITION_CHAIN_OPS)
+        if "ORIGIN" in sources:
+            origin_off = origin_sites.get(sources["ORIGIN"], offset)
+            finding = Finding("TxOrigin", offset, (("origin", origin_off), ("check", offset)))
+            findings.setdefault(("check", offset), finding)
+    for offset, (a, b) in compares:
+        left = _chain_sources(a, table, None)
+        right = _chain_sources(b, table, None)
+        pair_hit = ("ORIGIN" in left and "CALLER" in right) or (
+            "ORIGIN" in right and "CALLER" in left
+        )
+        if pair_hit:
+            origin_vid = left.get("ORIGIN", right.get("ORIGIN"))
+            origin_off = origin_sites.get(origin_vid, offset)
+            finding = Finding("TxOrigin", offset, (("origin", origin_off), ("compare", offset)))
+            findings.setdefault(("compare", offset), finding)
     return sorted(findings.values(), key=lambda f: (f.site_offset, f.evidence))
 
 
@@ -162,8 +154,9 @@ def detect_reentrancy(cfg: Cfg, value_table: ValueTable) -> list[Finding]:
     jumpis: list[tuple[BlockId, int, int]] = []  # block, offset, cond
     calls: list[tuple[BlockId, int]] = []
     sstores: list[tuple[BlockId, int, int]] = []  # block, offset, key
-    for block_id in sorted(cfg.blocks):
-        for op in cfg.tac.get(block_id, []):
+    tac = cfg.tac
+    for block_id in sorted(tac):
+        for op in tac[block_id]:
             if op.mnemonic == "SLOAD" and op.result is not None and op.args:
                 sloads.append((block_id, op.offset, op.result, op.args[0]))
             elif op.mnemonic == "JUMPI" and len(op.args) == 2:

@@ -9,7 +9,7 @@ positionally, introducing phi values where entries disagree.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .bytecode import (
     MNEMONICS,
@@ -198,13 +198,16 @@ class EmulationResult(NamedTuple):
 
     `jump` is the value id of the JUMP or JUMPI operand, or None when the
     block does not jump; where control falls through is the block's own
-    `fallthrough_offset`.  An immutable named tuple: it compares equal to
-    the plain tuple of its fields, in field order.
+    `fallthrough_offset`.  `tac_ids` is the block's three-address form
+    without the instructions: the value ids each instruction read, then the
+    one it wrote, in instruction order (see `tac_ops`).  An immutable named
+    tuple: it compares equal to the plain tuple of its fields, in field
+    order.
     """
 
     s_end: Stack
     jump: int | None
-    tac: list[TacOp]
+    tac_ids: list[int]
     diagnostics: list[tuple[str, str, int]]
 
 
@@ -240,16 +243,18 @@ def emulate_block(
     failing: dead or data blocks must not abort recovery.  Growth past the
     stack limit is likewise only a diagnostic.  Pushed and folded constants
     are appended to `table.values` here, as `ValueTable.new_const` would:
-    every PUSH payload and every folder result already fits in a word.
+    every PUSH payload and every folder result already fits in a word.  The
+    three-address form is recorded as value ids only; `tac_ops` builds the
+    `TacOp`s from them and the block's instructions.
     """
     stack: list[int] = list(s_start)
-    tac: list[TacOp] = []
+    ids: list[int] = []
     diags: list[tuple[str, str, int]] = []
     jump: int | None = None
     values = table.values
     add_value = values.append
     new_unknown = table.new_unknown
-    emit = tac.append
+    record = ids.append
 
     def pop(offset: int) -> int:
         if stack:
@@ -265,7 +270,7 @@ def emulate_block(
             vid = len(values)
             add_value(_new(Value, (CONST, data, None, (), ())))
             stack.append(vid)
-            emit(_new(TacOp, (offset, name, vid, (), data)))
+            record(vid)
         elif kind == _OTHER:
             if n <= len(stack):
                 # Popped top first.
@@ -274,8 +279,9 @@ def emulate_block(
                     del stack[-n:]
             else:
                 args = tuple(pop(offset) for _ in range(n))
-            result: int | None = None
+            ids += args
             if pushes:
+                result: int | None = None
                 if folder is not None:
                     consts = [values[a].const for a in args]  # None unless constant
                     if None not in consts:
@@ -285,7 +291,7 @@ def emulate_block(
                 if result is None:
                     result = table.new_sym(name, args)
                 stack.append(result)
-            emit(_new(TacOp, (offset, name, result, args, None)))
+                record(result)
         elif kind == _DUP:
             if len(stack) >= n:
                 vid = stack[-n]
@@ -293,35 +299,70 @@ def emulate_block(
                 diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
                 vid = new_unknown()
             stack.append(vid)
-            emit(_new(TacOp, (offset, name, vid, (vid,), None)))
+            record(vid)
         elif kind == _SWAP:
             if len(stack) <= n:
                 diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
                 while len(stack) <= n:
                     stack.insert(0, new_unknown())
             stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
-            emit(_new(TacOp, (offset, name, None, (stack[-1], stack[-n - 1]), None)))
+            record(stack[-1])
+            record(stack[-n - 1])
         elif kind == _POP:
-            emit(_new(TacOp, (offset, name, None, (stack.pop() if stack else pop(offset),), None)))
-        elif kind == _JUMPDEST:
-            emit(_new(TacOp, (offset, name, None, (), None)))
+            record(stack.pop() if stack else pop(offset))
         elif kind == _JUMP:
             jump = stack.pop() if stack else pop(offset)
-            emit(_new(TacOp, (offset, name, None, (jump,), None)))
-        else:  # _JUMPI
+            record(jump)
+        elif kind == _JUMPI:
             if len(stack) >= 2:
                 jump = stack.pop()
                 cond = stack.pop()
             else:
                 jump = pop(offset)
                 cond = pop(offset)
-            emit(_new(TacOp, (offset, name, None, (jump, cond), None)))
+            record(jump)
+            record(cond)
+        # _JUMPDEST reads and writes nothing.
 
         if not overflow_reported and len(stack) > STACK_LIMIT:
             diags.append(("warning", f"stack overflow at offset 0x{offset:x}", offset))
             overflow_reported = True
 
-    return _new(EmulationResult, (tuple(stack), jump, tac, diags))
+    return _new(EmulationResult, (tuple(stack), jump, ids, diags))
+
+
+def tac_ops(block: BasicBlock, ids: Sequence[int]) -> list[TacOp]:
+    """The `TacOp`s of one emulation of `block`, from its `tac_ids`.
+
+    Each instruction takes its operands, then its result, from `ids` in
+    order, by its opcode's arity: a PUSH has only its result, a DUP one id
+    that is both its operand and its result, a SWAP the two ids it swapped
+    (the new top first), and every other opcode as many operands as it pops
+    (top first) and a result when it pushes one.
+    """
+    ops: list[TacOp] = []
+    emit = ops.append
+    pos = 0
+    for offset, opcode, name, push_data, _, _ in block.instructions:
+        kind, n, pushes, _ = _DISPATCH[opcode]
+        if kind == _PUSH:
+            emit(_new(TacOp, (offset, name, ids[pos], (), push_data or 0)))
+            pos += 1
+        elif kind == _DUP:
+            vid = ids[pos]
+            emit(_new(TacOp, (offset, name, vid, (vid,), None)))
+            pos += 1
+        else:
+            if kind == _SWAP:
+                n = 2
+            args = tuple(ids[pos : pos + n])
+            pos += n
+            result = None
+            if pushes:
+                result = ids[pos]
+                pos += 1
+            emit(_new(TacOp, (offset, name, result, args, None)))
+    return ops
 
 
 def prepare_stack(

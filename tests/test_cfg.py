@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -28,7 +29,8 @@ from reusecfg.cfg import (
     build_cfg,
     export,
 )
-from reusecfg.corpus import Assembler, Pattern, PatternSpec, generate
+from reusecfg.corpus import Assembler, Pattern, PatternSpec, generate, stress_fixture
+from reusecfg.emulator import TacOp
 from reusecfg.graph import collapsed_successors, dfs
 from reusecfg.metrics import count_paths, polymorphic_jump_targets
 
@@ -454,6 +456,31 @@ def test_export_tac_listing():
     doc = json.loads(export(cfg, "json", emit_tac=True))
     entry = next(b for b in doc["blocks"] if b["id"] == "0x0_0")
     assert any("PUSH" in line for line in entry["tac"])
+
+
+def _tac_ops_alive() -> int:
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, TacOp))
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_tac_ops_are_built_only_when_read(mode):
+    # Recovery records each emulation's TAC as value ids; `cfg.tac` builds
+    # the `TacOp`s from those on every read and keeps none.
+    gc.collect()
+    before = _tac_ops_alive()
+    cfg = build_cfg(stress_fixture(3000, 0), mode)
+    assert _tac_ops_alive() == before
+    tac = cfg.tac
+    assert len(tac) == len(cfg.tac_ids) > 0
+    assert all(block in tac for block in cfg.tac_ids)
+    assert tac.get(BlockId(1 << 30, 0)) is None
+    ops = [op for block_ops in tac.values() for op in block_ops]
+    assert _tac_ops_alive() == before + len(ops)
+    assert len(ops) == sum(len(cfg.blocks[block].instructions) for block in tac)
+    first = next(iter(tac))
+    assert tac[first] == tac.get(first) and tac[first] is not tac[first]
+    del ops
+    assert _tac_ops_alive() == before
 
 
 def test_fuzz_never_crashes():

@@ -3,8 +3,8 @@
 The pause is safe only because neither makes reference cycles: a cycle
 made while the collector is off stays in memory until it runs again.  These
 tests check that the collector's state is restored on every exit, that a
-caller's choice to keep it off is kept, and that building and exporting
-leave nothing for the collector to find.
+caller's choice to keep it off is kept, and that building, exporting and
+running the detectors leave nothing for the collector to find.
 """
 
 import gc
@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from fixtures import DEEPENING_LOOP
+from fixtures import DEEPENING_LOOP, ree_reused_check
 from reusecfg import stress_fixture
 from reusecfg.cfg import (
     AnalysisError,
@@ -23,6 +23,7 @@ from reusecfg.cfg import (
     build_cfg,
     export,
 )
+from reusecfg.detectors import detect_reentrancy, detect_tx_origin
 
 MODES = (Mode.REUSE_SENSITIVE, Mode.REUSE_INSENSITIVE)
 EXPORTS = (("json", True), ("json", False), ("dot", True))
@@ -87,13 +88,18 @@ def test_build_and_export_make_no_reference_cycles():
     gc.disable()
     try:
         gc.collect()
-        code = stress_fixture(3000, 0)
-        for mode in MODES:
-            cfg = build_cfg(code, mode)
-            assert gc.collect() == 0, f"{mode.value} build"
-            for fmt, tac in EXPORTS:
-                export(cfg, fmt, emit_tac=tac)
-                assert gc.collect() == 0, f"{mode.value} {fmt} export, emit_tac={tac}"
+        # The stress fixture has no detector finding; the reentrancy fixture
+        # has one, so its detector builds reachability too.
+        for name, code in (("stress", stress_fixture(3000, 0)), ("ree", ree_reused_check())):
+            for mode in MODES:
+                cfg = build_cfg(code, mode)
+                assert gc.collect() == 0, f"{name} {mode.value} build"
+                for fmt, tac in EXPORTS:
+                    export(cfg, fmt, emit_tac=tac)
+                    assert gc.collect() == 0, f"{name} {mode.value} {fmt} export, emit_tac={tac}"
+                for detect in (detect_tx_origin, detect_reentrancy):
+                    detect(cfg, cfg.value_table)
+                    assert gc.collect() == 0, f"{name} {mode.value} {detect.__name__}"
         for error, args in _error_builds():
             _expect_error(error, *args)
             assert gc.collect() == 0, f"{error.__name__} on {args[0][:8].hex() or 'empty input'}"

@@ -10,6 +10,7 @@ from reusecfg.emulator import (
     ValueTable,
     emulate_block,
     prepare_stack,
+    tac_ops,
     trace_origin,
 )
 
@@ -135,7 +136,8 @@ def test_jump_successors():
 
 def test_tac_listing_renders():
     result, table = emulate_hex("6002600301")
-    lines = [op.render(table) for op in result.tac]
+    block = identify_blocks(disassemble(bytes.fromhex("6002600301")))[0]
+    lines = [op.render(table) for op in tac_ops(block, result.tac_ids)]
     assert lines[0] == "v0 = PUSH1(0x2)"
     assert lines[2].endswith("= ADD(0x3, 0x2)")
 

@@ -14,6 +14,8 @@ a diagnostic; recovery now reports it at the join, on the same condition,
 and the comparison checks that condition.  The reference lists each block's
 successor requests; the kernel reports only the jump operand, and the
 block gives the fallthrough offset, so the requests are rebuilt from those.
+The kernel records three-address code as value ids only; `tac_ops` rebuilds
+the ops from those and the block, and the rebuilt ops are compared.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from reusecfg.emulator import (
     ValueTable,
     emulate_block,
     prepare_stack,
+    tac_ops,
 )
 
 # ---------------------------------------------------------------------------
@@ -516,7 +519,7 @@ def test_emulate_block_and_prepare_stack_match_reference(code, terminator, first
                 if block.fallthrough_offset is not None:
                     rebuilt.append(("fallthrough", block.fallthrough_offset, None))
                 assert requests == rebuilt
-            assert [tuple(op) for op in new.tac] == [astuple(op) for op in old.tac]
+            assert [tuple(op) for op in tac_ops(block, new.tac_ids)] == [astuple(op) for op in old.tac]
             assert new.diagnostics == old.diagnostics
             tables.assert_tables_agree()
             ends.append(new.s_end)
