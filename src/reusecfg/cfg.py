@@ -65,6 +65,13 @@ class EdgeKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Reading a member off an enum class runs `EnumType.__getattr__`'s lookup
+# hook under CPython 3.11 (about 0.1 µs a read, four times a plain class
+# attribute); the per-edge code reads these module names instead.
+_JUMP, _FALLTHROUGH = EdgeKind.JUMP, EdgeKind.FALLTHROUGH
+_OTHER_KIND = {_JUMP: _FALLTHROUGH, _FALLTHROUGH: _JUMP}
+
+
 @dataclass(frozen=True)
 class Config:
     """Recovery limits and defaults shared by the library and the CLI."""
@@ -129,7 +136,9 @@ class TacView(Mapping[BlockId, list[TacOp]]):
 
     __slots__ = ("_blocks", "_ids")
 
-    def __init__(self, blocks: dict[BlockId, BasicBlock], ids: dict[BlockId, list[int]]) -> None:
+    def __init__(
+        self, blocks: dict[BlockId, BasicBlock], ids: dict[BlockId, tuple[int, ...]]
+    ) -> None:
         self._blocks = blocks
         self._ids = ids
 
@@ -157,17 +166,20 @@ class Cfg:
     out-edges as (destination, kind) pairs, in insertion order; `edges`
     views them as `Edge` records.  A JUMPI whose target is the next block
     has both a JUMP and a FALLTHROUGH edge to it.  `pred` mirrors it per
-    destination as an ordered set: each source with any edge to it, in the
-    order of its first edge.  Only `add_edge` and `remove_out_edges` write
-    either; a source's edges are only ever removed all at once.  A clone
-    can be orphaned (left unreachable from the entry) only after a
-    re-emulation dropped edges, so only then does `_finalize` sweep for
-    orphans and drop them (see there).  `s_start` holds each visited
-    clone's entry stack; only `set_entry_stack` writes it, and `_finalize`
-    drops the stacks of dropped clones.  Every clone gets one when made (in
-    `reuse_handler` or `_merge_into`), so after recovery a block without
-    one was never reached: the exports' `is_data`.  No exit stack is kept:
-    each emulation hands its own to its successors (`_Recovery._connect`).
+    destination as a list: each source with any edge to it, once, in the
+    order of its first edge.  Whether `src` is already a predecessor of
+    `dst` is answered from `succ[src]` (`_feeds`), in time independent of
+    either block's degree, so `pred` holds no per-block set.  Only
+    `add_edge` and `remove_out_edges` write either; a source's edges are
+    only ever removed all at once.  A clone can be orphaned (left
+    unreachable from the entry) only after a re-emulation dropped edges,
+    so only then does `_finalize` sweep for orphans and drop them (see
+    there).  `s_start` holds each visited clone's entry stack; only
+    `set_entry_stack` writes it, and `_finalize` drops the stacks of
+    dropped clones.  Every clone gets one when made (in `reuse_handler` or
+    `_merge_into`), so after recovery a block without one was never
+    reached: the exports' `is_data`.  No exit stack is kept: each
+    emulation hands its own to its successors (`_Recovery._connect`).
     `tac_ids` holds each emulated clone's last emulation's value ids (see
     `EmulationResult`), and `tac` views them as `TacOp`s, built on read;
     recovery itself never reads them.
@@ -181,20 +193,20 @@ class Cfg:
 
     `blocks` is keyed by `BlockId`, a named tuple, so the plain tuple
     `(offset, 0)` finds the original at `offset` without building a
-    `BlockId`; the key it finds is the block's `id`.  `_clones` lists each
-    offset's original and clones in index order, made on the first
-    `clones_at` of the offset; only `_make_clone` adds to it and `_finalize`
-    drops from it.  `_origins`
-    memoizes def-use chains for `update_reuse_context` while the graph is
-    being recovered.  `_walked` is the set of (clone, value id) items that
-    `update_reuse_context` walked, kept as each clone's set of value ids.
-    `add_edge` empties it when a walked clone gains a predecessor, and
-    `set_entry_stack` when a walked clone gets a new entry stack.  Dropping
-    edges needs no emptying: taints only grow, and a walk over fewer
-    predecessors finds a subset of what the earlier one found.  A jump
-    operand that its block's emulation pushed is never walked (see
-    `_Recovery._emulate`), so its item is never in `_walked`: it has nothing
-    behind it, and no entry stack holds it.  `_finalize` empties both.
+    `BlockId`; the key it finds is the block's `id`.  `_clones` lists the
+    original and clones of each offset that has a clone, in index order,
+    made with the offset's first clone; only `_make_clone` adds to it and
+    `_finalize` drops from it.  `_origins` memoizes def-use chains for
+    `update_reuse_context` while the graph is being recovered.  `_walked`
+    is the set of (clone, value id) items that `update_reuse_context`
+    walked, kept as each clone's set of value ids.  `add_edge` empties it
+    when a walked clone gains a predecessor, and `set_entry_stack` when a
+    walked clone gets a new entry stack.  Dropping edges needs no
+    emptying: taints only grow, and a walk over fewer predecessors finds a
+    subset of what the earlier one found.  A jump operand that its block's
+    emulation pushed is never walked (see `_Recovery._emulate`), so its
+    item is never in `_walked`: it has nothing behind it, and no entry
+    stack holds it.  `_finalize` empties both.
     """
 
     mode: Mode
@@ -202,13 +214,13 @@ class Cfg:
     limits: Config = field(default_factory=Config)
     blocks: dict[BlockId, BasicBlock] = field(default_factory=dict)
     succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], None]] = field(default_factory=dict)
-    pred: dict[BlockId, dict[BlockId, None]] = field(default_factory=dict)
+    pred: dict[BlockId, list[BlockId]] = field(default_factory=dict)
     tainted: dict[tuple[int, int], set[int]] = field(default_factory=dict)
     # Insertion-ordered set of (severity, message, offset).
     diagnostics: dict[tuple[str, str, int], None] = field(default_factory=dict)
     value_table: ValueTable = field(default_factory=ValueTable)
     s_start: dict[BlockId, Stack] = field(default_factory=dict)
-    tac_ids: dict[BlockId, list[int]] = field(default_factory=dict)
+    tac_ids: dict[BlockId, tuple[int, ...]] = field(default_factory=dict)
     end_block_clones: set[BlockId] = field(default_factory=set)
     _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
     _origins: dict[int, set[int]] = field(default_factory=dict, init=False, repr=False)
@@ -238,15 +250,22 @@ class Cfg:
         return src in self.succ and (dst, kind) in self.succ[src]
 
     def add_edge(self, src: BlockId, dst: BlockId, kind: EdgeKind) -> bool:
-        out = self.succ.setdefault(src, {})
-        if (dst, kind) in out:
+        out = self.succ.get(src)
+        if out is None:
+            out = self.succ[src] = {}
+        elif (dst, kind) in out:
             return False
+        elif (dst, _OTHER_KIND[kind]) in out:
+            out[(dst, kind)] = None  # src already is a predecessor of dst
+            return True
         out[(dst, kind)] = None
-        preds = self.pred.setdefault(dst, {})
-        if src not in preds:
-            preds[src] = None
-            if dst in self._walked:
-                self._walked.clear()  # a walk through dst would now reach src
+        preds = self.pred.get(dst)
+        if preds is None:
+            self.pred[dst] = [src]
+        else:
+            preds.append(src)
+        if dst in self._walked:
+            self._walked.clear()  # a walk through dst would now reach src
         return True
 
     def set_entry_stack(self, block: BlockId, stack: Stack) -> None:
@@ -259,8 +278,12 @@ class Cfg:
         out = self.succ.pop(src, None)
         if not out:
             return False
-        for dst, _ in out:
-            self.pred[dst].pop(src, None)
+        pred = self.pred
+        for dst, kind in out:
+            # A destination reached by both kinds lists src once: drop it
+            # at the JUMP edge.
+            if kind is _JUMP or (dst, _JUMP) not in out:
+                pred[dst].remove(src)
         return True
 
     def predecessors(self, block: BlockId) -> list[BlockId]:
@@ -271,18 +294,24 @@ class Cfg:
 
     def clones_at(self, offset: int) -> list[BlockId]:
         """The original at `offset` and its clones, in index order, or an
-        empty list when no block starts there.  This is the stored list
-        itself (see `Cfg`): callers read it and never change it."""
+        empty list when no block starts there.  For an offset with a clone
+        this is the stored list itself (see `Cfg`): callers read it and
+        never change it."""
         clones = self._clones.get(offset)
-        if clones is None:
-            original = self.blocks.get((offset, 0))
-            if original is None:
-                return []
-            clones = self._clones[offset] = [original.id]
-        return clones
+        if clones is not None:
+            return clones
+        original = self.blocks.get((offset, 0))
+        return [] if original is None else [original.id]
 
     def jump_successors(self, block: BlockId) -> list[BlockId]:
-        return [dst for dst, kind in self.succ.get(block, ()) if kind is EdgeKind.JUMP]
+        return [dst for dst, kind in self.succ.get(block, ()) if kind is _JUMP]
+
+
+def _feeds(cfg: Cfg, src: BlockId, dst: BlockId) -> bool:
+    """Whether `src` has an edge to `dst`: `src in cfg.pred[dst]`, read
+    from `src`'s out-edges in time independent of either block's degree."""
+    out = cfg.succ.get(src)
+    return out is not None and ((dst, _JUMP) in out or (dst, _FALLTHROUGH) in out)
 
 
 def _context(cfg: Cfg, block: BlockId) -> dict[int, int]:
@@ -463,7 +492,7 @@ def handle_end_block(cfg: Cfg, b_c: BlockId, end_offset: int) -> BlockId:
     predecessor yet.  Otherwise `b_c` keeps the candidate it already feeds.
     """
     for cand in cfg.clones_at(end_offset):
-        if cand not in cfg.s_start or b_c in cfg.pred.get(cand, ()):
+        if cand not in cfg.s_start or _feeds(cfg, b_c, cand):
             return cand
     clone = _make_clone(cfg, end_offset)
     cfg.end_block_clones.add(clone)
@@ -471,7 +500,7 @@ def handle_end_block(cfg: Cfg, b_c: BlockId, end_offset: int) -> BlockId:
 
 
 def _make_clone(cfg: Cfg, offset: int) -> BlockId:
-    clones = cfg.clones_at(offset)
+    clones = cfg._clones[offset] = cfg.clones_at(offset)
     if len(clones) >= cfg.limits.clone_budget_per_offset:
         raise CloneBudgetError(offset)
     if len(cfg.blocks) >= cfg.limits.total_block_budget:
@@ -491,6 +520,7 @@ class _Recovery:
     def __init__(self, code: bytes, mode: Mode, limits: Config) -> None:
         instructions = disassemble(code)
         self.cfg = Cfg(mode=mode, entry=BlockId(0, 0), limits=limits)
+        self.sensitive = self.cfg.mode is Mode.REUSE_SENSITIVE
         for b in identify_blocks(instructions):
             self.cfg.blocks[b.id] = b
         # Only a push whose payload runs past the end of the code is
@@ -547,7 +577,7 @@ class _Recovery:
         value = table.get(value_id)
         if value.kind == CONST:
             return [value.const]
-        if self.cfg.mode is Mode.REUSE_INSENSITIVE and value.kind == PHI:
+        if not self.sensitive and value.kind == PHI:
             consts = [
                 table.get(m).const
                 for m in value.members
@@ -573,7 +603,7 @@ class _Recovery:
         worklist: list[tuple[BlockId | None, BlockId]] = [(None, entry)]
         while worklist:
             pred, cur = worklist.pop()
-            if pred is not None and pred not in cfg.pred.get(cur, ()):
+            if pred is not None and not _feeds(cfg, pred, cur):
                 continue  # stale item: the edge was dropped by a re-emulation
             if cur not in self.dirty:
                 continue
@@ -585,7 +615,7 @@ class _Recovery:
     def _emulate(self, cur: BlockId, worklist: list) -> None:
         cfg = self.cfg
         block = cfg.blocks[cur]
-        sensitive = cfg.mode is Mode.REUSE_SENSITIVE
+        sensitive = self.sensitive
         if sensitive:
             # Drop the out-edges: this emulation derives them again.
             if cfg.remove_out_edges(cur):
@@ -616,12 +646,12 @@ class _Recovery:
                     continue
                 if walk:
                     update_reuse_context(cfg, cur, jump)
-                self._connect(cur, result.s_end, original, EdgeKind.JUMP, pending)
+                self._connect(cur, result.s_end, original, _JUMP, pending)
         offset = block.fallthrough_offset
         # Running off the end of the code halts like STOP.
         original = None if offset is None else cfg.blocks.get((offset, 0))
         if original is not None:
-            self._connect(cur, result.s_end, original, EdgeKind.FALLTHROUGH, pending)
+            self._connect(cur, result.s_end, original, _FALLTHROUGH, pending)
         # LIFO worklist: queue the fallthrough arm first so the jump arm is
         # explored first and each path completes before its siblings.
         for item in reversed(pending):
@@ -634,7 +664,7 @@ class _Recovery:
         A sensitive emulation dropped `cur`'s out-edges first, so this edge
         is new and the successor's context is walked back through it."""
         cfg = self.cfg
-        if cfg.mode is Mode.REUSE_INSENSITIVE:
+        if not self.sensitive:
             succ = original.id
         elif original.halts:
             succ = handle_end_block(cfg, cur, original.id.offset)
@@ -642,7 +672,7 @@ class _Recovery:
             succ = reuse_handler(cfg, s_end, original.id.offset)
         cfg.add_edge(cur, succ, kind)
         self._merge_into(s_end, succ)
-        if cfg.mode is Mode.REUSE_SENSITIVE:
+        if self.sensitive:
             backpropagate_context(cfg, succ)
         if succ in self.dirty or self.emulation_count.get(succ, 0) == 0:
             self.dirty.add(succ)

@@ -9,10 +9,11 @@ chains in the value table plus ordering along acyclic CFG paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bytecode import BlockId
 from .cfg import Cfg
-from .emulator import CONST, PHI, SYM, ValueTable, trace_origin
+from .emulator import CONST, PHI, SYM, TacOp, ValueTable, trace_origin
 from .graph import collapsed_successors, dag_reachability
 
 # Opcodes that can hand control to another contract with state at stake.
@@ -21,6 +22,11 @@ REENTRANT_CALLS = {"CALL", "CALLCODE", "DELEGATECALL"}
 
 # Condition plumbing through which an origin check still counts as a check.
 _CONDITION_CHAIN_OPS = {"EQ", "ISZERO", "AND"}
+
+# The instructions each detector reads from the TAC; a block holding none
+# of them has nothing for it, and its TAC is not built (see `_tac_holding`).
+_TX_ORIGIN_READS = frozenset({"ORIGIN", "JUMPI", "EQ"})
+_REENTRANCY_READS = frozenset({"SLOAD", "JUMPI", "SSTORE"} | REENTRANT_CALLS)
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,22 @@ class Finding:
             "site_offset": self.site_offset,
             "evidence": [{"role": role, "offset": off} for role, off in self.evidence],
         }
+
+
+def _tac_holding(cfg: Cfg, mnemonics: frozenset[str]) -> Iterator[tuple[BlockId, list[TacOp]]]:
+    """Each emulated block that holds an instruction in `mnemonics`, in id
+    order, with its TAC.  `cfg.tac` builds a block's ops on every read, so
+    the other blocks' are never built.  Clones share their original's
+    instructions: each offset's are scanned once."""
+    tac = cfg.tac
+    holds: dict[int, bool] = {}
+    for block_id in sorted(tac):
+        hit = holds.get(block_id.offset)
+        if hit is None:
+            instructions = cfg.blocks[block_id].instructions
+            hit = holds[block_id.offset] = any(ins.mnemonic in mnemonics for ins in instructions)
+        if hit:
+            yield block_id, tac[block_id]
 
 
 def _chain_sources(
@@ -72,17 +94,17 @@ def detect_tx_origin(cfg: Cfg, value_table: ValueTable) -> list[Finding]:
     Flags (a) any branch condition that depends on an ORIGIN result through
     EQ/ISZERO/AND plumbing, and (b) any EQ whose two sides derive from
     ORIGIN and CALLER respectively (address-equality against the caller is
-    the textbook phishing-prone check).  One pass over the TAC collects the
-    ORIGIN sites and both kinds of candidate; the candidates are resolved
-    after it, in the same order, since evidence names ORIGIN sites anywhere.
+    the textbook phishing-prone check).  One pass over the TAC of the blocks
+    holding an ORIGIN, JUMPI or EQ collects the ORIGIN sites and both kinds
+    of candidate; the candidates are resolved after it, in the same order,
+    since evidence names ORIGIN sites anywhere.
     """
     table = value_table
-    tac = cfg.tac
     origin_sites: dict[int, int] = {}  # ORIGIN result -> its offset
     checks: list[tuple[int, int]] = []  # JUMPI offset, condition
     compares: list[tuple[int, tuple[int, ...]]] = []  # EQ offset, operands
-    for block_id in sorted(tac):
-        for op in tac[block_id]:
+    for _, ops in _tac_holding(cfg, _TX_ORIGIN_READS):
+        for op in ops:
             if op.mnemonic == "ORIGIN" and op.result is not None:
                 origin_sites[op.result] = op.offset
             elif op.mnemonic == "JUMPI" and len(op.args) == 2:
@@ -147,16 +169,16 @@ def detect_reentrancy(cfg: Cfg, value_table: ValueTable) -> list[Finding]:
     whose condition depends on a storage read, then a re-enterable external
     call, then a write back to the structurally-same storage key.  Correct
     code updates state before the external call, so the matched shape is
-    exactly the exploitable ordering.
+    exactly the exploitable ordering.  Only the TAC of blocks holding one
+    of those instructions is read.
     """
     table = value_table
     sloads: list[tuple[BlockId, int, int, int]] = []  # block, offset, result, key
     jumpis: list[tuple[BlockId, int, int]] = []  # block, offset, cond
     calls: list[tuple[BlockId, int]] = []
     sstores: list[tuple[BlockId, int, int]] = []  # block, offset, key
-    tac = cfg.tac
-    for block_id in sorted(tac):
-        for op in tac[block_id]:
+    for block_id, ops in _tac_holding(cfg, _REENTRANCY_READS):
+        for op in ops:
             if op.mnemonic == "SLOAD" and op.result is not None and op.args:
                 sloads.append((block_id, op.offset, op.result, op.args[0]))
             elif op.mnemonic == "JUMPI" and len(op.args) == 2:

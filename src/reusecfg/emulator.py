@@ -77,11 +77,18 @@ class ValueTable:
     index it directly rather than call `get`.  Only the `new_*` methods and
     `emulate_block` append to it, each a Value built from all five fields
     through `tuple.__new__` (see `bytecode._new`); nothing changes an entry
-    once appended."""
+    once appended.
+
+    A pushed constant (one without `args`) depends only on its word, so
+    the table keeps one `Value` per word in `_pushed` and appends that
+    shared object at every push: each push still gets a fresh id, since a
+    value's id is its position in `values`, not the object.  Folded
+    constants keep their own `args` and are never shared."""
 
     def __init__(self) -> None:
         self.values: list[Value] = []
         self._phi_index: dict[tuple, int] = {}
+        self._pushed: dict[int, Value] = {}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -91,8 +98,19 @@ class ValueTable:
 
     def new_const(self, raw: int, args: tuple[int, ...] = ()) -> int:
         values = self.values
-        values.append(_new(Value, (CONST, raw & WORD_MASK, None, args, ())))
+        word = raw & WORD_MASK
+        if args:
+            values.append(_new(Value, (CONST, word, None, args, ())))
+        else:
+            values.append(self.pushed_value(word))
         return len(values) - 1
+
+    def pushed_value(self, word: int) -> Value:
+        """The shared `Value` of a pushed constant `word` (see above)."""
+        value = self._pushed.get(word)
+        if value is None:
+            value = self._pushed[word] = _new(Value, (CONST, word, None, (), ()))
+        return value
 
     def new_sym(self, op: str, args: tuple[int, ...]) -> int:
         values = self.values
@@ -200,14 +218,15 @@ class EmulationResult(NamedTuple):
     block does not jump; where control falls through is the block's own
     `fallthrough_offset`.  `tac_ids` is the block's three-address form
     without the instructions: the value ids each instruction read, then the
-    one it wrote, in instruction order (see `tac_ops`).  An immutable named
-    tuple: it compares equal to the plain tuple of its fields, in field
-    order.
+    one it wrote, in instruction order (see `tac_ops`), as a tuple: it is
+    kept as long as the graph, and a tuple of ints is smaller than a list
+    and not tracked by the cyclic collector.  An immutable named tuple: it
+    compares equal to the plain tuple of its fields, in field order.
     """
 
     s_end: Stack
     jump: int | None
-    tac_ids: list[int]
+    tac_ids: tuple[int, ...]
     diagnostics: list[tuple[str, str, int]]
 
 
@@ -243,9 +262,11 @@ def emulate_block(
     failing: dead or data blocks must not abort recovery.  Growth past the
     stack limit is likewise only a diagnostic.  Pushed and folded constants
     are appended to `table.values` here, as `ValueTable.new_const` would:
-    every PUSH payload and every folder result already fits in a word.  The
-    three-address form is recorded as value ids only; `tac_ops` builds the
-    `TacOp`s from them and the block's instructions.
+    every PUSH payload and every folder result already fits in a word.  A
+    push appends the table's shared `Value` of its word under a fresh id;
+    a fold appends a new one that keeps its operand ids.  The three-address
+    form is recorded as value ids only; `tac_ops` builds the `TacOp`s from
+    them and the block's instructions.
     """
     stack: list[int] = list(s_start)
     ids: list[int] = []
@@ -253,6 +274,7 @@ def emulate_block(
     jump: int | None = None
     values = table.values
     add_value = values.append
+    pushed = table._pushed
     new_unknown = table.new_unknown
     record = ids.append
 
@@ -268,7 +290,7 @@ def emulate_block(
         if kind == _PUSH:
             data = push_data or 0  # PUSH0 has no payload
             vid = len(values)
-            add_value(_new(Value, (CONST, data, None, (), ())))
+            add_value(pushed.get(data) or table.pushed_value(data))
             stack.append(vid)
             record(vid)
         elif kind == _OTHER:
@@ -328,7 +350,7 @@ def emulate_block(
             diags.append(("warning", f"stack overflow at offset 0x{offset:x}", offset))
             overflow_reported = True
 
-    return _new(EmulationResult, (tuple(stack), jump, ids, diags))
+    return _new(EmulationResult, (tuple(stack), jump, tuple(ids), diags))
 
 
 def tac_ops(block: BasicBlock, ids: Sequence[int]) -> list[TacOp]:

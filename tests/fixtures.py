@@ -856,6 +856,23 @@ def fork_chain(units: int) -> bytes:
     return asm.assemble()
 
 
+def shared_callee(sites: int = 256) -> tuple[bytes, int]:
+    """`sites` call sites of one function F, then STOP, then F, and F's
+    offset.  Site i is PUSH2 ret; PUSH2 F; JUMP; ret: JUMPDEST, at offset
+    8i; F is JUMPDEST; JUMP, returning to the pushed address.  F's return
+    addresses all meet in one entry stack in baseline recovery."""
+    asm = Assembler()
+    for i in range(sites):
+        asm.push_label(f"ret{i}")
+        asm.push_label("F")
+        asm.op("JUMP")
+        asm.jumpdest(f"ret{i}")
+    asm.op("STOP")
+    asm.jumpdest("F")
+    asm.op("JUMP")
+    return asm.assemble(), 8 * sites + 1
+
+
 # Random code: mostly stack, arithmetic and control-flow opcodes, pushes of
 # the offset of the k-th JUMPDEST (k drawn, the offset filled in once the
 # layout is known) and now and then any byte, so that random code reaches

@@ -1,11 +1,13 @@
 import pytest
 
 import fixtures
+import reusecfg.cfg
 from reusecfg import detectors
-from reusecfg.bytecode import disassemble
+from reusecfg.bytecode import MNEMONICS, disassemble
 from reusecfg.cfg import Mode, build_cfg
 from reusecfg.corpus import Assembler, stress_fixture
 from reusecfg.detectors import detect_reentrancy, detect_tx_origin
+from reusecfg.emulator import tac_ops
 
 
 def origin_findings(code: bytes):
@@ -50,6 +52,100 @@ def test_reentrancy_skips_reachability_without_every_role(monkeypatch):
 
     monkeypatch.setattr(detectors, "dag_reachability", unreachable)
     assert reentrancy_findings(stress_fixture(3000, 0)) == []
+
+
+def test_detectors_build_only_the_tac_they_read(monkeypatch):
+    # `cfg.tac` builds a block's TacOps on every read: the detectors read
+    # only blocks holding an instruction they look for.
+    cfg = build_cfg(stress_fixture(3000, 0), Mode.REUSE_SENSITIVE)
+    built = []
+
+    def counting_tac_ops(block, ids):
+        ops = tac_ops(block, ids)
+        built.extend(ops)
+        return ops
+
+    monkeypatch.setattr(reusecfg.cfg, "tac_ops", counting_tac_ops)
+    detect_tx_origin(cfg, cfg.value_table)
+    detect_reentrancy(cfg, cfg.value_table)
+    tac_size = sum(len(cfg.blocks[block].instructions) for block in cfg.tac)
+    assert 0 < len(built) < tac_size
+
+
+def _origin_then(tail) -> bytes:
+    """ORIGIN alone in the first block, then `tail` in the next."""
+    asm = Assembler()
+    asm.op("ORIGIN")
+    asm.jump("tail")
+    asm.jumpdest("tail")
+    tail(asm)
+    return fixtures._finish(asm)
+
+
+def _split_compare(asm: Assembler) -> None:
+    asm.op("CALLER")
+    asm.op("EQ")
+    asm.op("POP")
+
+
+def _split_check(asm: Assembler) -> None:
+    asm.push_label("go")
+    asm.op("JUMPI")
+    asm.jumpdest("go")
+
+
+def _split_reentrancy() -> bytes:
+    """The SLOAD, its check, the CALL and the SSTORE each in a block of
+    their own."""
+    asm = Assembler()
+    asm.push(5)
+    asm.op("SLOAD")
+    asm.jump("check")
+    asm.jumpdest("check")
+    _split_check(asm)
+    asm.jump("call")
+    asm.jumpdest("call")
+    fixtures._call_sequence(asm)
+    asm.jump("store")
+    asm.jumpdest("store")
+    asm.push(0)
+    asm.push(5)
+    asm.op("SSTORE")
+    return fixtures._finish(asm)
+
+
+# A finding whose roles sit in blocks holding nothing else it reads.
+SPLIT_ROLES = [
+    lambda: _origin_then(_split_compare),
+    lambda: _origin_then(_split_check),
+    _split_reentrancy,
+]
+
+
+def test_findings_equal_those_from_every_block(monkeypatch):
+    builders = (
+        fixtures.TX_ORIGIN_POSITIVE
+        + fixtures.TX_ORIGIN_NEGATIVE
+        + fixtures.REENTRANCY_POSITIVE
+        + fixtures.REENTRANCY_NEGATIVE
+        + SPLIT_ROLES
+    )
+
+    def findings():
+        out = []
+        for builder in builders:
+            cfg = build_cfg(builder(), Mode.REUSE_SENSITIVE)
+            out.append(detect_tx_origin(cfg, cfg.value_table))
+            out.append(detect_reentrancy(cfg, cfg.value_table))
+        return out
+
+    skipping = findings()
+    every = frozenset(MNEMONICS)
+    monkeypatch.setattr(detectors, "_TX_ORIGIN_READS", every)
+    monkeypatch.setattr(detectors, "_REENTRANCY_READS", every)
+    assert skipping == findings()
+    compare, _, check, _, _, reentrancy = skipping[-2 * len(SPLIT_ROLES) :]
+    assert compare and check and reentrancy
 
 
 def test_finding_sites_are_instruction_offsets():

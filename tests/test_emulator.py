@@ -16,7 +16,8 @@ from reusecfg.emulator import (
 
 
 def emulate_hex(hex_code: str, s_start=(), table=None):
-    table = table or ValueTable()
+    if table is None:
+        table = ValueTable()  # an empty table is falsy: test for None
     blocks = identify_blocks(disassemble(bytes.fromhex(hex_code)))
     result = emulate_block(blocks[0], s_start, table)
     return result, table
@@ -25,6 +26,28 @@ def emulate_hex(hex_code: str, s_start=(), table=None):
 def test_constant_fold_add():
     result, table = emulate_hex("6002600301")
     assert [table.get(v).const for v in result.s_end] == [5]
+
+
+def test_pushed_constants_share_one_value_under_distinct_ids():
+    # A push constant depends only on its word: every push of the word gets
+    # a fresh id for the same Value object, in emulations and in new_const.
+    table = ValueTable()
+    first, _ = emulate_hex("6005600760055f", table=table)
+    second, _ = emulate_hex("6005", table=table)
+    ids = [*first.s_end, *second.s_end]
+    assert len(set(ids)) == len(ids) == 5
+    values = table.values
+    assert values[ids[0]] is values[ids[2]] is values[ids[4]]
+    assert values[ids[0]] == (CONST, 5, None, (), ())
+    assert values[ids[1]] is not values[ids[0]]
+    a, b = table.new_const(5), table.new_const(5 + (1 << 256))
+    assert a != b and values[a] is values[b] is values[ids[0]]
+    assert table.get(ids[3]) == (CONST, 0, None, (), ())
+    # A folded constant keeps its operands: it is never shared.
+    folded, _ = emulate_hex("6002600301", table=table)
+    assert values[folded.s_end[0]].args and values[folded.s_end[0]] is not values[ids[0]]
+    assert table.new_const(5, args=(a,)) != a
+    assert values[-1] is not values[a]
 
 
 def test_and_with_symbolic_operand_keeps_links():

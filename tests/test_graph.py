@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import shared_callee
 from reusecfg.bytecode import BlockId
 from reusecfg.cfg import Cfg, EdgeKind, Mode, build_cfg
 from reusecfg.graph import dag_reachability, dfs
@@ -84,6 +85,45 @@ def test_edge_store_matches_list_model(ops):
         for dst in NODES:
             for kind in KINDS:
                 assert cfg.has_edge(node, dst, kind) == ((node, dst, kind) in model.edges)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_high_degree_edge_store(mode):
+    # 256 calls of one function F.  Baseline recovery gives F in-degree 65
+    # and out-degree 64: its entry stack widens at `reemulation_cap`, after
+    # which its return is unresolved.  Sensitive recovery gives each call
+    # its own clone of F.
+    code, f = shared_callee(256)
+    cfg = build_cfg(code, mode)
+    returns = [BlockId(8 * i + 7, 0) for i in range(256)]
+    sites = [BlockId(0, 0)] + returns[:-1]
+    jump = EdgeKind.JUMP
+    if mode is Mode.REUSE_INSENSITIVE:
+        callee = BlockId(f, 0)
+        calls, rets = 65, 64
+        assert cfg.predecessors(callee) == sites[:calls]
+        assert cfg.successors(callee) == [(ret, jump) for ret in returns[:rets]]
+        assert all(cfg.has_edge(site, callee, jump) for site in sites[:calls])
+        assert all(cfg.has_edge(callee, ret, jump) for ret in returns[:rets])
+        assert not cfg.has_edge(sites[calls], callee, jump)
+        assert not cfg.has_edge(callee, returns[rets], jump)
+        assert all(cfg.predecessors(ret) == [callee] for ret in returns[:rets])
+        # Dropping one caller keeps the others in first-edge order, and a
+        # re-added edge puts its source last.
+        cfg.remove_out_edges(sites[30])
+        assert cfg.predecessors(callee) == sites[:30] + sites[31:calls]
+        assert cfg.add_edge(sites[30], callee, jump)
+        assert cfg.predecessors(callee) == sites[:30] + sites[31:calls] + [sites[30]]
+        cfg.remove_out_edges(callee)
+        assert all(cfg.predecessors(ret) == [] for ret in returns[:rets])
+    else:
+        clones = cfg.clones_at(f)
+        assert len(clones) == 256
+        for site, clone, ret in zip(sites, clones, returns):
+            assert cfg.predecessors(clone) == [site]
+            assert cfg.has_edge(site, clone, jump) and cfg.has_edge(clone, ret, jump)
+            assert cfg.successors(clone) == [(ret, jump)]
+            assert cfg.predecessors(ret) == [clone]
 
 
 _graphs = st.integers(min_value=1, max_value=9).flatmap(
