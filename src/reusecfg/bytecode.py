@@ -144,6 +144,10 @@ HALTING_TERMINATORS = {
     Terminator.SELFDESTRUCT,
 }
 
+# Terminators after which execution goes on at the next block; a module
+# name, so that testing for one reads no member off the enum class.
+_FALLS_THROUGH = frozenset({Terminator.JUMPI, Terminator.FALLTHROUGH})
+
 # Builds a named tuple from all of its fields in order, in C.  Calling the
 # class instead runs its Python-level `__new__`, which costs about twice as
 # much per record; `tuple.__new__` applies no defaults and checks no arity,
@@ -215,9 +219,7 @@ class BasicBlock(NamedTuple):
     @property
     def fallthrough_offset(self) -> int | None:
         """Offset execution continues at when the block does not jump away."""
-        if self.terminator in (Terminator.JUMPI, Terminator.FALLTHROUGH):
-            return self.end_offset
-        return None
+        return self.end_offset if self.terminator in _FALLS_THROUGH else None
 
     @property
     def halts(self) -> bool:

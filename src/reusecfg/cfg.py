@@ -196,17 +196,16 @@ class Cfg:
     `BlockId`; the key it finds is the block's `id`.  `_clones` lists the
     original and clones of each offset that has a clone, in index order,
     made with the offset's first clone; only `_make_clone` adds to it and
-    `_finalize` drops from it.  `_origins` memoizes def-use chains for
-    `update_reuse_context` while the graph is being recovered.  `_walked`
-    is the set of (clone, value id) items that `update_reuse_context`
-    walked, kept as each clone's set of value ids.  `add_edge` empties it
+    `_finalize` drops from it.  No def-use chain is kept.  `_walked` is the
+    set of (clone, value id) items that `update_reuse_context` walked, kept
+    as each clone's set of value ids.  `add_edge` empties it
     when a walked clone gains a predecessor, and `set_entry_stack` when a
     walked clone gets a new entry stack.  Dropping edges needs no
     emptying: taints only grow, and a walk over fewer predecessors finds a
     subset of what the earlier one found.  A jump operand that its block's
     emulation pushed is never walked (see `_Recovery._emulate`), so its
     item is never in `_walked`: it has nothing behind it, and no entry
-    stack holds it.  `_finalize` empties both.
+    stack holds it.  `_finalize` empties it.
     """
 
     mode: Mode
@@ -223,7 +222,6 @@ class Cfg:
     tac_ids: dict[BlockId, tuple[int, ...]] = field(default_factory=dict)
     end_block_clones: set[BlockId] = field(default_factory=set)
     _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
-    _origins: dict[int, set[int]] = field(default_factory=dict, init=False, repr=False)
     _walked: dict[BlockId, set[int]] = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -350,8 +348,8 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     the value is reached.  If the operand was pushed inside `block` itself,
     nothing is tainted; recovery does not call this at all for an operand
     that is a push of the emulation that used it, whose chain is itself.
-    One folded there from pre-pushed values is still walked.  Each root's
-    chain is kept in `cfg._origins`: values never change once made.
+    One folded there from pre-pushed values is still walked.  Each walked
+    item's chain comes from `trace_origin` anew; no chain is kept.
 
     Every walk of a recovery shares `cfg._walked`, the (clone, value id)
     items walked since a walked clone last gained a predecessor or a new
@@ -362,7 +360,6 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     """
     table = cfg.value_table
     values = table.values
-    origins = cfg._origins
     walked = cfg._walked
     # (clone, value id) pairs whose def-use chain is matched against that
     # clone's S_start.
@@ -376,9 +373,7 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
         s_start = cfg.s_start.get(clone)
         if s_start is None:
             continue
-        chain = origins.get(root)
-        if chain is None:
-            chain = origins[root] = trace_origin(root, table)
+        chain = trace_origin(root, table)
         # One pass over S_start: chain value -> its positions, ascending.  A
         # phi entry holds each of its members too.
         found: dict[int, list[int]] = {}
@@ -456,15 +451,13 @@ def reuse_handler(cfg: Cfg, s_end: Stack, target_offset: int) -> BlockId:
     """
     depth = len(s_end)
     values = cfg.value_table.values
-    indices = None
+    indices = sorted(cfg.tainted.get((target_offset, depth), ()))
     for cand in cfg.clones_at(target_offset):
         cand_start = cfg.s_start.get(cand)
         if cand_start is None:
             return cand  # first visit claims the original
         if len(cand_start) != depth:
             continue
-        if indices is None:
-            indices = sorted(cfg.tainted.get((target_offset, depth), ()))
         for idx in indices:
             expected = values[cand_start[idx]]
             if expected.kind != CONST:
@@ -517,6 +510,14 @@ def _make_clone(cfg: Cfg, offset: int) -> BlockId:
 # ---------------------------------------------------------------------------
 
 class _Recovery:
+    """One worklist traversal from the entry block.  `clean` holds the
+    blocks emulated from their current entry stack: `run` skips a popped
+    block in it and adds a block just before emulating it, `_merge_into`
+    removes a block whose entry stack it changes, and `_connect` queues
+    every successor not in it, a clone whose entry stack `reuse_handler`
+    preset too.  `emulation_count` is read only against `reemulation_cap`.
+    """
+
     def __init__(self, code: bytes, mode: Mode, limits: Config) -> None:
         instructions = disassemble(code)
         self.cfg = Cfg(mode=mode, entry=BlockId(0, 0), limits=limits)
@@ -530,7 +531,7 @@ class _Recovery:
             self.cfg.add_diagnostic(
                 "warning", f"truncated push payload at offset 0x{last.offset:x}", last.offset
             )
-        self.dirty: set[BlockId] = set()
+        self.clean: set[BlockId] = set()
         self.emulation_count: dict[BlockId, int] = {}
         # Whether a re-emulation dropped a non-empty out-edge set, the only
         # way a clone can be orphaned.  `run` clears it before its loop;
@@ -551,7 +552,7 @@ class _Recovery:
         if self.emulation_count.get(succ, 0) >= cfg.limits.reemulation_cap:
             merged = self._widen(succ, merged)
         cfg.set_entry_stack(succ, merged)
-        self.dirty.add(succ)
+        self.clean.discard(succ)
 
     def _widen(self, block: BlockId, merged: Stack) -> Stack:
         """Past the re-emulation cap, still-changing positions widen to
@@ -594,20 +595,16 @@ class _Recovery:
 
     def run(self) -> Cfg:
         cfg = self.cfg
-        entry = cfg.entry
-        if entry not in cfg.blocks:
-            raise AnalysisError("no block at offset 0x0")
-        cfg.set_entry_stack(entry, ())
-        self.dirty.add(entry)
+        cfg.set_entry_stack(cfg.entry, ())
         self.dropped_edges = False
-        worklist: list[tuple[BlockId | None, BlockId]] = [(None, entry)]
+        worklist: list[tuple[BlockId | None, BlockId]] = [(None, cfg.entry)]
         while worklist:
             pred, cur = worklist.pop()
             if pred is not None and not _feeds(cfg, pred, cur):
                 continue  # stale item: the edge was dropped by a re-emulation
-            if cur not in self.dirty:
+            if cur in self.clean:
                 continue
-            self.dirty.discard(cur)
+            self.clean.add(cur)
             self._emulate(cur, worklist)
         self._finalize()
         return cfg
@@ -654,8 +651,7 @@ class _Recovery:
             self._connect(cur, result.s_end, original, _FALLTHROUGH, pending)
         # LIFO worklist: queue the fallthrough arm first so the jump arm is
         # explored first and each path completes before its siblings.
-        for item in reversed(pending):
-            worklist.append(item)
+        worklist.extend(reversed(pending))
 
     def _connect(
         self, cur: BlockId, s_end: Stack, original: BasicBlock, kind: EdgeKind, pending: list
@@ -674,13 +670,12 @@ class _Recovery:
         self._merge_into(s_end, succ)
         if self.sensitive:
             backpropagate_context(cfg, succ)
-        if succ in self.dirty or self.emulation_count.get(succ, 0) == 0:
-            self.dirty.add(succ)
+        if succ not in self.clean:
             pending.append((cur, succ))
 
     def _finalize(self) -> None:
-        """Empty the recovery-time caches and, if recovery dropped an edge,
-        drop orphaned clones.
+        """Empty the walk set (`Cfg._walked`) and, if recovery dropped an
+        edge, drop orphaned clones.
 
         Every clone gets an edge in when it is made, from a block that was
         itself reached.  Edges are only ever removed by a sensitive
@@ -690,7 +685,6 @@ class _Recovery:
         sweep would.  Baseline mode removes no edge and makes no clone.
         """
         cfg = self.cfg
-        cfg._origins.clear()
         cfg._walked.clear()
         if not self.dropped_edges:
             return
@@ -874,7 +868,7 @@ def _export_dot(cfg: Cfg, emit_tac: bool) -> bytes:
             attrs += ", style=dotted"
         lines.append(f'  "{block.id}" [{attrs}];')
     for e in _sorted_edges(cfg):
-        style = "solid" if e.kind is EdgeKind.JUMP else "dashed"
+        style = "solid" if e.kind is _JUMP else "dashed"
         lines.append(f'  "{e.src}" -> "{e.dst}" [style={style}];')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode()

@@ -204,11 +204,7 @@ def _cmd_interp(args) -> int:
     if args.branch_bound < 0:
         raise UsageError("--branch-bound must be >= 0")
     code = _read_code(args.file)
-    try:
-        traces = corpus.interpret(code, branch_bound=args.branch_bound)
-    except corpus.UnsupportedOpcodeError as exc:
-        raise AnalysisError(str(exc)) from exc
-    for trace in traces:
+    for trace in corpus.interpret(code, branch_bound=args.branch_bound):
         print(_format_trace(trace.offsets))
     return 0
 

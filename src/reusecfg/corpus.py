@@ -153,7 +153,7 @@ class Assembler:
         return bytes(out)
 
 
-class UnsupportedOpcodeError(Exception):
+class UnsupportedOpcodeError(AnalysisError):
     def __init__(self, mnemonic: str) -> None:
         super().__init__(f"unsupported opcode in concrete interpreter: {mnemonic}")
         self.mnemonic = mnemonic
@@ -225,9 +225,10 @@ def interpret(
     `branch_bound` branch decisions per run.  Invalid jumps and underflows
     end their fork as a revert-class trace, which is still recorded.  A fork
     that revisits one of its own exact (JUMPI offset, stack) states makes no
-    progress and is pruned.  Environment opcodes are only legal when `env`
-    supplies a constant for their mnemonic.  More than `_MAX_FORKS` forks or
-    `_MAX_STEPS` instructions executed raise `AnalysisError`.
+    progress and is pruned.  An opcode without semantics here, and an
+    environment opcode unless `env` supplies a constant for its mnemonic,
+    raises `UnsupportedOpcodeError`; more than `_MAX_FORKS` forks or
+    `_MAX_STEPS` instructions executed raise its base, `AnalysisError`.
     """
     env = env or {}
     # block offset -> (instructions, offset the block falls through to)

@@ -440,6 +440,9 @@ def trace_origin(vid: int, table: ValueTable) -> set[int]:
     plain constants and unknowns are the leaves.
     """
     values = table.values
+    value = values[vid]
+    if not value.args and not value.members:
+        return {vid}  # a leaf is its own chain: no walk
     seen: set[int] = set()
     work = [vid]
     while work:

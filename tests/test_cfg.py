@@ -324,6 +324,35 @@ def test_successor_step_invariants(rng, mode, cap):
     assert violations == []
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(list(Mode)))
+def test_scheduling_emulates_each_entry_stack_once_and_every_reached_block(rng, mode):
+    # Recovery emulates a block again only when its entry stack changed:
+    # (a) no block is emulated twice in a row from an equal entry stack, and
+    # (b) every block reachable from the entry was emulated, so it has TAC.
+    emulate_block = reusecfg.cfg.emulate_block
+    last_stack = {}
+    repeats = []
+
+    def checked_emulate_block(block, s_start, table):
+        if last_stack.get(block.id) == s_start:
+            repeats.append(block.id)
+        last_stack[block.id] = s_start
+        return emulate_block(block, s_start, table)
+
+    code = random_program(rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reusecfg.cfg, "emulate_block", checked_emulate_block)
+        try:
+            with time_limit(2):
+                cfg = build_cfg(code, mode, Config(clone_budget_per_offset=16))
+        except (AnalysisError, TimeoutError):
+            return  # bounded aborts and slow inputs say nothing of scheduling
+    assert repeats == [], "emulated again from an equal entry stack"
+    postorder, _ = dfs(collapsed_successors(cfg), [cfg.entry])
+    assert [b for b in postorder if b not in cfg.tac_ids] == [], "reached but never emulated"
+
+
 def test_data_tail_kept_and_flagged():
     # STOP then unreachable trailing bytes (a JUMPDEST and friends).
     code = bytes.fromhex("005b6001")

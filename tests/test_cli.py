@@ -211,6 +211,15 @@ def test_interp_fork_budget_analysis_error(tmp_path, capsys):
     assert capsys.readouterr().err == "analysis error: interpreter fork budget of 65536 exceeded\n"
 
 
+def test_interp_unsupported_opcode_analysis_error(tmp_path, capsys):
+    path = tmp_path / "caller.hex"
+    path.write_text("3300")  # CALLER; STOP
+    assert run(["interp", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "analysis error: unsupported opcode in concrete interpreter: CALLER\n"
+
+
 def test_gen_past_step_budget_usage_error(tmp_path, capsys):
     out_dir = tmp_path / "out"
     argv = ["gen", "--pattern", "NestedFakeLoops", "--depth", "30", "--out-dir", str(out_dir)]

@@ -65,6 +65,13 @@ def test_unsupported_opcode_is_named():
     assert "SLOAD" in str(excinfo.value)
 
 
+def test_unsupported_opcode_is_an_analysis_error():
+    # CALLER without `env`: one error family with the interpreter's budgets.
+    with pytest.raises(AnalysisError) as excinfo:
+        interpret(bytes.fromhex("3300"))
+    assert str(excinfo.value) == "unsupported opcode in concrete interpreter: CALLER"
+
+
 def test_environment_constants():
     # CALLVALUE; PUSH1 5; JUMPI; STOP; JUMPDEST; STOP
     code = bytes.fromhex("34600557005b00")
@@ -266,7 +273,7 @@ def interpret_random_digest() -> str:
         env = _ENV if rng.randrange(2) else None
         try:
             data = repr([t.offsets for t in interpret(code, bound, env)])
-        except (UnsupportedOpcodeError, AnalysisError) as exc:
+        except AnalysisError as exc:
             data = f"{type(exc).__name__}: {exc}"
         h.update(f"{code.hex()} {bound} {env is not None} {len(data)}\n".encode())
         h.update(data.encode())

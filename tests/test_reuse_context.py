@@ -54,7 +54,6 @@ from reusecfg.metrics import polymorphic_jump_targets
 
 def ref_update_reuse_context(cfg, block, jump_target_value):
     table = cfg.value_table
-    origins = cfg._origins
     work = [(block, jump_target_value)]
     visited = set()
     touched_offsets = []
@@ -66,9 +65,7 @@ def ref_update_reuse_context(cfg, block, jump_target_value):
         s_start = cfg.s_start.get(clone)
         if s_start is None:
             continue
-        chain = origins.get(root)
-        if chain is None:
-            chain = origins[root] = trace_origin(root, table)
+        chain = trace_origin(root, table)
         found = {}
         for idx, entry in enumerate(s_start):
             if entry in chain:
@@ -394,14 +391,12 @@ def test_built_graph_keeps_no_chain_memo(monkeypatch):
     finalize = _Recovery._finalize
 
     def recording_finalize(self):
-        seen["origins"] = len(self.cfg._origins)
         seen["walked"] = len(self.cfg._walked)
         finalize(self)
 
     monkeypatch.setattr(_Recovery, "_finalize", recording_finalize)
     cfg = build_cfg(stress_fixture(3000, 0))
-    assert seen["origins"] > 0 and seen["walked"] > 0
-    assert cfg._origins == {}
+    assert seen["walked"] > 0
     assert cfg._walked == {}
     assert cfg.tainted and cfg.reuse_contexts
 
