@@ -48,7 +48,7 @@ from .emulator import (
     tac_ops,
     trace_origin,
 )
-from .graph import collapsed_successors, dfs
+from .graph import dfs
 
 
 class Mode(enum.Enum):
@@ -69,7 +69,8 @@ class EdgeKind(enum.Enum):
 # hook under CPython 3.11 (about 0.1 µs a read, four times a plain class
 # attribute); the per-edge code reads these module names instead.
 _JUMP, _FALLTHROUGH = EdgeKind.JUMP, EdgeKind.FALLTHROUGH
-_OTHER_KIND = {_JUMP: _FALLTHROUGH, _FALLTHROUGH: _JUMP}
+# A destination's kinds after its first edge: one shared tuple per kind.
+_ONE_KIND = {_JUMP: (_JUMP,), _FALLTHROUGH: (_FALLTHROUGH,)}
 
 
 @dataclass(frozen=True)
@@ -110,22 +111,23 @@ class Edge(NamedTuple):
 
 
 class EdgeView:
-    """Read-only view of every edge of a `Cfg`, grouped by source, each
-    group in insertion order.  The store holds no `Edge` records: iterating
-    builds one per edge.  Sized without listing the edges."""
+    """Read-only view of every edge of a `Cfg`, grouped by source, in the
+    order `Cfg` states.  The store holds no `Edge` records: iterating
+    builds one per edge.  Its size is the graph's edge count, read in O(1)."""
 
-    __slots__ = ("_succ",)
+    __slots__ = ("_cfg",)
 
-    def __init__(self, succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], None]]) -> None:
-        self._succ = succ
+    def __init__(self, cfg: Cfg) -> None:
+        self._cfg = cfg
 
     def __len__(self) -> int:
-        return sum(map(len, self._succ.values()))
+        return self._cfg._edge_count
 
     def __iter__(self) -> Iterator[Edge]:
-        for src, out in self._succ.items():
-            for dst, kind in out:
-                yield _new(Edge, (src, dst, kind))
+        for src, out in self._cfg.succ.items():
+            for dst, kinds in out.items():
+                for kind in kinds:
+                    yield _new(Edge, (src, dst, kind))
 
 
 class TacView(Mapping[BlockId, list[TacOp]]):
@@ -162,24 +164,28 @@ class Cfg:
     `blocks` holds the decoded blocks and their clones, all immutable (see
     `BasicBlock`); what recovery learns about a block lives here, by id.
 
-    `succ` is the one edge store: per source block, an ordered set of its
-    out-edges as (destination, kind) pairs, in insertion order; `edges`
-    views them as `Edge` records.  A JUMPI whose target is the next block
-    has both a JUMP and a FALLTHROUGH edge to it.  `pred` mirrors it per
-    destination as a list: each source with any edge to it, once, in the
-    order of its first edge.  Whether `src` is already a predecessor of
-    `dst` is answered from `succ[src]` (`_feeds`), in time independent of
-    either block's degree, so `pred` holds no per-block set.  Only
-    `add_edge` and `remove_out_edges` write either; a source's edges are
-    only ever removed all at once.  A clone can be orphaned (left
-    unreachable from the entry) only after a re-emulation dropped edges,
-    so only then does `_finalize` sweep for orphans and drop them (see
-    there).  `s_start` holds each visited clone's entry stack; only
-    `set_entry_stack` writes it, and `_finalize` drops the stacks of
-    dropped clones.  Every clone gets one when made (in `reuse_handler` or
-    `_merge_into`), so after recovery a block without one was never
-    reached: the exports' `is_data`.  No exit stack is kept: each
-    emulation hands its own to its successors (`_Recovery._connect`).
+    `succ` is the one edge store: per source block, its out-edges keyed by
+    destination, each mapped to a tuple of their kinds (a shared one-kind
+    tuple; only a JUMPI whose target is the next block has two).  So
+    `succ[src]` is `src`'s successor list with parallel edges collapsed,
+    and every DFS walks it in place (see `reusecfg.graph`).  Per source,
+    destinations come in order of their first edge and each destination's
+    kinds in the order they were added; `successors` and `edges` list the
+    edges so.  `pred` mirrors the store per destination as a list: each
+    source with any edge to it, once, in the order of its first edge.
+    Whether `src` already feeds `dst` is `dst in succ[src]`, at any degree,
+    so `pred` holds no per-block set.  `_edge_count` counts the edges, so
+    `len(edges)` is O(1).  Only `add_edge` and `remove_out_edges` write
+    these three; a source's edges are only ever removed all at once.  A
+    clone can be orphaned (left unreachable from the entry) only after a
+    re-emulation dropped edges, so only then does `_finalize` sweep for
+    orphans and drop them (see there).  `s_start` holds each visited
+    clone's entry stack; only `set_entry_stack` writes it.  `_finalize`
+    drops the stacks, edges and `pred` entries of dropped clones.  Every
+    clone gets a stack when made (in `reuse_handler` or `_merge_into`), so
+    after recovery a block without one was never reached: the exports'
+    `is_data`.  No exit stack is kept: each emulation hands its own to its
+    successors (`_Recovery._connect`).
     `tac_ids` holds each emulated clone's last emulation's value ids (see
     `EmulationResult`), and `tac` views them as `TacOp`s, built on read;
     recovery itself never reads them.
@@ -212,7 +218,7 @@ class Cfg:
     entry: BlockId
     limits: Config = field(default_factory=Config)
     blocks: dict[BlockId, BasicBlock] = field(default_factory=dict)
-    succ: dict[BlockId, dict[tuple[BlockId, EdgeKind], None]] = field(default_factory=dict)
+    succ: dict[BlockId, dict[BlockId, tuple[EdgeKind, ...]]] = field(default_factory=dict)
     pred: dict[BlockId, list[BlockId]] = field(default_factory=dict)
     tainted: dict[tuple[int, int], set[int]] = field(default_factory=dict)
     # Insertion-ordered set of (severity, message, offset).
@@ -223,10 +229,11 @@ class Cfg:
     end_block_clones: set[BlockId] = field(default_factory=set)
     _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
     _walked: dict[BlockId, set[int]] = field(default_factory=dict, init=False, repr=False)
+    _edge_count: int = field(default=0, init=False, repr=False)
 
     @property
     def edges(self) -> EdgeView:
-        return EdgeView(self.succ)
+        return EdgeView(self)
 
     @property
     def tac(self) -> TacView:
@@ -245,18 +252,19 @@ class Cfg:
         self.diagnostics[(severity, message, offset)] = None
 
     def has_edge(self, src: BlockId, dst: BlockId, kind: EdgeKind) -> bool:
-        return src in self.succ and (dst, kind) in self.succ[src]
+        return kind in self.succ.get(src, {}).get(dst, ())
 
     def add_edge(self, src: BlockId, dst: BlockId, kind: EdgeKind) -> bool:
         out = self.succ.get(src)
         if out is None:
             out = self.succ[src] = {}
-        elif (dst, kind) in out:
+        kinds = out.get(dst, ())
+        if kind in kinds:
             return False
-        elif (dst, _OTHER_KIND[kind]) in out:
-            out[(dst, kind)] = None  # src already is a predecessor of dst
-            return True
-        out[(dst, kind)] = None
+        out[dst] = kinds + (kind,) if kinds else _ONE_KIND[kind]
+        self._edge_count += 1
+        if kinds:
+            return True  # src already is a predecessor of dst
         preds = self.pred.get(dst)
         if preds is None:
             self.pred[dst] = [src]
@@ -277,18 +285,16 @@ class Cfg:
         if not out:
             return False
         pred = self.pred
-        for dst, kind in out:
-            # A destination reached by both kinds lists src once: drop it
-            # at the JUMP edge.
-            if kind is _JUMP or (dst, _JUMP) not in out:
-                pred[dst].remove(src)
+        for dst, kinds in out.items():
+            pred[dst].remove(src)
+            self._edge_count -= len(kinds)
         return True
 
     def predecessors(self, block: BlockId) -> list[BlockId]:
         return list(self.pred.get(block, ()))
 
     def successors(self, block: BlockId) -> list[tuple[BlockId, EdgeKind]]:
-        return list(self.succ.get(block, ()))
+        return [(dst, kind) for dst, kinds in self.succ.get(block, {}).items() for kind in kinds]
 
     def clones_at(self, offset: int) -> list[BlockId]:
         """The original at `offset` and its clones, in index order, or an
@@ -302,14 +308,7 @@ class Cfg:
         return [] if original is None else [original.id]
 
     def jump_successors(self, block: BlockId) -> list[BlockId]:
-        return [dst for dst, kind in self.succ.get(block, ()) if kind is _JUMP]
-
-
-def _feeds(cfg: Cfg, src: BlockId, dst: BlockId) -> bool:
-    """Whether `src` has an edge to `dst`: `src in cfg.pred[dst]`, read
-    from `src`'s out-edges in time independent of either block's degree."""
-    out = cfg.succ.get(src)
-    return out is not None and ((dst, _JUMP) in out or (dst, _FALLTHROUGH) in out)
+        return [dst for dst, kinds in self.succ.get(block, {}).items() if _JUMP in kinds]
 
 
 def _context(cfg: Cfg, block: BlockId) -> dict[int, int]:
@@ -484,8 +483,9 @@ def handle_end_block(cfg: Cfg, b_c: BlockId, end_offset: int) -> BlockId:
     without an entry stack is claimed: it was never visited, so it has no
     predecessor yet.  Otherwise `b_c` keeps the candidate it already feeds.
     """
+    fed = cfg.succ.get(b_c, ())
     for cand in cfg.clones_at(end_offset):
-        if cand not in cfg.s_start or _feeds(cfg, b_c, cand):
+        if cand not in cfg.s_start or cand in fed:
             return cand
     clone = _make_clone(cfg, end_offset)
     cfg.end_block_clones.add(clone)
@@ -600,7 +600,7 @@ class _Recovery:
         worklist: list[tuple[BlockId | None, BlockId]] = [(None, cfg.entry)]
         while worklist:
             pred, cur = worklist.pop()
-            if pred is not None and not _feeds(cfg, pred, cur):
+            if pred is not None and cur not in cfg.succ.get(pred, ()):
                 continue  # stale item: the edge was dropped by a re-emulation
             if cur in self.clean:
                 continue
@@ -688,14 +688,14 @@ class _Recovery:
         cfg._walked.clear()
         if not self.dropped_edges:
             return
-        postorder, _ = dfs(collapsed_successors(cfg), [cfg.entry])
+        postorder, _ = dfs(cfg.succ, [cfg.entry])
         reachable = set(postorder)
-        for block_id in list(cfg.blocks):
-            if block_id.clone and block_id not in reachable:
-                del cfg.blocks[block_id]
-                cfg.s_start.pop(block_id, None)
-                cfg.tac_ids.pop(block_id, None)
-                cfg.end_block_clones.discard(block_id)
+        dropped = [b for b in cfg.blocks if b.clone and b not in reachable]
+        for block_id in dropped:
+            del cfg.blocks[block_id]
+            cfg.s_start.pop(block_id, None)
+            cfg.tac_ids.pop(block_id, None)
+            cfg.end_block_clones.discard(block_id)
         for clones in cfg._clones.values():
             clones[:] = [c for c in clones if c in cfg.blocks]
         # Only unreachable blocks can have edges to or from a dropped clone:
@@ -709,6 +709,9 @@ class _Recovery:
             cfg.remove_out_edges(src)
             for dst, kind in kept:
                 cfg.add_edge(src, dst, kind)
+        # The loop above read the dropped clones' (now empty) `pred` lists.
+        for block_id in dropped:
+            cfg.pred.pop(block_id, None)
 
 
 @contextmanager

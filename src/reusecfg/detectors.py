@@ -14,7 +14,7 @@ from typing import Iterator
 from .bytecode import BlockId
 from .cfg import Cfg
 from .emulator import CONST, PHI, SYM, TacOp, ValueTable, trace_origin
-from .graph import collapsed_successors, dag_reachability
+from .graph import dag_reachability
 
 # Opcodes that can hand control to another contract with state at stake.
 # STATICCALL cannot re-enter with writes and is excluded.
@@ -190,7 +190,7 @@ def detect_reentrancy(cfg: Cfg, value_table: ValueTable) -> list[Finding]:
     if not (sloads and jumpis and calls and sstores):
         return []  # a finding needs one of each: skip the reachability
 
-    reach = dag_reachability(collapsed_successors(cfg), sorted(cfg.blocks))
+    reach = dag_reachability(cfg.succ, sorted(cfg.blocks))
 
     def ordered(b1: BlockId, off1: int, b2: BlockId, off2: int) -> bool:
         if b1 == b2:

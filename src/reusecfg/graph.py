@@ -2,34 +2,22 @@
 
 The one DFS of the package.  Recovery's reachability sweep, path counting
 and the detectors' ordering queries share it, so they agree on which edges
-close a loop; trace coverage walks the same collapsed successor lists.
+close a loop.  Each walks `Cfg.succ` in place: per source, its out-edges
+keyed by destination, so iterating a source's entry yields each successor
+once, in order of its first edge.  Any mapping from a node to an iterable
+of successors will do; a node missing from it is a sink.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, Mapping
 
 from .bytecode import BlockId
 
-if TYPE_CHECKING:
-    from .cfg import Cfg
 
-Adjacency = dict[BlockId, list[BlockId]]
-
-
-def collapsed_successors(cfg: Cfg) -> Adjacency:
-    """Successor lists for every block in edge-insertion order, parallel
-    edges (a JUMP and a FALLTHROUGH to one block) collapsed."""
-    adj: Adjacency = {b: [] for b in cfg.blocks}
-    for src, out in cfg.succ.items():
-        dsts = adj[src]
-        for dst, _ in out:
-            if dst not in dsts:
-                dsts.append(dst)
-    return adj
-
-
-def dfs(adj: Adjacency, roots: Iterable[BlockId]) -> tuple[list[BlockId], set[tuple[BlockId, BlockId]]]:
+def dfs(
+    adj: Mapping[BlockId, Iterable[BlockId]], roots: Iterable[BlockId]
+) -> tuple[list[BlockId], set[tuple[BlockId, BlockId]]]:
     """Iterative DFS from each still-unvisited root in turn.
 
     Returns the postorder of every visited node and the back edges: the
@@ -37,41 +25,41 @@ def dfs(adj: Adjacency, roots: Iterable[BlockId]) -> tuple[list[BlockId], set[tu
     the visited subgraph acyclic, and the reversed postorder is then a
     topological order of it.
     """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(adj, WHITE)
+    on_stack: dict[BlockId, bool] = {}  # every visited node: still on the stack?
     back: set[tuple[BlockId, BlockId]] = set()
     postorder: list[BlockId] = []
     for root in roots:
-        if color[root] != WHITE:
+        if root in on_stack:
             continue
-        color[root] = GRAY
-        stack = [(root, 0)]
+        on_stack[root] = True
+        stack = [(root, iter(adj.get(root, ())))]
         while stack:
-            node, idx = stack[-1]
-            succs = adj[node]
-            if idx < len(succs):
-                stack[-1] = (node, idx + 1)
-                nxt = succs[idx]
-                if color[nxt] == GRAY:
+            node, succs = stack[-1]
+            for nxt in succs:
+                state = on_stack.get(nxt)
+                if state is None:
+                    on_stack[nxt] = True
+                    stack.append((nxt, iter(adj.get(nxt, ()))))
+                    break
+                if state:
                     back.add((node, nxt))
-                elif color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
             else:
-                color[node] = BLACK
+                on_stack[node] = False
                 postorder.append(node)
                 stack.pop()
     return postorder, back
 
 
-def dag_reachability(adj: Adjacency, roots: Iterable[BlockId]) -> dict[BlockId, set[BlockId]]:
-    """Forward reachability of every node over the graph with the back edges
-    of a DFS from `roots` removed."""
+def dag_reachability(
+    adj: Mapping[BlockId, Iterable[BlockId]], roots: Iterable[BlockId]
+) -> dict[BlockId, set[BlockId]]:
+    """Forward reachability of every node visited from `roots`, over the
+    graph with the back edges of a DFS from `roots` removed."""
     postorder, back = dfs(adj, roots)
-    reach: dict[BlockId, set[BlockId]] = {b: set() for b in adj}
+    reach: dict[BlockId, set[BlockId]] = {}
     for node in postorder:  # successors done first
-        acc = reach[node]
-        for s in adj[node]:
+        acc = reach[node] = set()
+        for s in adj.get(node, ()):
             if (node, s) in back:
                 continue
             acc.add(s)

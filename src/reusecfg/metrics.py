@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .bytecode import BlockId
 from .cfg import AnalysisError, Cfg
-from .graph import collapsed_successors, dfs
+from .graph import dfs
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ def count_paths(cfg: Cfg) -> PathReport:
     """Entry-to-sink path count after removing DFS back edges."""
     if cfg.entry not in cfg.blocks:
         raise AnalysisError("entry block missing from CFG")
-    adj = collapsed_successors(cfg)
-    postorder, back_edges = dfs(adj, [cfg.entry])
+    succ = cfg.succ
+    postorder, back_edges = dfs(succ, [cfg.entry])
     order = postorder[::-1]  # topological over the back-edge-free reachable subgraph
 
     reachable = set(order)
@@ -44,7 +44,7 @@ def count_paths(cfg: Cfg) -> PathReport:
         ways = npaths[node]
         if ways == 0:
             continue
-        succs = [s for s in adj[node] if (node, s) not in back_edges]
+        succs = [s for s in succ.get(node, ()) if (node, s) not in back_edges]
         if not succs:
             total += ways  # sink: halting terminator or unresolved transfer
             continue
@@ -72,8 +72,7 @@ def trace_coverage(
     its offsets never empties; clones collapse to offsets.  Prefix-walk
     semantics: a covered trace need not end at a terminator block.
     """
-    succs = collapsed_successors(cfg)
-
+    succ = cfg.succ
     covered = 0
     uncovered = []
     for trace in traces:
@@ -86,7 +85,7 @@ def trace_coverage(
             frontier = {
                 nxt
                 for b in frontier
-                for nxt in succs[b]
+                for nxt in succ.get(b, ())
                 if nxt.offset == offset
             }
             if not frontier:

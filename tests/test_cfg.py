@@ -31,7 +31,7 @@ from reusecfg.cfg import (
 )
 from reusecfg.corpus import Assembler, Pattern, PatternSpec, generate, stress_fixture
 from reusecfg.emulator import TacOp
-from reusecfg.graph import collapsed_successors, dfs
+from reusecfg.graph import dfs
 from reusecfg.metrics import count_paths, polymorphic_jump_targets
 
 
@@ -250,8 +250,10 @@ def test_recovery_drops_clones_it_orphaned(monkeypatch):
     offsets = {b.offset for b in cfg.blocks}
     gaps = {off: cfg.clones_at(off)[-1].clone + 1 - len(cfg.clones_at(off)) for off in offsets}
     assert {off: n for off, n in gaps.items() if n} == {0x40: 64}
-    reachable = set(dfs(collapsed_successors(cfg), [cfg.entry])[0])
+    reachable = set(dfs(cfg.succ, [cfg.entry])[0])
     assert set(cfg.s_start) <= reachable
+    assert set(cfg.pred) <= set(cfg.blocks)
+    assert set(cfg.succ) <= set(cfg.blocks)
 
 
 def _graph_state(cfg):
@@ -349,7 +351,7 @@ def test_scheduling_emulates_each_entry_stack_once_and_every_reached_block(rng, 
         except (AnalysisError, TimeoutError):
             return  # bounded aborts and slow inputs say nothing of scheduling
     assert repeats == [], "emulated again from an equal entry stack"
-    postorder, _ = dfs(collapsed_successors(cfg), [cfg.entry])
+    postorder, _ = dfs(cfg.succ, [cfg.entry])
     assert [b for b in postorder if b not in cfg.tac_ids] == [], "reached but never emulated"
 
 

@@ -1,7 +1,7 @@
 """The edge store of `Cfg` and the DFS in `reusecfg.graph`."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import shared_callee
@@ -46,11 +46,15 @@ class ListModel:
         self.edges = [e for e in self.edges if e[0] != src]
 
     def grouped(self) -> list[tuple[BlockId, BlockId, EdgeKind]]:
-        """The edges grouped by source, groups in order of their first edge."""
-        first: dict[BlockId, int] = {}
-        for i, (src, _, _) in enumerate(self.edges):
-            first.setdefault(src, i)
-        return sorted(self.edges, key=lambda e: first[e[0]])
+        """The edges grouped by source, groups in order of their first edge;
+        within a group, by destination in order of its first edge, and each
+        destination's edges in the order they were added."""
+        first_src: dict[BlockId, int] = {}
+        first_dst: dict[tuple[BlockId, BlockId], int] = {}
+        for i, (src, dst, _) in enumerate(self.edges):
+            first_src.setdefault(src, i)
+            first_dst.setdefault((src, dst), i)
+        return sorted(self.edges, key=lambda e: (first_src[e[0]], first_dst[e[:2]]))
 
 
 _ops = st.lists(
@@ -62,8 +66,18 @@ _ops = st.lists(
 )
 
 
+S, A, B = NODES[:3]
+JUMP, FALL = EdgeKind.JUMP, EdgeKind.FALLTHROUGH
+
+
 @settings(max_examples=300, deadline=None)
 @given(_ops)
+# A destination's later kind stays with its first edge, ahead of a
+# destination first reached in between.
+@example([("add", S, A, JUMP), ("add", S, B, JUMP), ("add", S, A, FALL)])
+# A FALLTHROUGH, then a JUMP, to one destination: two edges, one predecessor.
+@example([("add", S, A, FALL), ("add", S, A, JUMP), ("add", S, A, JUMP)])
+@example([("add", S, A, FALL), ("add", S, A, JUMP), ("remove", S)])
 def test_edge_store_matches_list_model(ops):
     cfg = Cfg(mode=Mode.REUSE_SENSITIVE, entry=NODES[0])
     model = ListModel()
@@ -73,11 +87,13 @@ def test_edge_store_matches_list_model(ops):
         else:
             cfg.remove_out_edges(op[1])
             model.remove_out_edges(op[1])
-    assert [(e.src, e.dst, e.kind) for e in cfg.edges] == model.grouped()
+        assert len(cfg.edges) == len(model.edges)
+    grouped = model.grouped()
+    assert [(e.src, e.dst, e.kind) for e in cfg.edges] == grouped
     for node in NODES:
-        assert cfg.successors(node) == [(d, k) for s, d, k in model.edges if s == node]
+        assert cfg.successors(node) == [(d, k) for s, d, k in grouped if s == node]
         assert cfg.jump_successors(node) == [
-            d for s, d, k in model.edges if s == node and k is EdgeKind.JUMP
+            d for s, d, k in grouped if s == node and k is EdgeKind.JUMP
         ]
         assert cfg.predecessors(node) == list(
             dict.fromkeys(s for s, d, _ in model.edges if d == node)
@@ -162,3 +178,9 @@ def test_dfs_agrees_with_networkx(graph):
 
     reach = dag_reachability(adj, nodes)
     assert reach == {b: nx.descendants(dag, b) for b in nodes}
+
+    # The shape of `Cfg.succ`: successors as dict keys, sinks absent.
+    store = {a: dict.fromkeys(succs) for a, succs in adj.items() if succs}
+    for roots in ([nodes[0]], nodes):
+        assert dfs(store, roots) == dfs(adj, roots)
+        assert dag_reachability(store, roots) == dag_reachability(adj, roots)
