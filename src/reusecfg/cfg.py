@@ -180,7 +180,8 @@ class Cfg:
     clone can be orphaned (left unreachable from the entry) only after a
     re-emulation dropped edges, so only then does `_finalize` sweep for
     orphans and drop them (see there).  `s_start` holds each visited
-    clone's entry stack; only `set_entry_stack` writes it.  `_finalize`
+    clone's entry stack, assigned by `_Recovery.run`, `_merge_into` and
+    `reuse_handler`.  `_finalize`
     drops the stacks, edges and `pred` entries of dropped clones.  Every
     clone gets a stack when made (in `reuse_handler` or `_merge_into`), so
     after recovery a block without one was never reached: the exports'
@@ -204,9 +205,13 @@ class Cfg:
     made with the offset's first clone; only `_make_clone` adds to it and
     `_finalize` drops from it.  No def-use chain is kept.  `_walked` is the
     set of (clone, value id) items that `update_reuse_context` walked, kept
-    as each clone's set of value ids.  `add_edge` empties it
-    when a walked clone gains a predecessor, and `set_entry_stack` when a
-    walked clone gets a new entry stack.  Dropping edges needs no
+    as each clone's set of value ids.  Its one trigger: `add_edge` empties
+    it when a walked clone gains a predecessor.  That covers entry stacks
+    too: one changes only in `_Recovery._merge_into`, right after
+    `_connect` added a new edge into its block (a sensitive emulation
+    drops its out-edges first), except for a JUMPI's second arm to the
+    next block, which merges the same stack again and changes nothing.
+    Dropping edges needs no
     emptying: taints only grow, and a walk over fewer predecessors finds a
     subset of what the earlier one found.  A jump operand that its block's
     emulation pushed is never walked (see `_Recovery._emulate`), so its
@@ -274,11 +279,6 @@ class Cfg:
             self._walked.clear()  # a walk through dst would now reach src
         return True
 
-    def set_entry_stack(self, block: BlockId, stack: Stack) -> None:
-        self.s_start[block] = stack
-        if block in self._walked:
-            self._walked.clear()  # a walk through block would now match anew
-
     def remove_out_edges(self, src: BlockId) -> bool:
         """Drop every out-edge of `src`; return whether it had any."""
         out = self.succ.pop(src, None)
@@ -312,10 +312,8 @@ class Cfg:
 
 
 def _context(cfg: Cfg, block: BlockId) -> dict[int, int]:
-    """`block`'s reuse context, derived as described on `Cfg`."""
-    s_start = cfg.s_start.get(block)
-    if s_start is None:
-        return {}
+    """`block`'s reuse context (see `Cfg`); `block` has an entry stack."""
+    s_start = cfg.s_start[block]
     values = cfg.value_table.values
     ctx: dict[int, int] = {}
     for idx in sorted(cfg.tainted.get((block.offset, len(s_start)), ())):
@@ -351,11 +349,13 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     item's chain comes from `trace_origin` anew; no chain is kept.
 
     Every walk of a recovery shares `cfg._walked`, the (clone, value id)
-    items walked since a walked clone last gained a predecessor or a new
-    entry stack (see `Cfg`).  An item reads only its clone's entry stack and
+    items walked since a walked clone last gained a predecessor (the one
+    trigger; see `Cfg`).  An item reads only its clone's entry stack and
     predecessors, immutable values and the taints it adds to, which only
     grow; so an item found there has already tainted all that it and every
     item behind it can, and the walk skips it with its whole upstream tree.
+    Every walked clone has an entry stack: it is `block`, just emulated, or
+    a predecessor, which has an out-edge and so was emulated.
     """
     table = cfg.value_table
     values = table.values
@@ -369,19 +369,16 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
         if root in seen:
             continue
         seen.add(root)
-        s_start = cfg.s_start.get(clone)
-        if s_start is None:
-            continue
         chain = trace_origin(root, table)
         # One pass over S_start: chain value -> its positions, ascending.  A
         # phi entry holds each of its members too.
         found: dict[int, list[int]] = {}
-        for idx, entry in enumerate(s_start):
+        for idx, entry in enumerate(cfg.s_start[clone]):
             if entry in chain:
                 found.setdefault(entry, []).append(idx)
             value = values[entry]
             if value.kind == PHI:
-                for member in value.members:
+                for member in value.args:
                     if member in chain:
                         found.setdefault(member, []).append(idx)
         if not found:
@@ -404,12 +401,13 @@ def backpropagate_context(cfg: Cfg, succ: BlockId) -> None:
     again from every tainted index of `succ`'s offset and entry depth, in
     ascending order, and taints the new predecessor's entry stack wherever
     it still holds them.  A new predecessor of a walked clone empties
-    `cfg._walked` (see `Cfg`), so these walks reach it; items behind it
-    that were walked since are skipped (see `update_reuse_context`).
+    `cfg._walked` (the one trigger; see `Cfg`), so these walks reach it;
+    items behind it that were walked since are skipped (see
+    `update_reuse_context`).  The join just gave `succ` its entry stack.
+    `sorted` also snapshots the indices: a walk from `succ` can taint its
+    own offset and depth.
     """
-    s_start = cfg.s_start.get(succ)
-    if s_start is None:
-        return
+    s_start = cfg.s_start[succ]
     indices = cfg.tainted.get((succ.offset, len(s_start)))
     if not indices:
         return
@@ -470,7 +468,7 @@ def reuse_handler(cfg: Cfg, s_end: Stack, target_offset: int) -> BlockId:
     clone = _make_clone(cfg, target_offset)
     # The clone starts from the arrival stack; the tainted indices of its
     # offset and depth already tell the next arrival apart.
-    cfg.set_entry_stack(clone, s_end)
+    cfg.s_start[clone] = s_end
     return clone
 
 
@@ -551,7 +549,7 @@ class _Recovery:
         _check_entry_depth(merged, succ.offset)
         if self.emulation_count.get(succ, 0) >= cfg.limits.reemulation_cap:
             merged = self._widen(succ, merged)
-        cfg.set_entry_stack(succ, merged)
+        cfg.s_start[succ] = merged
         self.clean.discard(succ)
 
     def _widen(self, block: BlockId, merged: Stack) -> Stack:
@@ -579,11 +577,7 @@ class _Recovery:
         if value.kind == CONST:
             return [value.const]
         if not self.sensitive and value.kind == PHI:
-            consts = [
-                table.get(m).const
-                for m in value.members
-                if table.get(m).kind == CONST
-            ]
+            consts = [table.get(m).const for m in value.args if table.get(m).kind == CONST]
             if consts:
                 return sorted(dict.fromkeys(consts))
         self.cfg.add_diagnostic(
@@ -595,7 +589,7 @@ class _Recovery:
 
     def run(self) -> Cfg:
         cfg = self.cfg
-        cfg.set_entry_stack(cfg.entry, ())
+        cfg.s_start[cfg.entry] = ()
         self.dropped_edges = False
         worklist: list[tuple[BlockId | None, BlockId]] = [(None, cfg.entry)]
         while worklist:

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .bytecode import BlockId
 from .cfg import Cfg
-from .emulator import CONST, PHI, SYM, TacOp, ValueTable, trace_origin
+from .emulator import CONST, SYM, TacOp, ValueTable, trace_origin
 from .graph import dag_reachability
 
 # Opcodes that can hand control to another contract with state at stake.
@@ -80,11 +80,8 @@ def _chain_sources(
                 continue
             if through is not None and value.op not in through:
                 continue
-            work.extend(value.args)
-        elif value.kind == PHI:
-            work.extend(value.members)
-        elif value.kind == CONST:
-            work.extend(value.args)
+        # Operands, phi members or a folded constant's provenance.
+        work.extend(value.args)
     return found
 
 

