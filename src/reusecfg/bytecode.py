@@ -185,8 +185,11 @@ class Instruction(NamedTuple):
         return bytes([self.opcode]) + payload[: self.length - 1]
 
     def listing_line(self) -> str:
-        if self.is_push:
-            return f"0x{self.offset:x}: {self.mnemonic} 0x{self.push_data:0{self.push_width * 2}x}"
+        # Reads the opcode in place rather than through `is_push` and
+        # `push_width`: the exports render a line per decoded instruction.
+        if PUSH1 <= self.opcode <= PUSH32:
+            width = (self.opcode - 0x5F) * 2
+            return f"0x{self.offset:x}: {self.mnemonic} 0x{self.push_data:0{width}x}"
         return f"0x{self.offset:x}: {self.mnemonic}"
 
 

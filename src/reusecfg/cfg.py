@@ -24,9 +24,11 @@ import enum
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .bytecode import (
     BasicBlock,
@@ -46,6 +48,7 @@ from .emulator import (
     emulate_block,
     prepare_stack,
     tac_ops,
+    tac_templates,
     trace_origin,
 )
 from .graph import dfs
@@ -134,7 +137,12 @@ class TacView(Mapping[BlockId, list[TacOp]]):
     """Read-only view of the three-address form of every emulated block of
     a `Cfg`, by block id.  The store holds each block's last emulation's
     `tac_ids`, not `TacOp`s: reading a block builds its ops with `tac_ops`,
-    anew on every read.  Membership, size and iteration read the store alone."""
+    anew on every read.  Membership, size and iteration read the store alone.
+
+    The detectors read TAC here.  `export` does not: it renders each
+    offset's TAC lines once as templates and fills in each clone's value
+    ids (see `export`).  `TacOp.render` of the ops read here is the
+    reference that its TAC text is tested against."""
 
     __slots__ = ("_blocks", "_ids")
 
@@ -189,7 +197,8 @@ class Cfg:
     successors (`_Recovery._connect`).
     `tac_ids` holds each emulated clone's last emulation's value ids (see
     `EmulationResult`), and `tac` views them as `TacOp`s, built on read;
-    recovery itself never reads them.
+    recovery itself never reads them, and `export` fills its TAC templates
+    from them directly.
 
     `tainted` holds the tainted entry-stack indices per (offset, entry
     depth); only `transfer_taint` adds to it.  A clone's reuse context is
@@ -760,28 +769,106 @@ def build_cfg(
 # Export
 # ---------------------------------------------------------------------------
 
-def _listed_blocks(
-    cfg: Cfg, render: Callable[[list[str]], str]
-) -> Iterator[tuple[BasicBlock, str]]:
-    """Blocks in id order, each with `render` of its instruction listing.
+class _OperandTexts(dict):
+    """Value id -> its TAC operand text, by `ValueTable.render` (`0x…` for
+    a constant, `v<id>` otherwise), rendered on first use and kept for one
+    export.  It holds only ids that some exported op reads, not a table over
+    every value."""
+
+    __slots__ = ("_render",)
+
+    def __init__(self, table: ValueTable) -> None:
+        super().__init__()
+        self._render = table.render
+
+    def __missing__(self, vid: int) -> str:
+        text = self[vid] = self._render(vid)
+        return text
+
+
+def _picker(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A C-level getter of the items at `positions` as a tuple.  `itemgetter`
+    returns one position's item bare, so that position is named twice."""
+    if len(positions) == 1:
+        positions = positions * 2
+    return itemgetter(*positions) if positions else lambda ids: ()
+
+
+_Static = TypeVar("_Static")
+
+
+def _block_fields(
+    cfg: Cfg,
+    emit_tac: bool,
+    static: Callable[[BasicBlock], _Static],
+    tac_layout: Callable[[list[str]], str],
+    names: dict[BlockId, str],
+) -> Iterator[tuple[_Static, str, int, bool, str]]:
+    """Per block in id order: `static` of its offset's original, its id's
+    string (also put in `names`), its clone index, whether it has an entry
+    stack, and its TAC text, or "" without `emit_tac` or TAC.
+
     Clones share their original's instructions and sort next to it, so
-    each offset's listing is rendered once."""
-    offset = None
-    listing = ""
-    for block_id in sorted(cfg.blocks):
-        block = cfg.blocks[block_id]
-        if block_id.offset != offset:
-            offset = block_id.offset
-            listing = render([ins.listing_line() for ins in block.instructions])
-        yield block, listing
+    `static` and the TAC template, `tac_layout` of the offset's TAC line
+    templates (see `tac_templates`), are made once per offset.  Per clone
+    only the template's value ids are filled, each operand's text read
+    from one cache.
+    """
+    operand_text = _OperandTexts(cfg.value_table).__getitem__
+    tac_ids = cfg.tac_ids if emit_tac else {}
+    s_start = cfg.s_start
+    for offset, group in groupby(sorted(cfg.blocks), itemgetter(0)):
+        block = cfg.blocks[(offset, 0)]  # originals are never dropped
+        text = static(block)
+        if emit_tac:
+            lines, positions = tac_templates(block)
+            template = tac_layout(lines)
+            pick = _picker(positions)
+        prefix = f"0x{offset:x}_"
+        for block_id in group:
+            clone = block_id.clone
+            name = names[block_id] = prefix + str(clone)
+            ids = tac_ids.get(block_id)
+            tac = "" if ids is None else template.format(ids, tuple(map(operand_text, pick(ids))))
+            yield text, name, clone, block_id in s_start, tac
 
 
-def _sorted_edges(cfg: Cfg) -> list[Edge]:
-    return sorted(cfg.edges, key=lambda e: (e.src, e.dst, e.kind.value))
+# Each tuple of kinds that one source can hold toward one destination,
+# mapped to its kinds in the exports' order: by value.
+_BY_VALUE = {
+    kinds: tuple(sorted(kinds, key=lambda kind: kind.value))
+    for kinds in ((_JUMP,), (_FALLTHROUGH,), (_JUMP, _FALLTHROUGH), (_FALLTHROUGH, _JUMP))
+}
+
+
+def _edge_texts(
+    cfg: Cfg, names: dict[BlockId, str], head: str, tails: dict[EdgeKind, str]
+) -> list[str]:
+    """Each edge's text, by (source, destination) and then kind value, read
+    off `Cfg.succ` in place: `head % <source name>`, the destination's
+    name, then `tails[kind]`."""
+    texts: list[str] = []
+    for src, out in sorted(cfg.succ.items()):
+        src_head = head % names[src]
+        for dst, kinds in sorted(out.items()):
+            dst_head = src_head + names[dst]
+            for kind in _BY_VALUE[kinds]:
+                texts.append(dst_head + tails[kind])
+    return texts
 
 
 def export(cfg: Cfg, format: str = "json", emit_tac: bool = False) -> bytes:
     """Serialize a built CFG; byte-identical for identical inputs.
+
+    Per offset, once, the exporters render a block's static text (offset,
+    instruction listing, terminator) and, with `emit_tac`, its TAC lines
+    as templates built from the instructions alone (see `tac_templates`).
+    Per clone they fill only the id, the clone index, `is_data` (DOT: the
+    dotted style) and the TAC's value ids; each operand's text is rendered
+    once per export.  The TAC text equals `TacOp.render` of each op of
+    `cfg.tac`, which stays the reference.  Each block id's string is made
+    once, and edges are listed from `Cfg.succ` in (source, destination,
+    kind value) order without building `Edge` records.
 
     Like `build_cfg`, runs with the cyclic garbage collector paused and
     restores its state on return or error.
@@ -794,14 +881,32 @@ def export(cfg: Cfg, format: str = "json", emit_tac: bool = False) -> bytes:
         return _export_dot(cfg, emit_tac)
 
 
-def _json_layout(brackets: str, items: list[str], indent: str) -> str:
-    """`items`, each already JSON, inside `brackets` ("[]" or "{}"), laid
-    out as `json.dumps(indent=2)` lays out a container whose closing
-    bracket sits at `indent`."""
+def _json_list(items: list[str], indent: str) -> str:
+    """`items`, each already JSON, as `json.dumps(indent=2)` lays out a
+    list whose closing bracket sits at `indent`."""
     if not items:
-        return brackets
+        return "[]"
     inner = "\n  " + indent
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _json_static(block: BasicBlock) -> tuple[str, str]:
+    """A JSON block's text between its id and clone index, and between its
+    clone index and `is_data`'s value."""
+    q = encode_basestring_ascii
+    listing = _json_list([q(ins.listing_line()) for ins in block.instructions], "      ")
+    return (
+        f',\n      "offset": {block.id.offset},\n      "clone": ',
+        f',\n      "instructions": {listing},\n      "terminator": {q(block.terminator.value)}'
+        ',\n      "is_data": ',
+    )
+
+
+def _json_tac(lines: list[str]) -> str:
+    return ',\n      "tac": ' + _json_list([f'"{line}"' for line in lines], "      ")
+
+
+_JSON_TAILS = {kind: f'",\n      "kind": "{kind.value}"\n    }}' for kind in EdgeKind}
 
 
 def _export_json(cfg: Cfg, emit_tac: bool) -> bytes:
@@ -809,63 +914,48 @@ def _export_json(cfg: Cfg, emit_tac: bool) -> bytes:
     `doc` is the document the fields below describe; `doc` itself is never
     built.  Strings are quoted as `json.dumps` quotes them."""
     q = encode_basestring_ascii
-    table = cfg.value_table
-    tac = cfg.tac
-    blocks = []
-    for block, listing in _listed_blocks(
-        cfg, lambda lines: _json_layout("[]", [q(line) for line in lines], "      ")
-    ):
-        fields = [
-            f'"id": {q(str(block.id))}',
-            f'"offset": {block.id.offset}',
-            f'"clone": {block.id.clone}',
-            f'"instructions": {listing}',
-            f'"terminator": {q(block.terminator.value)}',
-            f'"is_data": {"false" if block.id in cfg.s_start else "true"}',
-        ]
-        if emit_tac and block.id in tac:
-            lines = [q(op.render(table)) for op in tac[block.id]]
-            fields.append(f'"tac": {_json_layout("[]", lines, "      ")}')
-        blocks.append(_json_layout("{}", fields, "    "))
-    edges = [
-        _json_layout(
-            "{}",
-            [f'"from": {q(str(e.src))}', f'"to": {q(str(e.dst))}', f'"kind": {q(e.kind.value)}'],
-            "    ",
+    names: dict[BlockId, str] = {}
+    blocks = [
+        f'{{\n      "id": "{name}"{to_clone}{clone}{to_data}{"false" if entered else "true"}{tac}\n    }}'
+        for (to_clone, to_data), name, clone, entered, tac in _block_fields(
+            cfg, emit_tac, _json_static, _json_tac, names
         )
-        for e in _sorted_edges(cfg)
     ]
+    edges = _edge_texts(cfg, names, '{\n      "from": "%s",\n      "to": "', _JSON_TAILS)
     diagnostics = [
-        _json_layout("{}", [f'"severity": {q(s)}', f'"message": {q(m)}', f'"offset": {o}'], "    ")
-        for s, m, o in cfg.diagnostics
+        '{\n      "severity": %s,\n      "message": %s,\n      "offset": %d\n    }'
+        % (q(severity), q(message), offset)
+        for severity, message, offset in cfg.diagnostics
     ]
-    members = [
-        f'"entry": {q(str(cfg.entry))}',
-        f'"blocks": {_json_layout("[]", blocks, "  ")}',
-        f'"edges": {_json_layout("[]", edges, "  ")}',
-        f'"diagnostics": {_json_layout("[]", diagnostics, "  ")}',
-    ]
-    return (_json_layout("{}", members, "") + "\n").encode()
+    return "".join([
+        '{\n  "entry": ', q(str(cfg.entry)),
+        ',\n  "blocks": ', _json_list(blocks, "  "),
+        ',\n  "edges": ', _json_list(edges, "  "),
+        ',\n  "diagnostics": ', _json_list(diagnostics, "  "),
+        "\n}\n",
+    ]).encode()
 
 
 def _dot_label_lines(lines: list[str]) -> str:
     return "\\l".join(line.replace('"', '\\"') for line in lines)
 
 
+_DOT_TAILS = {_JUMP: '" [style=solid];', _FALLTHROUGH: '" [style=dashed];'}
+
+
 def _export_dot(cfg: Cfg, emit_tac: bool) -> bytes:
-    lines = ["digraph cfg {", "  node [shape=box, fontname=monospace];"]
-    tac = cfg.tac
-    for block, listing in _listed_blocks(cfg, _dot_label_lines):
-        body = listing
-        if emit_tac and block.id in tac:
-            ops = [op.render(cfg.value_table) for op in tac[block.id]]
-            body += "\\l" + _dot_label_lines(["--", *ops])
-        attrs = f'label="{block.id.offset:#x}_{block.id.clone}\\l{body}\\l"'
-        if block.id not in cfg.s_start:
-            attrs += ", style=dotted"
-        lines.append(f'  "{block.id}" [{attrs}];')
-    for e in _sorted_edges(cfg):
-        style = "solid" if e.kind is _JUMP else "dashed"
-        lines.append(f'  "{e.src}" -> "{e.dst}" [style={style}];')
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode()
+    names: dict[BlockId, str] = {}
+    blocks = [
+        f'  "{name}" [label="{name}\\l{listing}{tac}\\l"{"" if entered else ", style=dotted"}];'
+        for listing, name, _, entered, tac in _block_fields(
+            cfg,
+            emit_tac,
+            lambda block: _dot_label_lines([ins.listing_line() for ins in block.instructions]),
+            lambda lines: "\\l--\\l" + "\\l".join(lines),
+            names,
+        )
+    ]
+    edges = _edge_texts(cfg, names, '  "%s" -> "', _DOT_TAILS)
+    return "\n".join(
+        ["digraph cfg {", "  node [shape=box, fontname=monospace];", *blocks, *edges, "}\n"]
+    ).encode()

@@ -387,6 +387,50 @@ def tac_ops(block: BasicBlock, ids: Sequence[int]) -> list[TacOp]:
     return ops
 
 
+def tac_templates(block: BasicBlock) -> tuple[list[str], list[int]]:
+    """`block`'s TAC lines as `str.format` templates, one per instruction,
+    and the `tac_ids` positions of their operands, from the instructions
+    alone: every emulation of a block lays its ids out alike (see
+    `tac_ops`).  In a template, field `{0[i]}` is `tac_ids[i]` written as a
+    result id and `{1[k]}` the text of the k-th operand position's value.
+    With `ids` one emulation's `tac_ids` and `texts` the `ValueTable.render`
+    of each `ids[p]` over the positions, `line.format(ids, texts)` is what
+    `TacOp.render` gives for that line's op.  The text is mnemonics, hex,
+    ids and `= (),`: it holds no brace, quote or backslash.
+    """
+    lines: list[str] = []
+    positions: list[int] = []
+    pos = 0
+    for _, opcode, name, push_data, _, _ in block.instructions:
+        kind, n, pushes, _ = _DISPATCH[opcode]
+        if kind == _PUSH:
+            lines.append(f"v{{0[{pos}]}} = {name}(0x{push_data or 0:x})")
+            pos += 1
+            continue
+        k = len(positions)  # this op's first operand field
+        if kind == _DUP:
+            lines.append(f"v{{0[{pos}]}} = {name}({{1[{k}]}})")
+            positions.append(pos)
+            pos += 1
+            continue
+        if kind == _SWAP:
+            n = 2
+        # Most ops read one operand or none: those need no join.
+        if n == 1:
+            line = f"{name}({{1[{k}]}})"
+        elif n:
+            line = f"{name}({', '.join([f'{{1[{j}]}}' for j in range(k, k + n)])})"
+        else:
+            line = f"{name}()"
+        positions += range(pos, pos + n)
+        pos += n
+        if pushes:
+            line = f"v{{0[{pos}]}} = {line}"
+            pos += 1
+        lines.append(line)
+    return lines, positions
+
+
 def prepare_stack(
     pred_s_end: Stack,
     existing_s_start: Stack | None,

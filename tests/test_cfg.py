@@ -270,9 +270,12 @@ def _graph_state(cfg):
 def test_sweeping_a_built_graph_again_changes_nothing(rng, mode):
     recovery = _Recovery(random_program(rng), mode, Config())
     try:
-        cfg = recovery.run()
+        with time_limit(2):
+            cfg = recovery.run()
     except AnalysisError:
         return  # bounded abort is the defined behavior
+    except TimeoutError:
+        return  # a slow input says nothing of the sweep
     if mode is Mode.REUSE_INSENSITIVE:
         assert not recovery.dropped_edges  # so the baseline never sweeps
     built = _graph_state(cfg)
@@ -530,6 +533,71 @@ def test_export_tac_listing():
     doc = json.loads(export(cfg, "json", emit_tac=True))
     entry = next(b for b in doc["blocks"] if b["id"] == "0x0_0")
     assert any("PUSH" in line for line in entry["tac"])
+
+
+def _dot_tac_lines(dot: str) -> dict[str, list[str]]:
+    """Each DOT node's TAC label lines (after its `--` line), by node name."""
+    tac = {}
+    for line in dot.splitlines():
+        if ' [label="' not in line:
+            continue
+        name, label = line.strip().split(' [label="', 1)
+        body = label.rsplit('\\l"', 1)[0].split("\\l")
+        if "--" in body:
+            tac[name.strip('"')] = body[body.index("--") + 1 :]
+    return tac
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(list(Mode)),
+    st.sampled_from([1, Config().reemulation_cap]),
+)
+def test_exports_match_json_dumps_and_the_reference_tac(rng, mode, cap):
+    # The exporters write from per-offset templates; `json.dumps` is the
+    # reference for the JSON layout and `TacOp.render` for the TAC text.
+    # Re-emulation cap 1 widens entries to unknown values.
+    try:
+        with time_limit(2):
+            cfg = build_cfg(random_program(rng), mode, Config(reemulation_cap=cap))
+    except (AnalysisError, TimeoutError):
+        return  # bounded aborts and slow inputs export nothing
+    for emit_tac in (False, True):
+        out = export(cfg, "json", emit_tac=emit_tac).decode()
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    table = cfg.value_table
+    expected = {str(block): [op.render(table) for op in ops] for block, ops in cfg.tac.items()}
+    blocks = json.loads(out)["blocks"]  # `out` is the TAC export
+    assert {b["id"]: b["tac"] for b in blocks if "tac" in b} == expected
+    assert _dot_tac_lines(export(cfg, "dot", emit_tac=True).decode()) == expected
+    assert _exported_edges(cfg) == _sorted_edge_records(cfg)
+
+
+def _sorted_edge_records(cfg):
+    edges = sorted(cfg.edges, key=lambda e: (e.src, e.dst, e.kind.value))
+    return [(str(e.src), str(e.dst), e.kind.value) for e in edges]
+
+
+def _exported_edges(cfg):
+    """The JSON export's edges, checked against the DOT export's."""
+    edges = [(e["from"], e["to"], e["kind"]) for e in json.loads(export(cfg))["edges"]]
+    style = {"solid": "jump", "dashed": "fallthrough"}
+    dot = [
+        line.strip().rstrip("];").split(" [style=")
+        for line in export(cfg, "dot").decode().splitlines()
+        if " -> " in line
+    ]
+    assert [(*ends.replace('"', "").split(" -> "), style[s]) for ends, s in dot] == edges
+    return edges
+
+
+def test_exports_list_a_jumpi_to_the_next_block_fallthrough_first():
+    # PUSH1 0; PUSH1 5; JUMPI; JUMPDEST; STOP: both arms reach 0x5, the
+    # jump arm first.  Each pair's kinds are listed by value.
+    cfg = build_cfg(bytes.fromhex("60006005575b00"))
+    assert cfg.succ[BlockId(0, 0)][BlockId(5, 0)] == (EdgeKind.JUMP, EdgeKind.FALLTHROUGH)
+    assert _exported_edges(cfg) == [("0x0_0", "0x5_0", "fallthrough"), ("0x0_0", "0x5_0", "jump")]
 
 
 def _tac_ops_alive() -> int:
