@@ -43,11 +43,9 @@ from .emulator import (
     CONST,
     PHI,
     Stack,
-    TacOp,
     ValueTable,
     emulate_block,
     prepare_stack,
-    tac_ops,
     tac_templates,
     trace_origin,
 )
@@ -133,38 +131,6 @@ class EdgeView:
                     yield _new(Edge, (src, dst, kind))
 
 
-class TacView(Mapping[BlockId, list[TacOp]]):
-    """Read-only view of the three-address form of every emulated block of
-    a `Cfg`, by block id.  The store holds each block's last emulation's
-    `tac_ids`, not `TacOp`s: reading a block builds its ops with `tac_ops`,
-    anew on every read.  Membership, size and iteration read the store alone.
-
-    The detectors read TAC here.  `export` does not: it renders each
-    offset's TAC lines once as templates and fills in each clone's value
-    ids (see `export`).  `TacOp.render` of the ops read here is the
-    reference that its TAC text is tested against."""
-
-    __slots__ = ("_blocks", "_ids")
-
-    def __init__(
-        self, blocks: dict[BlockId, BasicBlock], ids: dict[BlockId, tuple[int, ...]]
-    ) -> None:
-        self._blocks = blocks
-        self._ids = ids
-
-    def __getitem__(self, block: BlockId) -> list[TacOp]:
-        return tac_ops(self._blocks[block], self._ids[block])
-
-    def __contains__(self, block: object) -> bool:
-        return block in self._ids
-
-    def __iter__(self) -> Iterator[BlockId]:
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
 @dataclass
 class Cfg:
     """Recovered control-flow graph plus per-clone analysis state.
@@ -196,9 +162,9 @@ class Cfg:
     `is_data`.  No exit stack is kept: each emulation hands its own to its
     successors (`_Recovery._connect`).
     `tac_ids` holds each emulated clone's last emulation's value ids (see
-    `EmulationResult`), and `tac` views them as `TacOp`s, built on read;
-    recovery itself never reads them, and `export` fills its TAC templates
-    from them directly.
+    `EmulationResult`); recovery itself never reads them.  The detectors
+    read a block's TAC as `tac_ops(blocks[b], tac_ids[b])`, and `export`
+    fills its TAC templates from them directly.
 
     `tainted` holds the tainted entry-stack indices per (offset, entry
     depth); only `transfer_taint` adds to it.  A clone's reuse context is
@@ -248,10 +214,6 @@ class Cfg:
     @property
     def edges(self) -> EdgeView:
         return EdgeView(self)
-
-    @property
-    def tac(self) -> TacView:
-        return TacView(self.blocks, self.tac_ids)
 
     @property
     def reuse_contexts(self) -> Mapping[BlockId, dict[int, int]]:
@@ -866,9 +828,10 @@ def export(cfg: Cfg, format: str = "json", emit_tac: bool = False) -> bytes:
     Per clone they fill only the id, the clone index, `is_data` (DOT: the
     dotted style) and the TAC's value ids; each operand's text is rendered
     once per export.  The TAC text equals `TacOp.render` of each op of
-    `cfg.tac`, which stays the reference.  Each block id's string is made
-    once, and edges are listed from `Cfg.succ` in (source, destination,
-    kind value) order without building `Edge` records.
+    `tac_ops(cfg.blocks[b], cfg.tac_ids[b])`, which stays the reference.
+    Each block id's string is made once, and edges are listed from
+    `Cfg.succ` in (source, destination, kind value) order without building
+    `Edge` records.
 
     Like `build_cfg`, runs with the cyclic garbage collector paused and
     restores its state on return or error.

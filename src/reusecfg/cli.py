@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -20,34 +19,21 @@ from . import corpus, detectors, metrics
 from .bytecode import disassemble, format_listing, load_bytecode
 from .cfg import AnalysisError, Config, Mode, build_cfg, export
 
-ENV_PREFIX = "REUSECFG_"
-
-_ENV_FIELDS = {
-    "CLONE_BUDGET_PER_OFFSET": "clone_budget_per_offset",
-    "TOTAL_BLOCK_BUDGET": "total_block_budget",
-    "REEMULATION_CAP": "reemulation_cap",
-}
-
 
 class UsageError(Exception):
     pass
 
 
-def _config_from_env(args: argparse.Namespace) -> Config:
-    values = {}
-    for env_name, field_name in _ENV_FIELDS.items():
-        raw = os.environ.get(ENV_PREFIX + env_name)
-        if raw is not None:
-            try:
-                values[field_name] = int(raw)
-            except ValueError as exc:
-                raise UsageError(f"{ENV_PREFIX}{env_name} must be an integer") from exc
-    for field_name in _ENV_FIELDS.values():
-        flag = getattr(args, field_name, None)
-        if flag is not None:
-            values[field_name] = flag
+def _limits(args: argparse.Namespace) -> Config:
+    """`Config` with the limit flags that were given: each flag's `dest` is
+    the name of the field it sets (see `_add_limit_flags`)."""
+    given = {}
+    for field in fields(Config):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            given[field.name] = value
     try:
-        return replace(Config(), **values)
+        return Config(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -111,7 +97,7 @@ def _cmd_disasm(args) -> int:
 
 def _cmd_cfg(args) -> int:
     code = _read_code(args.file)
-    cfg = build_cfg(code, _mode(args), _config_from_env(args))
+    cfg = build_cfg(code, _mode(args), _limits(args))
     payload = export(cfg, args.format, emit_tac=args.emit_tac)
     if args.output:
         _write(args.output, payload)
@@ -122,7 +108,7 @@ def _cmd_cfg(args) -> int:
 
 def _cmd_paths(args) -> int:
     code = _read_code(args.file)
-    limits = _config_from_env(args)
+    limits = _limits(args)
     report = metrics.count_paths(build_cfg(code, Mode.REUSE_SENSITIVE, limits))
     print(f"sensitive {report.path_count}")
     if args.reuse_insensitive:
@@ -135,7 +121,7 @@ def _cmd_paths(args) -> int:
 
 def _cmd_poly(args) -> int:
     code = _read_code(args.file)
-    cfg = build_cfg(code, _mode(args), _config_from_env(args))
+    cfg = build_cfg(code, _mode(args), _limits(args))
     for block_id, targets in metrics.polymorphic_jump_targets(cfg):
         joined = ",".join(str(t) for t in sorted(targets))
         print(f"{block_id} -> {joined}")
@@ -145,7 +131,7 @@ def _cmd_poly(args) -> int:
 def _cmd_cover(args) -> int:
     code = _read_code(args.file)
     traces = _parse_trace_file(args.traces)
-    cfg = build_cfg(code, _mode(args), _config_from_env(args))
+    cfg = build_cfg(code, _mode(args), _limits(args))
     covered, total, uncovered = metrics.trace_coverage(cfg, traces)
     print(f"covered {covered}")
     print(f"total {total}")
@@ -156,7 +142,7 @@ def _cmd_cover(args) -> int:
 
 def _cmd_detect(args) -> int:
     code = _read_code(args.file)
-    cfg = build_cfg(code, Mode.REUSE_SENSITIVE, _config_from_env(args))
+    cfg = build_cfg(code, Mode.REUSE_SENSITIVE, _limits(args))
     findings = detectors.detect_tx_origin(cfg, cfg.value_table)
     findings += detectors.detect_reentrancy(cfg, cfg.value_table)
     for finding in findings:

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .bytecode import BlockId
 from .cfg import Cfg
-from .emulator import CONST, SYM, TacOp, ValueTable, trace_origin
+from .emulator import CONST, SYM, TacOp, ValueTable, tac_ops, trace_origin
 from .graph import dag_reachability
 
 # Opcodes that can hand control to another contract with state at stake.
@@ -45,18 +45,18 @@ class Finding:
 
 def _tac_holding(cfg: Cfg, mnemonics: frozenset[str]) -> Iterator[tuple[BlockId, list[TacOp]]]:
     """Each emulated block that holds an instruction in `mnemonics`, in id
-    order, with its TAC.  `cfg.tac` builds a block's ops on every read, so
-    the other blocks' are never built.  Clones share their original's
+    order, with its TAC, built by `tac_ops` from the block's `tac_ids`; the
+    other blocks' TAC is never built.  Clones share their original's
     instructions: each offset's are scanned once."""
-    tac = cfg.tac
+    blocks, tac_ids = cfg.blocks, cfg.tac_ids
     holds: dict[int, bool] = {}
-    for block_id in sorted(tac):
+    for block_id in sorted(tac_ids):
         hit = holds.get(block_id.offset)
         if hit is None:
-            instructions = cfg.blocks[block_id].instructions
+            instructions = blocks[block_id].instructions
             hit = holds[block_id.offset] = any(ins.mnemonic in mnemonics for ins in instructions)
         if hit:
-            yield block_id, tac[block_id]
+            yield block_id, tac_ops(blocks[block_id], tac_ids[block_id])
 
 
 def _chain_sources(

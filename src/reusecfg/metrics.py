@@ -41,9 +41,7 @@ def count_paths(cfg: Cfg) -> PathReport:
     npaths[cfg.entry] = 1
     total = 0
     for node in order:
-        ways = npaths[node]
-        if ways == 0:
-            continue
+        ways = npaths[node]  # >= 1: a tree edge from an earlier node reaches it
         succs = [s for s in succ.get(node, ()) if (node, s) not in back_edges]
         if not succs:
             total += ways  # sink: halting terminator or unresolved transfer

@@ -408,6 +408,23 @@ def txo_neg_origin_arith_popped() -> bytes:
     return _finish(asm)
 
 
+def txo_neg_origin_arith_check() -> bytes:
+    """The branch condition, a sum ANDed with itself, reaches ORIGIN only
+    through the ADD, which is not condition plumbing."""
+    asm = Assembler()
+    asm.op("ORIGIN")
+    asm.op("CALLVALUE")
+    asm.op("ADD")
+    asm.op("DUP1")
+    asm.op("AND")
+    asm.push_label("ok")
+    asm.op("JUMPI")
+    asm.op("STOP")
+    asm.label("ok")
+    asm.op("JUMPDEST")
+    return _finish(asm)
+
+
 def txo_neg_eq_const_popped() -> bytes:
     asm = Assembler()
     asm.op("ORIGIN")
@@ -483,6 +500,7 @@ TX_ORIGIN_NEGATIVE = [
     txo_neg_origin_to_memory,
     txo_neg_origin_to_storage,
     txo_neg_origin_arith_popped,
+    txo_neg_origin_arith_check,
     txo_neg_eq_const_popped,
     txo_neg_origin_call_target,
     txo_neg_caller_caller_eq,

@@ -180,3 +180,4 @@ def test_load_bytecode_autodetect():
     assert load_bytecode(b"0x6001") == b"\x60\x01"
     raw = bytes([0x60, 0x01, 0xFE])
     assert load_bytecode(raw) == raw
+    assert load_bytecode(b"hello") == b"hello"  # ASCII, but not hex

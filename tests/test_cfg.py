@@ -30,7 +30,7 @@ from reusecfg.cfg import (
     export,
 )
 from reusecfg.corpus import Assembler, Pattern, PatternSpec, generate, stress_fixture
-from reusecfg.emulator import TacOp
+from reusecfg.emulator import TacOp, tac_ops
 from reusecfg.graph import dfs
 from reusecfg.metrics import count_paths, polymorphic_jump_targets
 
@@ -417,6 +417,11 @@ def test_clone_budget_abort():
     assert "clone explosion" in str(excinfo.value)
 
 
+def test_limits_below_one_are_rejected():
+    with pytest.raises(ValueError, match="^clone_budget_per_offset must be >= 1$"):
+        Config(clone_budget_per_offset=0)
+
+
 def test_total_block_budget_abort():
     # Eight blocks, then the shared block at 0x20 needs a clone for its
     # second caller: a ninth block.
@@ -527,6 +532,11 @@ def test_export_dot_styles():
     assert "[style=solid]" in text and "[style=dashed]" in text
 
 
+def test_export_unknown_format_is_rejected():
+    with pytest.raises(ValueError, match="unknown export format: xml"):
+        export(build_cfg(b"\x00"), "xml")
+
+
 def test_export_tac_listing():
     code, blocks = mixed_join_fixture()
     cfg = build_cfg(code, Mode.REUSE_SENSITIVE)
@@ -567,7 +577,10 @@ def test_exports_match_json_dumps_and_the_reference_tac(rng, mode, cap):
         out = export(cfg, "json", emit_tac=emit_tac).decode()
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
     table = cfg.value_table
-    expected = {str(block): [op.render(table) for op in ops] for block, ops in cfg.tac.items()}
+    expected = {
+        str(block): [op.render(table) for op in tac_ops(cfg.blocks[block], ids)]
+        for block, ids in cfg.tac_ids.items()
+    }
     blocks = json.loads(out)["blocks"]  # `out` is the TAC export
     assert {b["id"]: b["tac"] for b in blocks if "tac" in b} == expected
     assert _dot_tac_lines(export(cfg, "dot", emit_tac=True).decode()) == expected
@@ -606,21 +619,16 @@ def _tac_ops_alive() -> int:
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_tac_ops_are_built_only_when_read(mode):
-    # Recovery records each emulation's TAC as value ids; `cfg.tac` builds
-    # the `TacOp`s from those on every read and keeps none.
+    # Recovery records each emulation's TAC as value ids and builds no
+    # `TacOp`; `tac_ops` builds them from those ids and the graph keeps none.
     gc.collect()
     before = _tac_ops_alive()
     cfg = build_cfg(stress_fixture(3000, 0), mode)
     assert _tac_ops_alive() == before
-    tac = cfg.tac
-    assert len(tac) == len(cfg.tac_ids) > 0
-    assert all(block in tac for block in cfg.tac_ids)
-    assert tac.get(BlockId(1 << 30, 0)) is None
-    ops = [op for block_ops in tac.values() for op in block_ops]
+    assert cfg.tac_ids
+    ops = [op for block, ids in cfg.tac_ids.items() for op in tac_ops(cfg.blocks[block], ids)]
     assert _tac_ops_alive() == before + len(ops)
-    assert len(ops) == sum(len(cfg.blocks[block].instructions) for block in tac)
-    first = next(iter(tac))
-    assert tac[first] == tac.get(first) and tac[first] is not tac[first]
+    assert len(ops) == sum(len(cfg.blocks[block].instructions) for block in cfg.tac_ids)
     del ops
     assert _tac_ops_alive() == before
 

@@ -106,6 +106,33 @@ def test_cover_lists_uncovered(tmp_path, capsys):
     assert any(line.startswith("uncovered") for line in out)
 
 
+def test_cover_skips_blank_trace_lines(fig_sequence, tmp_path, capsys):
+    path, gt = fig_sequence
+    tracefile = tmp_path / "traces.txt"
+    lines = [",".join(f"0x{o:x}" for o in t.offsets) for t in gt.traces]
+    tracefile.write_text("\n\n".join(lines) + "\n  \n")
+    assert run(["cover", str(path), "--traces", str(tracefile)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"covered {len(gt.traces)}",
+        f"total {len(gt.traces)}",
+    ]
+
+
+def test_cover_missing_traces_file_usage_error(fig_sequence, tmp_path, capsys):
+    path, _ = fig_sequence
+    missing = tmp_path / "none.txt"
+    assert run(["cover", str(path), "--traces", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_cover_malformed_trace_line_usage_error(fig_sequence, tmp_path, capsys):
+    path, _ = fig_sequence
+    tracefile = tmp_path / "traces.txt"
+    tracefile.write_text("0x0\n\n0x0,zz\n")
+    assert run(["cover", str(path), "--traces", str(tracefile)]) == 2
+    assert capsys.readouterr().err == f"error: {tracefile}:3: malformed trace line\n"
+
+
 def test_detect_emits_json_records(tmp_path, capsys):
     path = tmp_path / "d.hex"
     path.write_text(fixtures.ree_reused_check().hex())
@@ -247,13 +274,26 @@ def test_unknown_flag_exits_two(tmp_path):
     assert run(["disasm", str(path), "--bogus"]) == 2
 
 
-def test_clone_budget_env_override_exit_code(tmp_path, capsys, monkeypatch):
+def test_clone_budget_flag_exit_code(tmp_path, capsys):
     gt = generate(PatternSpec(Pattern.BASIC_FAKE_JOIN, seed=0, nesting_depth=4))
     path = tmp_path / "boom.hex"
     path.write_text(gt.bytecode.hex())
-    monkeypatch.setenv("REUSECFG_CLONE_BUDGET_PER_OFFSET", "2")
-    assert run(["cfg", str(path)]) == 1
+    assert run(["cfg", "--clone-budget", "2", str(path)]) == 1
     assert "clone explosion" in capsys.readouterr().err
+
+
+def test_clone_budget_below_one_usage_error(tmp_path, capsys):
+    path = tmp_path / "a.hex"
+    path.write_text("00")
+    assert run(["cfg", "--clone-budget", "0", str(path)]) == 2
+    assert capsys.readouterr().err == "error: clone_budget_per_offset must be >= 1\n"
+
+
+def test_empty_file_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.hex"
+    path.write_bytes(b"")
+    assert run(["disasm", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: empty bytecode\n"
 
 
 def test_total_blocks_flag_exit_code(tmp_path, capsys):
@@ -262,14 +302,6 @@ def test_total_blocks_flag_exit_code(tmp_path, capsys):
     path.write_text(gt.bytecode.hex())
     assert run(["cfg", "--total-blocks", "8", str(path)]) == 1
     assert capsys.readouterr().err == "analysis error: total block budget exceeded\n"
-
-
-def test_flag_overrides_env(tmp_path, monkeypatch):
-    gt = generate(PatternSpec(Pattern.BASIC_FAKE_JOIN, seed=0, nesting_depth=4))
-    path = tmp_path / "ok.hex"
-    path.write_text(gt.bytecode.hex())
-    monkeypatch.setenv("REUSECFG_CLONE_BUDGET_PER_OFFSET", "2")
-    assert run(["cfg", str(path), "--clone-budget", "64"]) == 0
 
 
 def test_library_and_cli_agree(fig_sequence, capsys):

@@ -1,13 +1,12 @@
 import pytest
 
 import fixtures
-import reusecfg.cfg
 from reusecfg import detectors
 from reusecfg.bytecode import MNEMONICS, disassemble
 from reusecfg.cfg import Mode, build_cfg
 from reusecfg.corpus import Assembler, stress_fixture
 from reusecfg.detectors import detect_reentrancy, detect_tx_origin
-from reusecfg.emulator import tac_ops
+from reusecfg.emulator import ValueTable, tac_ops
 
 
 def origin_findings(code: bytes):
@@ -55,8 +54,8 @@ def test_reentrancy_skips_reachability_without_every_role(monkeypatch):
 
 
 def test_detectors_build_only_the_tac_they_read(monkeypatch):
-    # `cfg.tac` builds a block's TacOps on every read: the detectors read
-    # only blocks holding an instruction they look for.
+    # The detectors build TacOps with `tac_ops` only for blocks holding an
+    # instruction they look for.
     cfg = build_cfg(stress_fixture(3000, 0), Mode.REUSE_SENSITIVE)
     built = []
 
@@ -65,11 +64,44 @@ def test_detectors_build_only_the_tac_they_read(monkeypatch):
         built.extend(ops)
         return ops
 
-    monkeypatch.setattr(reusecfg.cfg, "tac_ops", counting_tac_ops)
+    monkeypatch.setattr(detectors, "tac_ops", counting_tac_ops)
     detect_tx_origin(cfg, cfg.value_table)
     detect_reentrancy(cfg, cfg.value_table)
-    tac_size = sum(len(cfg.blocks[block].instructions) for block in cfg.tac)
+    tac_size = sum(len(cfg.blocks[block].instructions) for block in cfg.tac_ids)
     assert 0 < len(built) < tac_size
+
+
+def _comparable_values() -> tuple[ValueTable, dict[str, int]]:
+    table = ValueTable()
+    v = {"caller": table.new_sym("CALLER", ()), "caller2": table.new_sym("CALLER", ())}
+    v["origin"] = table.new_sym("ORIGIN", ())
+    v["add"] = table.new_sym("ADD", (v["caller"], v["caller"]))
+    v["add2"] = table.new_sym("ADD", (v["caller2"], v["caller2"]))
+    v["const"] = table.new_const(5)
+    v["hash1"] = table.new_sym("SHA3", (v["const"],))
+    v["hash2"] = table.new_sym("SHA3", (v["const"], v["const"]))
+    v["phi"] = table.new_phi((v["caller"], v["origin"]))
+    v["phi2"] = table.new_phi((v["caller"], v["origin"]))
+    v["unknown"] = table.new_unknown()
+    v["unknown2"] = table.new_unknown()
+    return table, v
+
+
+@pytest.mark.parametrize(
+    "a, b, equal",
+    [
+        pytest.param("caller", "caller", True, id="same-id"),
+        pytest.param("add", "add2", True, id="operand-pair-seen-twice"),
+        pytest.param("const", "caller", False, id="kind-mismatch"),
+        pytest.param("caller", "origin", False, id="op-mismatch"),
+        pytest.param("hash1", "hash2", False, id="arity-mismatch"),
+        pytest.param("phi", "phi2", False, id="phi"),
+        pytest.param("unknown", "unknown2", False, id="unknown"),
+    ],
+)
+def test_structurally_equal(a, b, equal):
+    table, v = _comparable_values()
+    assert detectors._structurally_equal(v[a], v[b], table) is equal
 
 
 def _origin_then(tail) -> bytes:

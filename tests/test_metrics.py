@@ -120,6 +120,12 @@ def test_trace_coverage_linear():
     assert (covered, total, uncovered) == (1, 1, [])
 
 
+def test_trace_not_starting_at_the_entry_is_uncovered():
+    code = bytes.fromhex("6003565b00")  # PUSH1 3; JUMP; JUMPDEST; STOP
+    cfg = build_cfg(code, Mode.REUSE_SENSITIVE)
+    assert trace_coverage(cfg, [Trace((3, 3))]) == (0, 1, [Trace((3, 3))])
+
+
 def test_trace_coverage_empty_list():
     cfg = build_cfg(b"\x00", Mode.REUSE_SENSITIVE)
     assert trace_coverage(cfg, []) == (0, 0, [])

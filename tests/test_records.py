@@ -16,7 +16,7 @@ import pytest
 from reusecfg.bytecode import BasicBlock, BlockId, Instruction, disassemble, identify_blocks
 from reusecfg.cfg import Edge, Mode, build_cfg
 from reusecfg.corpus import stress_fixture
-from reusecfg.emulator import EmulationResult, TacOp, Value, emulate_block
+from reusecfg.emulator import EmulationResult, TacOp, Value, emulate_block, tac_ops
 
 INPUTS = {
     "stress_3000": stress_fixture(3000, 0),
@@ -56,7 +56,8 @@ def test_recovered_records_are_whole(name, mode):
     if mode is Mode.REUSE_SENSITIVE and name == "stress_3000":
         assert any(block.clone for block in cfg.blocks)  # clones are checked too
     assert_whole(cfg.value_table.values, Value)
-    assert_whole((op for ops in cfg.tac.values() for op in ops), TacOp)
+    tac = (op for block, ids in cfg.tac_ids.items() for op in tac_ops(cfg.blocks[block], ids))
+    assert_whole(tac, TacOp)
     assert_whole(cfg.edges, Edge)
     results = [
         emulate_block(cfg.blocks[block], stack, cfg.value_table)
