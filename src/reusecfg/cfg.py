@@ -43,6 +43,7 @@ from .emulator import (
     CONST,
     PHI,
     Stack,
+    Value,
     ValueTable,
     emulate_block,
     prepare_stack,
@@ -316,8 +317,12 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     the value is reached.  If the operand was pushed inside `block` itself,
     nothing is tainted; recovery does not call this at all for an operand
     that is a push of the emulation that used it, whose chain is itself.
-    One folded there from pre-pushed values is still walked.  Each walked
-    item's chain comes from `trace_origin` anew; no chain is kept.
+    One folded there from pre-pushed values is still walked.  No chain is
+    kept.  A walked value without `args` is its own chain, and while the
+    table has made no phi (`ValueTable.has_phi`) no entry holds it as a
+    member: its positions are found by scanning the entry stack for its id
+    in C (`in`, then `index`).  Any other walked item's chain comes from
+    `trace_origin` anew and is matched entry by entry, phi members too.
 
     Every walk of a recovery shares `cfg._walked`, the (clone, value id)
     items walked since a walked clone last gained a predecessor (the one
@@ -331,20 +336,43 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     table = cfg.value_table
     values = table.values
     walked = cfg._walked
+    s_start = cfg.s_start
+    # The walk appends no value, so no phi appears while it runs.
+    leaf_scan = not table.has_phi
     # (clone, value id) pairs whose def-use chain is matched against that
     # clone's S_start.
     work: list[tuple[BlockId, int]] = [(block, jump_target_value)]
     while work:
         clone, root = work.pop()
-        seen = walked.setdefault(clone, set())
-        if root in seen:
+        seen = walked.get(clone)
+        if seen is None:
+            walked[clone] = {root}
+        elif root in seen:
             continue
-        seen.add(root)
+        else:
+            seen.add(root)
+        stack = s_start[clone]
+        value = values[root]
+        if leaf_scan and not value.args:
+            # The chain is `root` alone and no entry is a phi: `root` sits
+            # only where its own id does.
+            if root not in stack:
+                continue
+            idx = stack.index(root)
+            positions = [idx]
+            for _ in range(stack.count(root) - 1):
+                idx = stack.index(root, idx + 1)
+                positions.append(idx)
+            if value.kind == CONST:
+                transfer_taint(cfg, clone, positions)
+            for pred in cfg.pred.get(clone, ()):
+                work.append((pred, root))
+            continue
         chain = trace_origin(root, table)
         # One pass over S_start: chain value -> its positions, ascending.  A
         # phi entry holds each of its members too.
         found: dict[int, list[int]] = {}
-        for idx, entry in enumerate(cfg.s_start[clone]):
+        for idx, entry in enumerate(stack):
             if entry in chain:
                 found.setdefault(entry, []).append(idx)
             value = values[entry]
@@ -536,19 +564,18 @@ class _Recovery:
 
     # -- successor resolution --------------------------------------------------
 
-    def _jump_targets(self, value_id: int, offset_hint: int) -> list[int]:
-        """Resolve a jump operand to concrete target offsets.
+    def _jump_targets(self, value: Value, offset_hint: int) -> list[int]:
+        """Resolve a jump operand that is not a constant to concrete target
+        offsets; `_emulate` resolves a constant itself.
 
-        Sensitive mode requires a constant; the baseline mode additionally
-        fans a phi out to each constant alternative, which is what lets the
-        shared block connect to all of its return sites there.
+        Sensitive mode resolves only constants, so here it reports the jump
+        as unresolved; the baseline mode fans a phi out to each constant
+        alternative, which is what lets the shared block connect to all of
+        its return sites there.
         """
-        table = self.cfg.value_table
-        value = table.get(value_id)
-        if value.kind == CONST:
-            return [value.const]
         if not self.sensitive and value.kind == PHI:
-            consts = [table.get(m).const for m in value.args if table.get(m).kind == CONST]
+            values = self.cfg.value_table.values
+            consts = [values[m].const for m in value.args if values[m].kind == CONST]
             if consts:
                 return sorted(dict.fromkeys(consts))
         self.cfg.add_diagnostic(
@@ -596,8 +623,13 @@ class _Recovery:
             # An operand this emulation pushed (a new value with no operands)
             # is its own def-use chain and in no entry stack: its walk would
             # taint nothing.
-            walk = sensitive and (jump < made_from or bool(table.values[jump].args))
-            for target in self._jump_targets(jump, cur.offset):
+            value = table.values[jump]
+            walk = sensitive and (jump < made_from or bool(value.args))
+            if value.kind == CONST:
+                targets = [value.const]
+            else:
+                targets = self._jump_targets(value, cur.offset)
+            for target in targets:
                 original = cfg.blocks.get((target, 0))
                 if original is None or original.instructions[0].opcode != JUMPDEST:
                     cfg.add_diagnostic(

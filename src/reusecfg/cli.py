@@ -110,12 +110,15 @@ def _cmd_paths(args) -> int:
     code = _read_code(args.file)
     limits = _limits(args)
     report = metrics.count_paths(build_cfg(code, Mode.REUSE_SENSITIVE, limits))
-    print(f"sensitive {report.path_count}")
+    lines = [f"sensitive {report.path_count}"]
     if args.reuse_insensitive:
         insensitive = metrics.count_paths(
             build_cfg(code, Mode.REUSE_INSENSITIVE, limits)
         )
-        print(f"insensitive {insensitive.path_count}")
+        lines.append(f"insensitive {insensitive.path_count}")
+    # Nothing is printed until every build has succeeded: a failed command
+    # leaves stdout empty.
+    print("\n".join(lines))
     return 0
 
 

@@ -83,10 +83,16 @@ class ValueTable:
     the table keeps one `Value` per word in `_pushed` and appends that
     shared object at every push: each push still gets a fresh id, since a
     value's id is its position in `values`, not the object.  Folded
-    constants keep their own `args` and are never shared."""
+    constants keep their own `args` and are never shared.
+
+    `has_phi` turns true when `new_phi`, the one place a phi is appended,
+    first appends one, and stays true.  While it is false no entry of any
+    stack is a phi, so a stack holds a value without `args` only where its
+    own id sits (`cfg.update_reuse_context` relies on this)."""
 
     def __init__(self) -> None:
         self.values: list[Value] = []
+        self.has_phi = False
         self._phi_index: dict[tuple, int] = {}
         self._pushed: dict[int, Value] = {}
 
@@ -123,6 +129,7 @@ class ValueTable:
         return len(values) - 1
 
     def new_phi(self, members: tuple[int, ...]) -> int:
+        self.has_phi = True
         values = self.values
         values.append(_new(Value, (PHI, None, None, members)))
         return len(values) - 1

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import random
 
 import pytest
 
@@ -71,6 +72,24 @@ def test_paths_defaults_and_baseline(fig_sequence, capsys):
     assert capsys.readouterr().out == "sensitive 3\n"
     assert run(["paths", str(path), "--reuse-insensitive"]) == 0
     assert capsys.readouterr().out == "sensitive 3\ninsensitive 9\n"
+
+
+def test_paths_prints_nothing_when_the_baseline_build_fails(tmp_path, capsys, monkeypatch):
+    import reusecfg.cli
+    from reusecfg.cfg import AnalysisError, Mode, build_cfg
+
+    def sensitive_only(code, mode, limits):
+        if mode is Mode.REUSE_INSENSITIVE:
+            raise AnalysisError("entry stack deeper than 1024 at offset 0x31")
+        return build_cfg(code, mode, limits)
+
+    monkeypatch.setattr(reusecfg.cli, "build_cfg", sensitive_only)
+    path = tmp_path / "a.hex"
+    path.write_text(fixtures.random_program(random.Random(1490)).hex())
+    assert run(["paths", "--reuse-insensitive", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "analysis error: entry stack deeper than 1024 at offset 0x31\n"
 
 
 def test_poly_baseline_lists_targets(fake_loop, capsys):

@@ -326,6 +326,43 @@ def test_contexts_derive_from_tainted_indices_per_offset_and_depth():
     assert cfg.reuse_contexts[made] == {0: 0x10, 1: 0x20, 2: 0x30}
 
 
+def _leaf_walk_setup():
+    """A clone x whose entry stack holds a pre-pushed constant k at 0 and,
+    DUPed, at 2, and a predecessor p that pushed k."""
+    cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
+    table = cfg.value_table
+    k, other = table.new_const(0x10), table.new_const(0x20)
+    p, x = BlockId(1, 0), BlockId(2, 0)
+    cfg.s_start[p] = (k,)
+    cfg.s_start[x] = (k, other, k)
+    cfg.add_edge(p, x, EdgeKind.JUMP)
+    return cfg, k, p, x
+
+
+def test_leaf_operand_walk_taints_each_of_its_positions():
+    # The operand has no `args` and the table has made no phi: the walk
+    # finds it by scanning the entry stack for its id alone.
+    cfg, k, p, x = _leaf_walk_setup()
+    assert not cfg.value_table.has_phi
+    update_reuse_context(cfg, x, k)
+    assert cfg.tainted == {(2, 3): {0, 2}, (1, 1): {0}}
+    assert cfg.reuse_contexts == {p: {0: 0x10}, x: {0: 0x10, 2: 0x10}}
+
+
+def test_leaf_operand_walk_taints_a_phi_that_holds_it():
+    # Once the table holds a phi, an entry can hold the operand as a member:
+    # the phi's position is tainted too.
+    cfg, k, p, x = _leaf_walk_setup()
+    table = cfg.value_table
+    phi = table.new_phi((k, table.new_const(0x30)))
+    assert table.has_phi
+    cfg.s_start[x] += (phi,)
+    update_reuse_context(cfg, x, k)
+    assert cfg.tainted == {(2, 4): {0, 2, 3}, (1, 1): {0}}
+    # The phi at 3 is not a constant: x's context ends there.
+    assert cfg.reuse_contexts == {p: {0: 0x10}, x: {0: 0x10, 2: 0x10}}
+
+
 def test_backpropagation_walks_from_every_tainted_index():
     # x's tainted indices are 0 and 1; the symbol at 0 ends its context, yet
     # the constant at 1 still flowed in through a new predecessor p.
