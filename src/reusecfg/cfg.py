@@ -5,11 +5,13 @@ share identical basic blocks; the shared block's jump operand is pushed by
 each predecessor rather than next to the jump.  A context-blind traversal
 merges those paths into fake joins and fake loops.  Recovery here taints
 the entry-stack positions of pre-pushed jump operands, found by walking
-each resolved jump operand's def-use chain back through the predecessor
-chain to the push that introduced it.  The positions belong to a block's
-offset and entry depth, and each clone's "reuse context" is derived from
-them: the constants its entry stack holds there.  A successor candidate is
-accepted only when the incoming stack holds the same constants; otherwise
+each pre-pushed jump operand's def-use chain, resolved or not, back through
+the predecessor chain to the push that introduced it; every chain value
+found in an entry stack taints, constant or not.  The positions belong to
+a block's offset and entry depth, and each clone's "reuse context" is
+derived from them: the constants its entry stack holds there.  A successor
+candidate is accepted only when the incoming stack has the same context:
+the same constant, or no constant, at every tainted position; otherwise
 the block is cloned, and the clone shares the tainted positions at once.
 The result gives every usage context its own node, with genuine joins and
 loops preserved.
@@ -170,9 +172,9 @@ class Cfg:
     `tainted` holds the tainted entry-stack indices per (offset, entry
     depth); only `transfer_taint` adds to it.  A clone's reuse context is
     derived from its offset's set at its current depth: the constants of its
-    entry stack at those indices, in ascending order, up to the first index
-    whose entry is not a constant.  `reuse_contexts` maps every clone with a
-    non-empty context to it.
+    entry stack at those indices; an index whose entry is not a constant is
+    left out, and the indices after it still count.  `reuse_contexts` maps
+    every clone with a non-empty context to it.
 
     `blocks` is keyed by `BlockId`, a named tuple, so the plain tuple
     `(offset, 0)` finds the original at `offset` without building a
@@ -290,9 +292,8 @@ def _context(cfg: Cfg, block: BlockId) -> dict[int, int]:
     ctx: dict[int, int] = {}
     for idx in sorted(cfg.tainted.get((block.offset, len(s_start)), ())):
         value = values[s_start[idx]]
-        if value.kind != CONST:
-            break  # not a constant: the context ends here
-        ctx[idx] = value.const
+        if value.kind == CONST:
+            ctx[idx] = value.const
     return ctx
 
 
@@ -311,13 +312,15 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     """Taint the entry-stack positions feeding `block`'s jump operand.
 
     The operand's def-use chain is walked back to the pushes that introduced
-    it: every constant chain value found in a clone's entry stack taints its
-    positions there (see `transfer_taint`), and the walk continues into each
-    predecessor, re-expanding the chain there, until the block that pushed
-    the value is reached.  If the operand was pushed inside `block` itself,
-    nothing is tainted; recovery does not call this at all for an operand
-    that is a push of the emulation that used it, whose chain is itself.
-    One folded there from pre-pushed values is still walked.  No chain is
+    it: every chain value found in a clone's entry stack, constant or not,
+    taints its positions there (see `transfer_taint`), and the walk
+    continues into each predecessor, re-expanding the chain there, until
+    the block that pushed the value is reached.  If the operand was pushed
+    inside `block` itself, nothing is tainted; recovery does not call this
+    at all for an operand that is a push of the emulation that used it,
+    whose chain is itself.  Any other operand is walked once per emulation,
+    whether or not the jump resolves: one folded from pre-pushed values,
+    and one that is no constant at all.  No chain is
     kept.  A walked value without `args` is its own chain, and while the
     table has made no phi (`ValueTable.has_phi`) no entry holds it as a
     member: its positions are found by scanning the entry stack for its id
@@ -363,8 +366,7 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
             for _ in range(stack.count(root) - 1):
                 idx = stack.index(root, idx + 1)
                 positions.append(idx)
-            if value.kind == CONST:
-                transfer_taint(cfg, clone, positions)
+            transfer_taint(cfg, clone, positions)
             for pred in cfg.pred.get(clone, ()):
                 work.append((pred, root))
             continue
@@ -384,8 +386,7 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
             continue  # not pre-pushed relative to this clone
         preds = cfg.pred.get(clone, ())
         for vid, positions in found.items():
-            if values[vid].kind == CONST:
-                transfer_taint(cfg, clone, positions)
+            transfer_taint(cfg, clone, positions)
             # The value flowed in from every predecessor stack that still
             # holds it (or computed it): keep walking toward its push.
             for pred in preds:
@@ -438,12 +439,13 @@ def reuse_handler(cfg: Cfg, s_end: Stack, target_offset: int) -> BlockId:
     with it.  Candidates are tried in clone-index order; an unvisited
     original is claimed as-is.  A candidate whose entry stack depth differs
     cannot be the same usage context and is skipped.  A candidate matches
-    when the arrival stack holds the same constant at each index of its
-    context, that is, at its tainted indices up to its first non-constant entry.
+    when both stacks have the same `const` at every tainted index of the
+    offset and depth.  A non-constant's is None, so it matches only another
+    non-constant: the arrival's reuse context equals the candidate's.
 
     Every candidate compared has the arrival stack's depth, so the tainted
-    indices are sorted once per call and each candidate's entry constants
-    are read in place; no context dict is built.
+    indices are sorted once per call and each candidate's entries are read
+    in place; no context dict is built.
     """
     depth = len(s_end)
     values = cfg.value_table.values
@@ -455,11 +457,8 @@ def reuse_handler(cfg: Cfg, s_end: Stack, target_offset: int) -> BlockId:
         if len(cand_start) != depth:
             continue
         for idx in indices:
-            expected = values[cand_start[idx]]
-            if expected.kind != CONST:
-                return cand  # the context ends here and matched so far
-            # Only constants carry `const`: None never equals a constant.
-            if values[s_end[idx]].const != expected.const:
+            # Only constants carry `const`: None equals only None.
+            if values[s_end[idx]].const != values[cand_start[idx]].const:
                 break
         else:
             return cand
@@ -620,11 +619,12 @@ class _Recovery:
         pending: list[tuple[BlockId | None, BlockId]] = []
         jump = result.jump
         if jump is not None:
+            value = table.values[jump]
             # An operand this emulation pushed (a new value with no operands)
             # is its own def-use chain and in no entry stack: its walk would
-            # taint nothing.
-            value = table.values[jump]
-            walk = sensitive and (jump < made_from or bool(value.args))
+            # taint nothing.  Any other is walked, resolved or not.
+            if sensitive and (jump < made_from or value.args):
+                update_reuse_context(cfg, cur, jump)
             if value.kind == CONST:
                 targets = [value.const]
             else:
@@ -638,8 +638,6 @@ class _Recovery:
                         cur.offset,
                     )
                     continue
-                if walk:
-                    update_reuse_context(cfg, cur, jump)
                 self._connect(cur, result.s_end, original, _JUMP, pending)
         offset = block.fallthrough_offset
         # Running off the end of the code halts like STOP.

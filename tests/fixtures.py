@@ -927,3 +927,49 @@ def random_program(rng):
         else:
             elements.append(rng.randrange(256))
     return _assemble_elements(elements)
+
+
+# The environment the coverage checks interpret CALLER with: a word that is
+# no jump destination in any fixture here.
+CALLER_ENV = {"CALLER": 0x1234}
+
+
+def shared_returns(rng):
+    """2 to 5 call sites of one function F, dispatched by a chain of JUMPIs
+    in a random order.  Site i pre-pushes a low slot (a constant label,
+    CALLER or nothing) and a top slot (the label of T, its own return label
+    or CALLER), then jumps to F: JUMPDEST; JUMP.  T is JUMPDEST; JUMP too,
+    so a site whose top slot is T returns through its low slot.  Return
+    label i is JUMPDEST; STOP."""
+    sites = rng.randint(2, 5)
+    labels = ["T"] + [f"ret{i}" for i in range(sites)]
+    asm = Assembler()
+    order = rng.sample(range(sites), sites)
+    for i in order[:-1]:
+        asm.push(0)
+        asm.push_label(f"site{i}")
+        asm.op("JUMPI")
+    asm.jump(f"site{order[-1]}")
+    for i in range(sites):
+        asm.jumpdest(f"site{i}")
+        low = rng.randrange(3)
+        if low == 0:
+            asm.push_label(rng.choice(labels))
+        elif low == 1:
+            asm.op("CALLER")
+        top = rng.randrange(3)
+        if top == 0:
+            asm.push_label("T")
+        elif top == 1:
+            asm.push_label(f"ret{i}")
+        else:
+            asm.op("CALLER")
+        asm.jump("F")
+    asm.jumpdest("F")
+    asm.op("JUMP")
+    asm.jumpdest("T")
+    asm.op("JUMP")
+    for i in range(sites):
+        asm.jumpdest(f"ret{i}")
+        asm.op("STOP")
+    return asm.assemble()

@@ -10,11 +10,14 @@ same contexts and the same error; the only difference allowed is that the
 reference also reports "reuse-context index N out of range" diagnostics,
 which described the transfer rather than the input.
 
-Random code is not compared with the reference.  On a few in a thousand
-random programs the two rules part: the pairwise transfer copies contexts between
-clones of different entry depths, and on a few inputs it builds a
-different graph or raises a different error.  Random code is pinned
-instead by a digest of the library's own outputs.
+Random code is not compared with the reference.  On random programs the
+two rules part.  The pairwise transfer copies contexts between clones of
+different entry depths, and on a few inputs it builds a different graph or
+raises a different error.  The reference also taints only constant chain
+values and ends a context at its first non-constant entry, where the
+library taints every chain value and compares every tainted index.
+Random code is pinned instead by a digest of the library's own outputs,
+and the shared-return tests at the end check it against concrete traces.
 """
 
 import hashlib
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import random_program
+from fixtures import CALLER_ENV, random_program, shared_returns
 import reusecfg.cfg
 from reusecfg import stress_fixture
 from reusecfg.bytecode import STACK_LIMIT, BlockId
@@ -43,9 +46,9 @@ from reusecfg.cfg import (
     transfer_taint,
     update_reuse_context,
 )
-from reusecfg.corpus import Assembler, Pattern, PatternSpec, generate
+from reusecfg.corpus import Assembler, Pattern, PatternSpec, generate, interpret
 from reusecfg.emulator import CONST, PHI, trace_origin
-from reusecfg.metrics import polymorphic_jump_targets
+from reusecfg.metrics import polymorphic_jump_targets, trace_coverage
 
 # ---------------------------------------------------------------------------
 # Reference: per-clone contexts and the pairwise transfer fixpoint
@@ -253,9 +256,8 @@ DIVERGENT = [
 ]
 
 # Sensitive JSON+TAC export and contexts, or the error, of `DIVERGENT` and
-# 2,000 seeded random programs; computed before the corpus builders were
-# rewritten.
-RANDOM_BYTES_SHA256 = "d34a420f1ab4e8d3e408588a9eb89ff0ac37a480190720581383caa199d1a0d1"
+# 2,000 seeded random programs.
+RANDOM_BYTES_SHA256 = "e4ddfbf6855399dc63e8b71d09304b97439f91767bab86f0a2c01ee5699e1d04"
 
 
 def random_bytes_digest():
@@ -296,18 +298,18 @@ def test_contexts_derive_from_tainted_indices_per_offset_and_depth():
     cfg.s_start[b] = (k20, sym, k10)
     cfg.s_start[c] = (k10, k20, k20)
     cfg.s_start[shallow] = (k10, k20)
-    # A walk taints only constant chain values: here the symbol at index 1
-    # of b is the operand itself.
+    # A walk taints every chain value it finds, constant or not: here the
+    # symbol at index 1 of b is the operand itself.
     update_reuse_context(cfg, b, sym)
-    assert cfg.tainted == {}
+    assert cfg.tainted == {(1, 3): {1}}
     transfer_taint(cfg, a, [2, 0])
     transfer_taint(cfg, c, [1])
     assert cfg.tainted == {(1, 3): {0, 1, 2}}
-    # Every clone of depth 3 reads the shared indices; the symbol at index 1
-    # ends b's context, and the clone of depth 2 has none.
+    # Every clone of depth 3 reads the shared indices; b's context skips
+    # the symbol at index 1, and the clone of depth 2 has none.
     assert cfg.reuse_contexts == {
         a: {0: 0x10, 1: 0x20, 2: 0x10},
-        b: {0: 0x20},
+        b: {0: 0x20, 2: 0x10},
         c: {0: 0x10, 1: 0x20, 2: 0x20},
     }
     transfer_taint(cfg, shallow, [1])
@@ -316,14 +318,16 @@ def test_contexts_derive_from_tainted_indices_per_offset_and_depth():
     with pytest.raises(TypeError):
         cfg.reuse_contexts[a] = {}
 
-    # b accepts any arrival with 0x20 at index 0: its context ends before
-    # the other two tainted indices.
-    assert reuse_handler(cfg, (table.new_const(0x20), table.new_unknown(), k20), 1) == b
+    # b accepts an arrival with b's constants at 0 and 2 and a non-constant
+    # at 1, whatever non-constant it is.
+    assert reuse_handler(cfg, (table.new_const(0x20), table.new_unknown(), k10), 1) == b
     # A mismatch at index 2 rules out a and c, one at index 0 rules out b:
     # a new clone, whose context reads the three shared indices at once.
     made = reuse_handler(cfg, (k10, k20, table.new_const(0x30)), 1)
     assert made == BlockId(1, 4)
     assert cfg.reuse_contexts[made] == {0: 0x10, 1: 0x20, 2: 0x30}
+    # A constant where b holds the symbol rules b out too.
+    assert reuse_handler(cfg, (table.new_const(0x20), k20, k10), 1) == BlockId(1, 5)
 
 
 def _leaf_walk_setup():
@@ -359,13 +363,13 @@ def test_leaf_operand_walk_taints_a_phi_that_holds_it():
     cfg.s_start[x] += (phi,)
     update_reuse_context(cfg, x, k)
     assert cfg.tainted == {(2, 4): {0, 2, 3}, (1, 1): {0}}
-    # The phi at 3 is not a constant: x's context ends there.
+    # The phi at 3 is not a constant: x's context skips it.
     assert cfg.reuse_contexts == {p: {0: 0x10}, x: {0: 0x10, 2: 0x10}}
 
 
 def test_backpropagation_walks_from_every_tainted_index():
-    # x's tainted indices are 0 and 1; the symbol at 0 ends its context, yet
-    # the constant at 1 still flowed in through a new predecessor p.
+    # x's tainted indices are 0 and 1; its context skips the symbol at 0,
+    # and the constant at 1 flowed in through a new predecessor p.
     cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
     table = cfg.value_table
     k = table.new_const(0x10)
@@ -373,7 +377,7 @@ def test_backpropagation_walks_from_every_tainted_index():
     cfg.s_start[p] = (k,)
     cfg.s_start[x] = (table.new_sym("CALLER", ()), k)
     transfer_taint(cfg, x, [0, 1])
-    assert x not in cfg.reuse_contexts
+    assert cfg.reuse_contexts == {x: {1: 0x10}}
     cfg.add_edge(p, x, EdgeKind.JUMP)
     backpropagate_context(cfg, x)
     assert cfg.tainted[(1, 1)] == {0}
@@ -418,17 +422,20 @@ def test_built_graph_keeps_no_chain_memo(monkeypatch):
     assert cfg.tainted and cfg.reuse_contexts
 
 
-def test_candidate_context_ends_at_its_first_non_constant_entry():
-    # Indices 0 and 1 are tainted, but the candidate's entry holds a symbol
-    # at 0: its context is empty, so any arrival of its depth matches, even
-    # one whose constant at index 1 differs.
+def test_candidate_is_compared_past_a_non_constant_entry():
+    # Indices 0 and 1 are tainted and the candidate's entry holds a symbol
+    # at 0: its context is {1: 0x10}.  An arrival with a constant at 0 or
+    # another constant at 1 gets a new clone; one with a non-constant at 0
+    # and 0x10 at 1 matches.
     cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
     table = cfg.value_table
     cand = BlockId(1, 0)
-    cfg.s_start[cand] = (table.new_sym("CALLER", ()), table.new_const(0x10))
+    k10 = table.new_const(0x10)
+    cfg.s_start[cand] = (table.new_sym("CALLER", ()), k10)
     transfer_taint(cfg, cand, [0, 1])
-    assert reuse_handler(cfg, (table.new_const(0x99), table.new_const(0x20)), 1) == cand
-    assert cfg.clones_at(1) == [cand]
+    assert reuse_handler(cfg, (table.new_unknown(), table.new_const(0x20)), 1) == BlockId(1, 1)
+    assert reuse_handler(cfg, (table.new_const(0x99), k10), 1) == BlockId(1, 2)
+    assert reuse_handler(cfg, (table.new_unknown(), table.new_const(0x10)), 1) == cand
 
 
 def folded_return_program():
@@ -488,3 +495,60 @@ def test_operand_pushed_in_block_is_not_walked(monkeypatch):
     # block itself, which no entry stack holds.
     assert count_walks(monkeypatch, bytes.fromhex("6003565b00")) == 0
     assert count_walks(monkeypatch, folded_return_program()) >= 1
+
+
+# ---------------------------------------------------------------------------
+# Shared returns: coverage of every concrete trace
+# ---------------------------------------------------------------------------
+
+
+def covers_every_trace(code):
+    cfg = build_cfg(code)
+    covered, total, _ = trace_coverage(cfg, interpret(code, 8, CALLER_ENV))
+    return covered == total > 0 and polymorphic_jump_targets(cfg) == []
+
+
+# Two call sites of F: JUMPDEST; JUMP at 0x18, one pushing CALLER and one
+# its return label 0x1a, dispatched in both orders.  When the CALLER site
+# comes first, F's jump is left unresolved; only a walk of that operand
+# taints F's index 0, so that the other site gets its own clone.
+@pytest.mark.parametrize(
+    "code",
+    [
+        "600061000a57610010565b33610018565b61001a610018565b565b00",
+        "60006100105761000a565b33610018565b61001a610018565b565b00",
+    ],
+)
+def test_unresolved_jump_operand_is_walked(code):
+    assert covers_every_trace(bytes.fromhex(code))
+
+
+# Three call sites of F (0x2d) in the `shared_returns` shape: one pushes
+# the label 0x33 under T's label (0x2f), one CALLER under T's label and one
+# CALLER under its own return label 0x31.  F's clone for the second site
+# holds CALLER at index 0; if its context ended there, the third site
+# would join it, and F's two return labels would merge into one operand.
+SHARED_RETURNS_53 = bytes.fromhex(
+    "600061001057600061001b57610024565b61003361002f61002d565b3361002f61002d565b"
+    "3361003161002d565b565b565b005b00"
+)
+
+
+def test_non_constant_entry_does_not_end_the_context(monkeypatch):
+    dropped = []
+    finalize = _Recovery._finalize
+
+    def recording_finalize(self):
+        before = set(self.cfg.blocks)
+        finalize(self)
+        dropped.extend(before - set(self.cfg.blocks))
+
+    monkeypatch.setattr(_Recovery, "_finalize", recording_finalize)
+    assert covers_every_trace(SHARED_RETURNS_53)
+    assert dropped == []
+    assert len(interpret(SHARED_RETURNS_53, 8, CALLER_ENV)) == 3
+
+
+def test_shared_returns_cover_every_trace():
+    for i in range(200):
+        assert covers_every_trace(shared_returns(random.Random(i))), i
