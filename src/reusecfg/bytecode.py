@@ -278,6 +278,15 @@ def disassemble(code: bytes) -> list[Instruction]:
     return out
 
 
+# byte value -> the terminator of a block that ends with it, or None when
+# the block goes on.  An unknown byte ends one like INVALID: it is an
+# invalid-class instruction, or simply data.
+_BLOCK_END: tuple[Terminator | None, ...] = tuple(
+    _TERMINATOR_BY_OPCODE.get(op, None if op in OPCODES else Terminator.INVALID)
+    for op in range(256)
+)
+
+
 def identify_blocks(instructions: list[Instruction]) -> list[BasicBlock]:
     """Partition an instruction stream into candidate basic blocks.
 
@@ -286,26 +295,24 @@ def identify_blocks(instructions: list[Instruction]) -> list[BasicBlock]:
     whether a block is real code or data is decided later by reachability.
     """
     blocks: list[BasicBlock] = []
-    current: list[Instruction] = []
+    start = 0  # index of the current block's first instruction
 
-    def flush(terminator: Terminator) -> None:
-        nonlocal current
-        if current:
-            block_id = _new(BlockId, (current[0].offset, 0))
-            blocks.append(_new(BasicBlock, (block_id, current, terminator)))
-            current = []
+    def cut(stop: int, terminator: Terminator) -> None:
+        nonlocal start
+        block_id = _new(BlockId, (instructions[start].offset, 0))
+        blocks.append(_new(BasicBlock, (block_id, instructions[start:stop], terminator)))
+        start = stop
 
-    for ins in instructions:
-        if ins.opcode == JUMPDEST and current:
-            flush(Terminator.FALLTHROUGH)
-        current.append(ins)
-        terminator = _TERMINATOR_BY_OPCODE.get(ins.opcode)
+    ends = _BLOCK_END
+    for i, ins in enumerate(instructions):
+        opcode = ins.opcode
+        if opcode == JUMPDEST and i > start:
+            cut(i, Terminator.FALLTHROUGH)
+        terminator = ends[opcode]
         if terminator is not None:
-            flush(terminator)
-        elif ins.opcode not in OPCODES:
-            # Unknown byte: invalid-class instruction, may simply be data.
-            flush(Terminator.INVALID)
-    flush(Terminator.FALLTHROUGH)
+            cut(i + 1, terminator)
+    if start < len(instructions):
+        cut(len(instructions), Terminator.FALLTHROUGH)
     return blocks
 
 

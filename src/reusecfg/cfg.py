@@ -324,7 +324,8 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     kept.  A walked value without `args` is its own chain, and while the
     table has made no phi (`ValueTable.has_phi`) no entry holds it as a
     member: its positions are found by scanning the entry stack for its id
-    in C (`in`, then `index`).  Any other walked item's chain comes from
+    in C (`in`, then `index`), and `transfer_taint` runs only when one of
+    them is not tainted yet.  Any other walked item's chain comes from
     `trace_origin` anew and is matched entry by entry, phi members too.
 
     Every walk of a recovery shares `cfg._walked`, the (clone, value id)
@@ -336,9 +337,12 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     Every walked clone has an entry stack: it is `block`, just emulated, or
     a predecessor, which has an out-edge and so was emulated.
     """
+    walked = cfg._walked
+    seen = walked.get(block)
+    if seen is not None and jump_target_value in seen:
+        return  # walked already: the loop below would skip it at once
     table = cfg.value_table
     values = table.values
-    walked = cfg._walked
     s_start = cfg.s_start
     # The walk appends no value, so no phi appears while it runs.
     leaf_scan = not table.has_phi
@@ -366,7 +370,9 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
             for _ in range(stack.count(root) - 1):
                 idx = stack.index(root, idx + 1)
                 positions.append(idx)
-            transfer_taint(cfg, clone, positions)
+            tainted = cfg.tainted.get((clone.offset, len(stack)))
+            if tainted is None or not tainted.issuperset(positions):
+                transfer_taint(cfg, clone, positions)
             for pred in cfg.pred.get(clone, ()):
                 work.append((pred, root))
             continue
@@ -443,13 +449,13 @@ def reuse_handler(cfg: Cfg, s_end: Stack, target_offset: int) -> BlockId:
     offset and depth.  A non-constant's is None, so it matches only another
     non-constant: the arrival's reuse context equals the candidate's.
 
-    Every candidate compared has the arrival stack's depth, so the tainted
-    indices are sorted once per call and each candidate's entries are read
+    Every candidate compared has the arrival stack's depth, so one set of
+    tainted indices serves them all, and each candidate's entries are read
     in place; no context dict is built.
     """
     depth = len(s_end)
     values = cfg.value_table.values
-    indices = sorted(cfg.tainted.get((target_offset, depth), ()))
+    indices = cfg.tainted.get((target_offset, depth), ())
     for cand in cfg.clones_at(target_offset):
         cand_start = cfg.s_start.get(cand)
         if cand_start is None:
@@ -539,6 +545,8 @@ class _Recovery:
     def _merge_into(self, incoming: Stack, succ: BlockId) -> None:
         cfg = self.cfg
         existing = cfg.s_start.get(succ)
+        if existing == incoming:
+            return  # the join would keep `existing`
         if existing is not None and len(existing) != len(incoming):
             cfg.add_diagnostic("warning", "irregular stack depth at join", succ.offset)
         merged, changed = prepare_stack(incoming, existing, cfg.value_table)
@@ -604,12 +612,12 @@ class _Recovery:
         cfg = self.cfg
         block = cfg.blocks[cur]
         sensitive = self.sensitive
-        if sensitive:
+        if sensitive and cur in cfg.succ:
             # Drop the out-edges: this emulation derives them again.
-            if cfg.remove_out_edges(cur):
-                self.dropped_edges = True
+            cfg.remove_out_edges(cur)
+            self.dropped_edges = True
         table = cfg.value_table
-        made_from = len(table)
+        made_from = len(table.values)
         result = emulate_block(block, cfg.s_start[cur], table)
         for severity, message, off in result.diagnostics:
             cfg.add_diagnostic(severity, message, off)
@@ -669,8 +677,8 @@ class _Recovery:
             pending.append((cur, succ))
 
     def _finalize(self) -> None:
-        """Empty the walk set (`Cfg._walked`) and, if recovery dropped an
-        edge, drop orphaned clones.
+        """Empty the walk set (`Cfg._walked`) and the value table's join
+        memo and, if recovery dropped an edge, drop orphaned clones.
 
         Every clone gets an edge in when it is made, from a block that was
         itself reached.  Edges are only ever removed by a sensitive
@@ -681,6 +689,7 @@ class _Recovery:
         """
         cfg = self.cfg
         cfg._walked.clear()
+        cfg.value_table._joins.clear()
         if not self.dropped_edges:
             return
         postorder, _ = dfs(cfg.succ, [cfg.entry])

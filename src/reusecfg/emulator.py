@@ -88,13 +88,21 @@ class ValueTable:
     `has_phi` turns true when `new_phi`, the one place a phi is appended,
     first appends one, and stays true.  While it is false no entry of any
     stack is a phi, so a stack holds a value without `args` only where its
-    own id sits (`cfg.update_reuse_context` relies on this)."""
+    own id sits (`cfg.update_reuse_context` relies on this).
+
+    `_joins` is `prepare_stack`'s memo: (entry id, arrival id) -> what
+    `make_phi` gave for that pair.  It is exact, since `make_phi`'s result
+    depends only on the two immutable values and on `_phi_index`, which
+    only grows: a repeated call would return the same id and append
+    nothing.  It lives as long as the recovery that fills it
+    (`cfg._Recovery._finalize` empties it)."""
 
     def __init__(self) -> None:
         self.values: list[Value] = []
         self.has_phi = False
         self._phi_index: dict[tuple, int] = {}
         self._pushed: dict[int, Value] = {}
+        self._joins: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -134,17 +142,6 @@ class ValueTable:
         values.append(_new(Value, (PHI, None, None, members)))
         return len(values) - 1
 
-    def values_equal(self, a: int, b: int) -> bool:
-        """Id equality, or equal constants (distinct pushes of one value)."""
-        if a == b:
-            return True
-        va, vb = self.values[a], self.values[b]
-        return va.kind == CONST and vb.kind == CONST and va.const == vb.const
-
-    def phi_members(self, vid: int) -> tuple[int, ...]:
-        v = self.values[vid]
-        return v.args if v.kind == PHI else (vid,)
-
     def make_phi(self, member_ids: list[int]) -> int:
         """Phi over flattened members, deduplicating constants by value.
 
@@ -153,26 +150,27 @@ class ValueTable:
         re-merging the same alternatives yields the same value id (this is
         what lets a join report "unchanged" once it has stabilized).
         """
-        flat: list[int] = []
-        for m in member_ids:
-            flat.extend(self.phi_members(m))
-        seen_consts: dict[int, int] = {}
+        values = self.values
+        seen_consts: set[int] = set()
         seen_ids: set[int] = set()
         members: list[int] = []
         key_parts: list[tuple] = []
-        for m in flat:
-            v = self.values[m]
-            if v.kind == CONST:
-                if v.const in seen_consts:
-                    continue
-                seen_consts[v.const] = m
-                key_parts.append(("c", v.const))
-            else:
-                if m in seen_ids:
-                    continue
-                key_parts.append(("v", m))
-            seen_ids.add(m)
-            members.append(m)
+        for member in member_ids:
+            value = values[member]
+            # A phi's members are flattened in place.
+            for m in value.args if value.kind == PHI else (member,):
+                v = values[m]
+                if v.kind == CONST:
+                    if v.const in seen_consts:
+                        continue
+                    seen_consts.add(v.const)
+                    key_parts.append(("c", v.const))
+                else:
+                    if m in seen_ids:
+                        continue
+                    seen_ids.add(m)
+                    key_parts.append(("v", m))
+                members.append(m)
         if len(members) == 1:
             return members[0]
         key = tuple(sorted(key_parts))
@@ -291,7 +289,11 @@ def emulate_block(
         diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
         return new_unknown()
 
-    overflow_reported = False
+    # Each instruction adds at most one entry, except a SWAPn underflow,
+    # which pads the stack to n + 1 <= 17 entries: a block that starts no
+    # deeper than this bound allows cannot pass the limit.  Watching stops
+    # at the first report.
+    watch = max(len(stack), 17) + len(block.instructions) > STACK_LIMIT
     for offset, opcode, name, push_data, _, _ in block.instructions:
         kind, n, pushes, folder = _DISPATCH[opcode]
         if kind == _PUSH:
@@ -353,9 +355,9 @@ def emulate_block(
             record(cond)
         # _JUMPDEST reads and writes nothing.
 
-        if not overflow_reported and len(stack) > STACK_LIMIT:
+        if watch and len(stack) > STACK_LIMIT:
             diags.append(("warning", f"stack overflow at offset 0x{offset:x}", offset))
-            overflow_reported = True
+            watch = False
 
     return _new(EmulationResult, (tuple(stack), jump, tuple(ids), diags))
 
@@ -447,10 +449,11 @@ def prepare_stack(
     tell whether the result differs from the existing one.
 
     Positionwise-equal value ids (or equal constants) keep the existing
-    entry; disagreeing positions widen to a phi over the union.  Unknown
-    entries absorb everything.  Depth mismatches merge top-aligned over the
-    deeper stack; the caller reports them where the join is.  An incoming
-    stack equal to the existing one returns the existing stack itself.
+    entry; disagreeing positions widen to a phi over the union, through the
+    table's join memo (see `ValueTable`).  Unknown entries absorb
+    everything.  Depth mismatches merge top-aligned over the deeper stack;
+    the caller reports them where the join is.  An unchanged result is the
+    existing stack itself.
     """
     if existing_s_start is None:
         return pred_s_end, True
@@ -458,30 +461,36 @@ def prepare_stack(
     old, new = existing_s_start, pred_s_end
     if old == new:
         return old, False
-    changed = False
-    if len(new) > len(old):
-        # Deeper predecessor: adopt its extra bottom entries.
-        base = list(new)
-        changed = True
-    else:
-        base = list(old)
+    # A deeper predecessor adds its extra bottom entries.  Otherwise the
+    # merged stack is built at the first entry that changes.
+    extra = len(new) - len(old)
+    base = [*new[:extra], *old] if extra > 0 else None
+    values = table.values
+    joins = table._joins
 
     # Top-aligned merge over the common suffix.
     for i in range(1, min(len(old), len(new)) + 1):
         existing_id = old[-i]
         incoming_id = new[-i]
-        if existing_id == incoming_id or table.values_equal(existing_id, incoming_id):
-            base[-i] = existing_id
+        if existing_id == incoming_id:
             continue
-        if table.get(existing_id).kind == UNKNOWN:
-            base[-i] = existing_id
+        existing = values[existing_id]
+        if existing.kind == UNKNOWN:
             continue  # widened position stays widened
-        merged = table.make_phi([existing_id, incoming_id])
+        const = existing.const  # None unless a constant
+        if const is not None and const == values[incoming_id].const:
+            continue
+        merged = joins.get((existing_id, incoming_id))
+        if merged is None:
+            merged = joins[existing_id, incoming_id] = table.make_phi([existing_id, incoming_id])
         if merged != existing_id:
-            changed = True
-        base[-i] = merged
+            if base is None:
+                base = list(old)
+            base[-i] = merged
 
-    return tuple(base), changed
+    if base is None:
+        return old, False
+    return tuple(base), True
 
 
 def trace_origin(vid: int, table: ValueTable) -> set[int]:

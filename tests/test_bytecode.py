@@ -136,6 +136,18 @@ def test_jumpi_block_records_fallthrough_boundary():
     assert blocks[0].fallthrough_offset == 3
 
 
+# Opcodes that end a block, with the terminator each gives.
+TERMINATORS = {
+    0x56: Terminator.JUMP,
+    0x57: Terminator.JUMPI,
+    0x00: Terminator.STOP,
+    0xF3: Terminator.RETURN,
+    0xFD: Terminator.REVERT,
+    0xFE: Terminator.INVALID,
+    0xFF: Terminator.SELFDESTRUCT,
+}
+
+
 def test_partition_properties():
     rng = random.Random(11)
     for _ in range(300):
@@ -147,15 +159,25 @@ def test_partition_properties():
         starts = [b.id.offset for b in blocks]
         assert starts == sorted(starts)
         assert len(set(starts)) == len(starts)
-        for b in blocks:
+        for b, following in zip(blocks, [*blocks[1:], None]):
             offs = b.instructions
+            assert b.id == (offs[0].offset, 0)
             for a, c in zip(offs, offs[1:]):
                 assert c.offset == a.offset + a.length
                 assert c.opcode != 0x5B  # JUMPDEST only block-initial
             # JUMP, JUMPI, halting opcodes and unknown bytes only block-final
             for a in offs[:-1]:
                 assert a.opcode in OPCODES, a
-                assert a.opcode not in (0x56, 0x57, 0x00, 0xF3, 0xFD, 0xFE, 0xFF), a
+                assert a.opcode not in TERMINATORS, a
+            last = offs[-1].opcode
+            if last in TERMINATORS:
+                assert b.terminator is TERMINATORS[last]
+            elif last not in OPCODES:
+                assert b.terminator is Terminator.INVALID
+            else:
+                assert b.terminator is Terminator.FALLTHROUGH
+                # A block ends before a JUMPDEST or at the end of the code.
+                assert following is None or following.instructions[0].opcode == 0x5B
 
 
 def test_listing_format():

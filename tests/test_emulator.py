@@ -1,12 +1,18 @@
 import random
 
-from reusecfg.bytecode import disassemble, identify_blocks, stack_effect
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fixtures import two_branch_shared_increment
+from reusecfg.bytecode import STACK_LIMIT, disassemble, identify_blocks, stack_effect
+from reusecfg.cfg import Mode, build_cfg
 from reusecfg.corpus import Assembler, concrete_op
 from reusecfg.emulator import (
     CONST,
     FOLDED_OPS,
     PHI,
     SYM,
+    UNKNOWN,
     ValueTable,
     emulate_block,
     prepare_stack,
@@ -214,6 +220,106 @@ def test_prepare_stack_depth_mismatch_merges_over_deeper_stack():
     assert merged[0] == a
     top = table.get(merged[-1])
     assert top.kind == PHI
+
+
+def test_rejoining_a_pair_reuses_its_memo_entry():
+    table = ValueTable()
+    a, b, c = table.new_const(1), table.new_sym("CALLER", ()), table.new_const(2)
+    merged, _ = prepare_stack((b,), (a,), table)
+    prepare_stack((c, a), (b, c), table)  # other joins in between
+    prepare_stack((a,), merged, table)
+    before = list(table.values)
+    again, changed = prepare_stack((b,), (a,), table)
+    assert changed and again == merged
+    assert table.values == before  # no value appended
+    assert table._joins[a, b] == merged[0]
+
+
+def merge_without_memo(incoming, existing, table):
+    """`prepare_stack`'s result with `make_phi` called at every
+    disagreeing position, through no memo."""
+    values = table.values
+    base = list(incoming if len(incoming) > len(existing) else existing)
+    for i in range(1, min(len(existing), len(incoming)) + 1):
+        e, n = existing[-i], incoming[-i]
+        ve, vn = values[e], values[n]
+        if e == n or ve.kind == UNKNOWN or (ve.kind == vn.kind == CONST and ve.const == vn.const):
+            base[-i] = e
+        else:
+            base[-i] = table.make_phi([e, n])
+    return tuple(base)
+
+
+# A value: a constant from a few words (so distinct pushes share one), a
+# symbol or an unknown.
+_value = st.one_of(
+    st.tuples(st.just("const"), st.integers(0, 3)),
+    st.tuples(st.just("sym"), st.sampled_from(["CALLER", "MLOAD"])),
+    st.tuples(st.just("unknown")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(_value, max_size=6), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=40),
+)
+def test_memoized_joins_leave_the_table_as_direct_ones(stack_specs, joins):
+    """Two tables get the same values; one merges through `prepare_stack`
+    and its memo, the other calls `make_phi` at every disagreeing entry.
+    Each join merges one stack of the pool into another and adds the
+    result, so later joins meet earlier pairs and phis again."""
+    memo, direct = ValueTable(), ValueTable()
+    pools = {memo: [], direct: []}
+    for table, pool in pools.items():
+        for spec in stack_specs:
+            ids = []
+            for kind, *arg in spec:
+                if kind == "const":
+                    ids.append(table.new_const(arg[0]))
+                elif kind == "sym":
+                    ids.append(table.new_sym(arg[0], ()))
+                else:
+                    ids.append(table.new_unknown())
+            pool.append(tuple(ids))
+    for i, j in joins:
+        existing, incoming = (pools[memo][k % len(pools[memo])] for k in (i, j))
+        merged, changed = prepare_stack(incoming, existing, memo)
+        assert merged == merge_without_memo(incoming, existing, direct)
+        assert changed == (merged != existing)
+        for pool in pools.values():
+            pool.append(merged)
+    assert memo.values == direct.values
+    assert memo._phi_index == direct._phi_index
+    assert memo.has_phi == direct.has_phi
+
+
+def test_built_graph_holds_no_join_memo():
+    cfg = build_cfg(two_branch_shared_increment(), Mode.REUSE_INSENSITIVE)
+    assert cfg.value_table.has_phi  # the build joined through the memo
+    assert cfg.value_table._joins == {}
+
+
+def overflow_warnings(block_hex, s_start):
+    result, _ = emulate_hex(block_hex, s_start)
+    return [msg for _, msg, _ in result.diagnostics if "overflow" in msg]
+
+
+def test_swap16_underflow_padding_counts_toward_overflow():
+    # SWAP16 pads an empty stack to 17 entries, so 1,008 pushes pass the
+    # limit though 0 + 1,009 instructions would not: the last push is at
+    # 1 + 2 * 1,007 = 0x7df.
+    assert overflow_warnings("9f" + "6001" * 1008, ()) == ["stack overflow at offset 0x7df"]
+    assert overflow_warnings("9f" + "6001" * 1007, ()) == []
+
+
+def test_overflow_from_a_deep_entry_stack():
+    table = ValueTable()
+    s_start = tuple(table.new_const(7) for _ in range(STACK_LIMIT - 4))
+    result, _ = emulate_hex("6001" * 10, s_start, table)
+    # The fifth push, at 0x8, makes 1,025 entries; the warning is given once.
+    assert [m for _, m, _ in result.diagnostics] == ["stack overflow at offset 0x8"]
+    assert len(result.s_end) == STACK_LIMIT + 6
 
 
 def test_trace_origin_const_is_leaf():
