@@ -165,7 +165,10 @@ class Cfg:
     `is_data`.  No exit stack is kept: each emulation hands its own to its
     successors (`_Recovery._connect`).
     `tac_ids` holds each emulated clone's last emulation's value ids (see
-    `EmulationResult`); recovery itself never reads them.  The detectors
+    `EmulationResult`); recovery itself never reads them.  A clone whose
+    emulation a stack underflow halted has none, and no out-edge: entry
+    stacks only deepen, so a clone that halts never emulated to its end
+    before.  The detectors
     read a block's TAC as `tac_ops(blocks[b], tac_ids[b])`, and `export`
     fills its TAC templates from them directly.
 
@@ -621,8 +624,10 @@ class _Recovery:
         result = emulate_block(block, cfg.s_start[cur], table)
         for severity, message, off in result.diagnostics:
             cfg.add_diagnostic(severity, message, off)
-        cfg.tac_ids[cur] = result.tac_ids
         self.emulation_count[cur] = self.emulation_count.get(cur, 0) + 1
+        if result.s_end is None:
+            return  # a stack underflow halted it: no TAC, no successor
+        cfg.tac_ids[cur] = result.tac_ids
 
         pending: list[tuple[BlockId | None, BlockId]] = []
         jump = result.jump

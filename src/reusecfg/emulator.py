@@ -3,8 +3,10 @@
 Each block is emulated against its entry stack: pushes create constants,
 stack shuffles move value ids around, a whitelisted set of pure opcodes
 folds constant operands, and everything else produces a fresh symbol that
-records its operands.  Entry stacks from multiple predecessors merge
-positionally, introducing phi values where entries disagree.
+records its operands.  An instruction that reads below the bottom of the
+stack halts the emulation, as it halts the EVM.  Entry stacks from
+multiple predecessors merge positionally, introducing phi values where
+entries disagree.
 """
 
 from __future__ import annotations
@@ -132,6 +134,8 @@ class ValueTable:
         return len(values) - 1
 
     def new_unknown(self) -> int:
+        """A value that stands for anything: only recovery's widening
+        (`cfg._Recovery._widen`) makes one; no emulation does."""
         values = self.values
         values.append(_new(Value, (UNKNOWN, None, None, ())))
         return len(values) - 1
@@ -225,11 +229,15 @@ class EmulationResult(NamedTuple):
     without the instructions: the value ids each instruction read, then the
     one it wrote, in instruction order (see `tac_ops`), as a tuple: it is
     kept as long as the graph, and a tuple of ints is smaller than a list
-    and not tracked by the cyclic collector.  An immutable named tuple: it
-    compares equal to the plain tuple of its fields, in field order.
+    and not tracked by the cyclic collector.  An emulation that a stack
+    underflow halted has `s_end` and `jump` None and empty `tac_ids`: the
+    EVM reverts all that a frame did before an exceptional halt, so the
+    block has no exit, no successor and no TAC.  `diagnostics` still holds
+    its warnings.  An immutable named tuple: it compares equal to the plain
+    tuple of its fields, in field order.
     """
 
-    s_end: Stack
+    s_end: Stack | None
     jump: int | None
     tac_ids: tuple[int, ...]
     diagnostics: list[tuple[str, str, int]]
@@ -240,17 +248,18 @@ _PUSH, _DUP, _SWAP, _POP, _JUMPDEST, _JUMP, _JUMPI, _OTHER = range(8)
 
 
 def _dispatch_entry(opcode: int) -> tuple:
-    """(kind, n, pushes, folder) for one byte value.  `n` is the depth for
-    DUPn and SWAPn and the pops otherwise; `folder` is the constant folding
-    function, or None when the opcode stays symbolic."""
+    """(kind, n, pushes, folder) for one byte value.  `n` is how many
+    entries it reads, its pops: a DUPn reads down to its n-th entry and a
+    SWAPn to its (n + 1)-th.  `folder` is the constant folding function, or
+    None when the opcode stays symbolic."""
     pops, pushes = stack_effect(opcode)
     name = MNEMONICS[opcode]
     if PUSH1 <= opcode <= PUSH32 or name == "PUSH0":
         return (_PUSH, 0, 1, None)
     if 0x80 <= opcode <= 0x8F:
-        return (_DUP, opcode - 0x7F, 1, None)
+        return (_DUP, pops, 1, None)
     if 0x90 <= opcode <= 0x9F:
-        return (_SWAP, opcode - 0x8F, 0, None)
+        return (_SWAP, pops, 0, None)
     kind = {"POP": _POP, "JUMPDEST": _JUMPDEST, "JUMP": _JUMP, "JUMPI": _JUMPI}.get(name, _OTHER)
     return (kind, pops, pushes, _FOLDERS.get(name))
 
@@ -263,15 +272,17 @@ def emulate_block(
 ) -> EmulationResult:
     """Run one block symbolically from `s_start`.
 
-    Underflow pops produce unknown values and a diagnostic instead of
-    failing: dead or data blocks must not abort recovery.  Growth past the
-    stack limit is likewise only a diagnostic.  Pushed and folded constants
-    are appended to `table.values` here, as `ValueTable.new_const` would:
-    every PUSH payload and every folder result already fits in a word.  A
-    push appends the table's shared `Value` of its word under a fresh id;
-    a fold appends a new one that keeps its operand ids.  The three-address
-    form is recorded as value ids only; `tac_ops` builds the `TacOp`s from
-    them and the block's instructions.
+    The first instruction that reads below the bottom of the stack halts
+    the emulation, as it halts the EVM: it gets a "stack underflow"
+    warning, and the result has no exit stack, jump or TAC (see
+    `EmulationResult`).  No value is made up for a missing operand.
+    Growth past the stack limit is only a diagnostic.  Pushed and folded
+    constants are appended to `table.values` here, as `ValueTable.new_const`
+    would: every PUSH payload and every folder result already fits in a
+    word.  A push appends the table's shared `Value` of its word under a
+    fresh id; a fold appends a new one that keeps its operand ids.  The
+    three-address form is recorded as value ids only; `tac_ops` builds the
+    `TacOp`s from them and the block's instructions.
     """
     stack: list[int] = list(s_start)
     ids: list[int] = []
@@ -280,22 +291,18 @@ def emulate_block(
     values = table.values
     add_value = values.append
     pushed = table._pushed
-    new_unknown = table.new_unknown
     record = ids.append
 
-    def pop(offset: int) -> int:
-        if stack:
-            return stack.pop()
-        diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
-        return new_unknown()
-
-    # Each instruction adds at most one entry, except a SWAPn underflow,
-    # which pads the stack to n + 1 <= 17 entries: a block that starts no
+    # Each instruction adds at most one entry: a block that starts no
     # deeper than this bound allows cannot pass the limit.  Watching stops
     # at the first report.
-    watch = max(len(stack), 17) + len(block.instructions) > STACK_LIMIT
+    watch = len(stack) + len(block.instructions) > STACK_LIMIT
     for offset, opcode, name, push_data, _, _ in block.instructions:
         kind, n, pushes, folder = _DISPATCH[opcode]
+        if n > len(stack):
+            # It reads below the bottom of the stack: the EVM halts here.
+            diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
+            return _new(EmulationResult, (None, None, (), diags))
         if kind == _PUSH:
             data = push_data or 0  # PUSH0 has no payload
             vid = len(values)
@@ -303,13 +310,10 @@ def emulate_block(
             stack.append(vid)
             record(vid)
         elif kind == _OTHER:
-            if n <= len(stack):
-                # Popped top first.
-                args = tuple(stack[: -n - 1 : -1])
-                if n:
-                    del stack[-n:]
-            else:
-                args = tuple(pop(offset) for _ in range(n))
+            # Popped top first.
+            args = tuple(stack[: -n - 1 : -1])
+            if n:
+                del stack[-n:]
             ids += args
             if pushes:
                 result: int | None = None
@@ -324,35 +328,22 @@ def emulate_block(
                 stack.append(result)
                 record(result)
         elif kind == _DUP:
-            if len(stack) >= n:
-                vid = stack[-n]
-            else:
-                diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
-                vid = new_unknown()
+            vid = stack[-n]
             stack.append(vid)
             record(vid)
         elif kind == _SWAP:
-            if len(stack) <= n:
-                diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
-                while len(stack) <= n:
-                    stack.insert(0, new_unknown())
-            stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
+            stack[-1], stack[-n] = stack[-n], stack[-1]
             record(stack[-1])
-            record(stack[-n - 1])
+            record(stack[-n])
         elif kind == _POP:
-            record(stack.pop() if stack else pop(offset))
+            record(stack.pop())
         elif kind == _JUMP:
-            jump = stack.pop() if stack else pop(offset)
+            jump = stack.pop()
             record(jump)
         elif kind == _JUMPI:
-            if len(stack) >= 2:
-                jump = stack.pop()
-                cond = stack.pop()
-            else:
-                jump = pop(offset)
-                cond = pop(offset)
+            jump = stack.pop()
             record(jump)
-            record(cond)
+            record(stack.pop())
         # _JUMPDEST reads and writes nothing.
 
         if watch and len(stack) > STACK_LIMIT:

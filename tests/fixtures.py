@@ -853,11 +853,10 @@ REENTRANCY_NEGATIVE = [
 ]
 
 
-# Found by random-byte fuzzing: a loop back to offset 0x0 re-enters with a
-# deeper stack on every turn.
-DEEPENING_LOOP = bytes.fromhex(
-    "5b8015600a5f80325f610021602355505b5b33555691806021018181545654505f3301015432506019602a"
-)
+# PUSH1 2, then the loop JUMPDEST; CALLER; SWAP1; DUP1; JUMP back to 0x2:
+# each turn re-enters one entry deeper, and no instruction reads below the
+# bottom of the stack.
+DEEPENING_LOOP = bytes.fromhex("60025b33908056")
 
 
 def fork_chain(units: int) -> bytes:

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,10 +144,23 @@ def test_memory_and_environment_stay_symbolic():
         assert top.kind == SYM and top.op == op
 
 
-def test_underflow_yields_unknown_and_diagnostic():
-    result, table = emulate_hex("01")  # ADD on an empty stack
-    assert any("underflow" in msg for _, msg, _ in result.diagnostics)
-    assert table.get(result.s_end[-1]).op == "ADD"
+@pytest.mark.parametrize(
+    "hex_code, offset",
+    [
+        ("600101", 0x2),  # ADD on one entry
+        ("600181", 0x2),  # DUP2 on one entry
+        ("600190", 0x2),  # SWAP1 on one entry
+        ("60015050", 0x3),  # the second POP
+        ("60015056", 0x3),  # JUMP on an empty stack
+        ("600157", 0x2),  # JUMPI on one entry
+    ],
+)
+def test_underflow_halts_the_emulation(hex_code, offset):
+    result, table = emulate_hex(hex_code + "6002")  # a push after the halt
+    assert result == (None, None, (), [("warning", f"stack underflow at offset 0x{offset:x}", offset)])
+    # Only the push before the halt appended a value: none stands in for
+    # the missing operand, and nothing after the halt ran.
+    assert table.values == [(CONST, 1, None, ())]
 
 
 def test_jump_successors():
@@ -305,12 +319,11 @@ def overflow_warnings(block_hex, s_start):
     return [msg for _, msg, _ in result.diagnostics if "overflow" in msg]
 
 
-def test_swap16_underflow_padding_counts_toward_overflow():
-    # SWAP16 pads an empty stack to 17 entries, so 1,008 pushes pass the
-    # limit though 0 + 1,009 instructions would not: the last push is at
-    # 1 + 2 * 1,007 = 0x7df.
-    assert overflow_warnings("9f" + "6001" * 1008, ()) == ["stack overflow at offset 0x7df"]
-    assert overflow_warnings("9f" + "6001" * 1007, ()) == []
+def test_overflow_at_the_first_entry_past_the_limit():
+    # Each instruction adds at most one entry, so only a block of more
+    # than 1,024 instructions can pass the limit from an empty stack.
+    assert overflow_warnings("6001" * 1025, ()) == ["stack overflow at offset 0x800"]
+    assert overflow_warnings("6001" * 1024, ()) == []
 
 
 def test_overflow_from_a_deep_entry_stack():

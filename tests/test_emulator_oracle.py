@@ -15,7 +15,12 @@ and the comparison checks that condition.  The reference lists each block's
 successor requests; the kernel reports only the jump operand, and the
 block gives the fallthrough offset, so the requests are rebuilt from those.
 The kernel records three-address code as value ids only; `tac_ops` rebuilds
-the ops from those and the block, and the rebuilt ops are compared.
+the ops from those and the block, and the rebuilt ops are compared.  Both
+halt at the first instruction that reads below the bottom of the stack,
+with one warning and no exit stack, successor or TAC.  The kernel reads
+how deep each opcode reads from its dispatch table, which takes it from
+`stack_effect`; the reference works it out per mnemonic, and takes only
+the other opcodes' pops from `stack_effect`.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ class StackState:
 
 @dataclass
 class EmulationResult:
-    s_end: StackState
+    s_end: StackState | None
     successors: list[OracleSuccessorRequest]
     tac: list[OracleTacOp]
     diagnostics: list[tuple[str, str, int]] = field(default_factory=list)
@@ -275,6 +280,19 @@ def oracle_fold(op: str, operands: list[int]) -> int:
     raise AssertionError(f"not a folded op: {op}")
 
 
+def oracle_reads(op: int, name: str) -> int:
+    """How many entries an instruction reads, from what it does."""
+    if 0x80 <= op <= 0x8F:  # DUPn copies the n-th entry
+        return op - 0x7F
+    if 0x90 <= op <= 0x9F:  # SWAPn exchanges the top and the (n + 1)-th
+        return op - 0x8F + 1
+    if name in ("POP", "JUMP"):
+        return 1
+    if name == "JUMPI":
+        return 2
+    return stack_effect(op)[0]
+
+
 def oracle_emulate_block(
     block: BasicBlock, s_start: StackState, table: OracleValueTable
 ) -> EmulationResult:
@@ -283,16 +301,14 @@ def oracle_emulate_block(
     diags: list[tuple[str, str, int]] = []
     successors: list[OracleSuccessorRequest] = []
 
-    def pop(offset: int) -> int:
-        if stack:
-            return stack.pop()
-        diags.append(("warning", f"stack underflow at offset 0x{offset:x}", offset))
-        return table.new_unknown("underflow")
-
     overflow_reported = False
     for ins in block.instructions:
         op = ins.opcode
         name = ins.mnemonic
+        if len(stack) < oracle_reads(op, name):
+            # The EVM halts here: no exit stack, no successor, no TAC.
+            diags.append(("warning", f"stack underflow at offset 0x{ins.offset:x}", ins.offset))
+            return EmulationResult(None, [], [], diags)
         if ins.is_push:
             vid = table.new_const(ins.push_data)
             stack.append(vid)
@@ -302,43 +318,27 @@ def oracle_emulate_block(
             stack.append(vid)
             tac.append(OracleTacOp(ins.offset, name, vid, (), push_data=0))
         elif 0x80 <= op <= 0x8F:  # DUPn
-            depth = op - 0x7F
-            if len(stack) >= depth:
-                vid = stack[-depth]
-            else:
-                diags.append(
-                    ("warning", f"stack underflow at offset 0x{ins.offset:x}", ins.offset)
-                )
-                vid = table.new_unknown("underflow")
+            vid = stack[-(op - 0x7F)]
             stack.append(vid)
             tac.append(OracleTacOp(ins.offset, name, vid, (vid,)))
         elif 0x90 <= op <= 0x9F:  # SWAPn
             depth = op - 0x8F
-            if len(stack) >= depth + 1:
-                stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
-                tac.append(OracleTacOp(ins.offset, name, None, (stack[-1], stack[-depth - 1])))
-            else:
-                diags.append(
-                    ("warning", f"stack underflow at offset 0x{ins.offset:x}", ins.offset)
-                )
-                while len(stack) < depth + 1:
-                    stack.insert(0, table.new_unknown("underflow"))
-                stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
-                tac.append(OracleTacOp(ins.offset, name, None, (stack[-1], stack[-depth - 1])))
+            stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
+            tac.append(OracleTacOp(ins.offset, name, None, (stack[-1], stack[-depth - 1])))
         elif name == "POP":
-            v = pop(ins.offset)
+            v = stack.pop()
             tac.append(OracleTacOp(ins.offset, name, None, (v,)))
         elif name == "JUMPDEST":
             tac.append(OracleTacOp(ins.offset, name, None, ()))
         elif name == "JUMP":
-            target = pop(ins.offset)
+            target = stack.pop()
             tac.append(OracleTacOp(ins.offset, name, None, (target,)))
             successors.append(
                 OracleSuccessorRequest("jump", table.const_value(target), target)
             )
         elif name == "JUMPI":
-            target = pop(ins.offset)
-            cond = pop(ins.offset)
+            target = stack.pop()
+            cond = stack.pop()
             tac.append(OracleTacOp(ins.offset, name, None, (target, cond)))
             successors.append(
                 OracleSuccessorRequest("jump", table.const_value(target), target)
@@ -346,7 +346,7 @@ def oracle_emulate_block(
             successors.append(OracleSuccessorRequest("fallthrough", ins.offset + 1, None))
         else:
             pops, pushes = stack_effect(op)
-            args = tuple(pop(ins.offset) for _ in range(pops))
+            args = tuple(stack.pop() for _ in range(pops))
             result: int | None = None
             if pushes:
                 const_args = [table.const_value(a) for a in args]
@@ -507,6 +507,12 @@ def test_emulate_block_and_prepare_stack_match_reference(code, terminator, first
         for s_start in entry_stacks:
             new = emulate_block(block, s_start, tables.new)
             old = oracle_emulate_block(block, StackState(s_start), tables.old)
+            assert new.diagnostics == old.diagnostics
+            tables.assert_tables_agree()
+            if old.s_end is None:
+                # Both halted on a stack underflow.
+                assert (new.s_end, new.jump, new.tac_ids) == (None, None, ())
+                continue
             assert new.s_end == old.s_end.entries
             requests = [astuple(s) for s in old.successors]
             if block is whole:
@@ -521,8 +527,6 @@ def test_emulate_block_and_prepare_stack_match_reference(code, terminator, first
                     rebuilt.append(("fallthrough", block.fallthrough_offset, None))
                 assert requests == rebuilt
             assert [tuple(op) for op in tac_ops(block, new.tac_ids)] == [astuple(op) for op in old.tac]
-            assert new.diagnostics == old.diagnostics
-            tables.assert_tables_agree()
             ends.append(new.s_end)
 
     # Merge exit and entry stacks into each other, and into none.

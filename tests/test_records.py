@@ -20,9 +20,9 @@ from reusecfg.emulator import EmulationResult, TacOp, Value, emulate_block, tac_
 
 INPUTS = {
     "stress_3000": stress_fixture(3000, 0),
-    # An ADD on the empty stack (unknown operands), a jump to 0x6 and a
-    # PUSH2 whose payload runs past the end of the code.
-    "truncated_push": bytes.fromhex("0160065600005b61ab"),
+    # Two pushes and their ADD, a jump to 0xa and a PUSH2 whose payload
+    # runs past the end of the code.
+    "truncated_push": bytes.fromhex("6001600201600a5600005b61ab"),
 }
 
 

@@ -256,8 +256,12 @@ DIVERGENT = [
 ]
 
 # Sensitive JSON+TAC export and contexts, or the error, of `DIVERGENT` and
-# 2,000 seeded random programs.
-RANDOM_BYTES_SHA256 = "e4ddfbf6855399dc63e8b71d09304b97439f91767bab86f0a2c01ee5699e1d04"
+# 2,000 seeded random programs.  Pinned again when a stack underflow came to
+# halt the emulation: the 627 programs that never underflow kept their
+# outcome byte for byte; of the 1,375 that do, 31 clone explosions became
+# graphs, 50 graphs lost clones, and 1,294 kept their blocks but lost the
+# edges, TAC or warnings that followed an underflow.
+RANDOM_BYTES_SHA256 = "b750f203acac3879dcbff2b51cd3c28076d82c11092d2ecd9b355dfb853684ae"
 
 
 def random_bytes_digest():
