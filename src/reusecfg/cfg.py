@@ -30,7 +30,7 @@ from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .bytecode import (
     BasicBlock,
@@ -154,16 +154,15 @@ class Cfg:
     so `pred` holds no per-block set.  `_edge_count` counts the edges, so
     `len(edges)` is O(1).  Only `add_edge` and `remove_out_edges` write
     these three; a source's edges are only ever removed all at once.  A
-    clone can be orphaned (left unreachable from the entry) only after a
-    re-emulation dropped edges, so only then does `_finalize` sweep for
-    orphans and drop them (see there).  `s_start` holds each visited
-    clone's entry stack, assigned by `_Recovery.run`, `_merge_into` and
-    `reuse_handler`.  `_finalize`
-    drops the stacks, edges and `pred` entries of dropped clones.  Every
-    clone gets a stack when made (in `reuse_handler` or `_merge_into`), so
-    after recovery a block without one was never reached: the exports'
-    `is_data`.  No exit stack is kept: each emulation hands its own to its
-    successors (`_Recovery._connect`).
+    block can be left unreachable from the entry only after a re-emulation
+    dropped edges, so only then does `_finalize` sweep, keeping only what
+    the entry reaches (see there).  `s_start` holds each visited clone's
+    entry stack, assigned by `_Recovery.run`, `_merge_into` and
+    `reuse_handler`.  Every clone gets a stack when made (in
+    `reuse_handler` or `_merge_into`), and the sweep drops unreachable
+    blocks' stacks, so after recovery a block without one is not reached:
+    the exports' `is_data`.  No exit stack is kept: each emulation hands
+    its own to its successors (`_Recovery._connect`).
     `tac_ids` holds each emulated clone's last emulation's value ids (see
     `EmulationResult`); recovery itself never reads them.  A clone whose
     emulation a stack underflow halted has none, and no out-edge: entry
@@ -212,7 +211,6 @@ class Cfg:
     value_table: ValueTable = field(default_factory=ValueTable)
     s_start: dict[BlockId, Stack] = field(default_factory=dict)
     tac_ids: dict[BlockId, tuple[int, ...]] = field(default_factory=dict)
-    end_block_clones: set[BlockId] = field(default_factory=set)
     _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
     _walked: dict[BlockId, set[int]] = field(default_factory=dict, init=False, repr=False)
     _edge_count: int = field(default=0, init=False, repr=False)
@@ -220,6 +218,12 @@ class Cfg:
     @property
     def edges(self) -> EdgeView:
         return EdgeView(self)
+
+    @property
+    def end_block_clones(self) -> set[BlockId]:
+        """The clones of halting blocks, which `handle_end_block` makes; built on each read."""
+        blocks = self.blocks
+        return {c for off, cs in self._clones.items() if blocks[(off, 0)].halts for c in cs[1:]}
 
     @property
     def reuse_contexts(self) -> Mapping[BlockId, dict[int, int]]:
@@ -256,16 +260,14 @@ class Cfg:
             self._walked.clear()  # a walk through dst would now reach src
         return True
 
-    def remove_out_edges(self, src: BlockId) -> bool:
-        """Drop every out-edge of `src`; return whether it had any."""
-        out = self.succ.pop(src, None)
-        if not out:
-            return False
+    def remove_out_edges(self, src: BlockId) -> dict[BlockId, tuple[EdgeKind, ...]]:
+        """Drop every out-edge of `src`; return them as `succ[src]` held them."""
+        out = self.succ.pop(src, {})
         pred = self.pred
         for dst, kinds in out.items():
             pred[dst].remove(src)
             self._edge_count -= len(kinds)
-        return True
+        return out
 
     def predecessors(self, block: BlockId) -> list[BlockId]:
         return list(self.pred.get(block, ()))
@@ -479,22 +481,25 @@ def reuse_handler(cfg: Cfg, s_end: Stack, target_offset: int) -> BlockId:
     return clone
 
 
-def handle_end_block(cfg: Cfg, b_c: BlockId, end_offset: int) -> BlockId:
+def handle_end_block(
+    cfg: Cfg, b_c: BlockId, end_offset: int, dropped: Container[BlockId] = ()
+) -> BlockId:
     """Per-predecessor clone for transaction-ending blocks.
 
     End blocks never expose a jump operand, so reuse cannot be told from a
     genuine shared exit; cloning per predecessor keeps every end block at
     in-degree one at the cost of some redundant clones.  The first candidate
     without an entry stack is claimed: it was never visited, so it has no
-    predecessor yet.  Otherwise `b_c` keeps the candidate it already feeds.
+    predecessor yet.  Otherwise `b_c` keeps the candidate it feeds, or fed
+    before its re-emulation dropped the out-edges in `dropped`.  Its exit
+    depth never changes, so the clone's joins keep one depth; a candidate
+    merely without a predecessor may hold a stale stack of another depth.
     """
     fed = cfg.succ.get(b_c, ())
     for cand in cfg.clones_at(end_offset):
-        if cand not in cfg.s_start or cand in fed:
+        if cand not in cfg.s_start or cand in fed or cand in dropped:
             return cand
-    clone = _make_clone(cfg, end_offset)
-    cfg.end_block_clones.add(clone)
-    return clone
+    return _make_clone(cfg, end_offset)
 
 
 def _make_clone(cfg: Cfg, offset: int) -> BlockId:
@@ -539,8 +544,8 @@ class _Recovery:
         self.clean: set[BlockId] = set()
         self.emulation_count: dict[BlockId, int] = {}
         # Whether a re-emulation dropped a non-empty out-edge set, the only
-        # way a clone can be orphaned.  `run` clears it before its loop;
-        # until then it is assumed, so `_finalize` sweeps.
+        # way a block can be left unreachable.  `run` clears it before its
+        # loop; until then it is assumed, so `_finalize` sweeps.
         self.dropped_edges = True
 
     # -- stack bookkeeping ---------------------------------------------------
@@ -615,9 +620,9 @@ class _Recovery:
         cfg = self.cfg
         block = cfg.blocks[cur]
         sensitive = self.sensitive
-        if sensitive and cur in cfg.succ:
-            # Drop the out-edges: this emulation derives them again.
-            cfg.remove_out_edges(cur)
+        # Drop the out-edges: this emulation derives them again.
+        dropped = cfg.remove_out_edges(cur) if sensitive and cur in cfg.succ else ()
+        if dropped:
             self.dropped_edges = True
         table = cfg.value_table
         made_from = len(table.values)
@@ -651,27 +656,28 @@ class _Recovery:
                         cur.offset,
                     )
                     continue
-                self._connect(cur, result.s_end, original, _JUMP, pending)
+                self._connect(cur, result.s_end, original, _JUMP, pending, dropped)
         offset = block.fallthrough_offset
         # Running off the end of the code halts like STOP.
         original = None if offset is None else cfg.blocks.get((offset, 0))
         if original is not None:
-            self._connect(cur, result.s_end, original, _FALLTHROUGH, pending)
+            self._connect(cur, result.s_end, original, _FALLTHROUGH, pending, dropped)
         # LIFO worklist: queue the fallthrough arm first so the jump arm is
         # explored first and each path completes before its siblings.
         worklist.extend(reversed(pending))
 
     def _connect(
-        self, cur: BlockId, s_end: Stack, original: BasicBlock, kind: EdgeKind, pending: list
+        self, cur: BlockId, s_end: Stack, original: BasicBlock, kind: EdgeKind, pending: list,
+        dropped: Container[BlockId],
     ) -> None:
         """Connect `cur`, which exits with `s_end`, to a clone of `original`.
-        A sensitive emulation dropped `cur`'s out-edges first, so this edge
-        is new and the successor's context is walked back through it."""
+        A sensitive emulation dropped `cur`'s out-edges (`dropped`) first, so
+        this edge is new and the successor's context is walked back through it."""
         cfg = self.cfg
         if not self.sensitive:
             succ = original.id
         elif original.halts:
-            succ = handle_end_block(cfg, cur, original.id.offset)
+            succ = handle_end_block(cfg, cur, original.id.offset, dropped)
         else:
             succ = reuse_handler(cfg, s_end, original.id.offset)
         cfg.add_edge(cur, succ, kind)
@@ -683,14 +689,16 @@ class _Recovery:
 
     def _finalize(self) -> None:
         """Empty the walk set (`Cfg._walked`) and the value table's join
-        memo and, if recovery dropped an edge, drop orphaned clones.
+        memo and, if recovery dropped an edge, keep only what the entry
+        reaches: every other block loses its out-edges, `pred` entry, entry
+        stack and TAC, and the clones among them are deleted.
 
         Every clone gets an edge in when it is made, from a block that was
         itself reached.  Edges are only ever removed by a sensitive
         re-emulation dropping its block's out-edges, so when none of those
-        dropped anything every clone is still reachable from the entry and
-        the sweep would find nothing: skipping it leaves the graph as the
-        sweep would.  Baseline mode removes no edge and makes no clone.
+        dropped anything every visited block is still reachable and the
+        sweep would find nothing.  Baseline mode removes no edge and makes
+        no clone.
         """
         cfg = self.cfg
         cfg._walked.clear()
@@ -699,28 +707,18 @@ class _Recovery:
             return
         postorder, _ = dfs(cfg.succ, [cfg.entry])
         reachable = set(postorder)
-        dropped = [b for b in cfg.blocks if b.clone and b not in reachable]
-        for block_id in dropped:
-            del cfg.blocks[block_id]
+        unreachable = [b for b in cfg.blocks if b not in reachable]
+        # Edges first: `remove_out_edges` reads each destination's `pred`.
+        for block_id in unreachable:
+            cfg.remove_out_edges(block_id)
+        for block_id in unreachable:
+            cfg.pred.pop(block_id, None)
             cfg.s_start.pop(block_id, None)
             cfg.tac_ids.pop(block_id, None)
-            cfg.end_block_clones.discard(block_id)
+            if block_id.clone:
+                del cfg.blocks[block_id]
         for clones in cfg._clones.values():
             clones[:] = [c for c in clones if c in cfg.blocks]
-        # Only unreachable blocks can have edges to or from a dropped clone:
-        # dropped clones lose all their edges, unreachable originals keep
-        # the ones between kept blocks.
-        for src in [b for b in cfg.succ if b not in reachable]:
-            out = cfg.successors(src)
-            kept = [(dst, kind) for dst, kind in out if src in cfg.blocks and dst in cfg.blocks]
-            if len(kept) == len(out):
-                continue
-            cfg.remove_out_edges(src)
-            for dst, kind in kept:
-                cfg.add_edge(src, dst, kind)
-        # The loop above read the dropped clones' (now empty) `pred` lists.
-        for block_id in dropped:
-            cfg.pred.pop(block_id, None)
 
 
 @contextmanager

@@ -890,6 +890,23 @@ def shared_callee(sites: int = 256) -> tuple[bytes, int]:
     return asm.assemble(), 8 * sites + 1
 
 
+def shared_revert(sites: int) -> tuple[bytes, int]:
+    """`sites` times PUSH1 0; PUSH2 end; JUMPI, then STOP, then end:
+    JUMPDEST; PUSH1 0; DUP1; REVERT, and end's offset.  Every site is a
+    predecessor of the one revert block."""
+    asm = Assembler()
+    for _ in range(sites):
+        asm.push(0)
+        asm.push_label("end")
+        asm.op("JUMPI")
+    asm.op("STOP")
+    asm.jumpdest("end")
+    asm.push(0)
+    asm.op("DUP1")
+    asm.op("REVERT")
+    return asm.assemble(), 6 * sites + 1
+
+
 # Random code: mostly stack, arithmetic and control-flow opcodes, pushes of
 # the offset of the k-th JUMPDEST (k drawn, the offset filled in once the
 # layout is known) and now and then any byte, so that random code reaches
@@ -926,6 +943,27 @@ def random_program(rng):
         else:
             elements.append(rng.randrange(256))
     return _assemble_elements(elements)
+
+
+# CALLER, ADD, DUP1, DUP2, SWAP1, POP, PUSH0, ISZERO, ORIGIN, SLOAD, MUL.
+_LOOP_OPS = [0x33, 0x01, 0x80, 0x81, 0x90, 0x50, 0x5F, 0x15, 0x32, 0x54, 0x02]
+# STOP; PUSH0 DUP1 REVERT; PUSH0 DUP1 RETURN; INVALID.
+_HALTS = [b"\x00", b"\x5f\x80\xfd", b"\x5f\x80\xf3", b"\xfe"]
+
+
+def halting_loop(rng):
+    """A loop in front of a halting block: PUSH0 0 to 3 times; the loop
+    JUMPDEST, 1 to 6 listed ops and PUSH1 loop; JUMPI; maybe a JUMPDEST and
+    0 to 3 more ops; then JUMPDEST and a STOP, REVERT, RETURN or INVALID.
+    The loop's entry stack changes on many turns, so recovery emulates it
+    again and again before it reaches the halting block."""
+    loop = rng.randrange(4)
+    code = bytearray(b"\x5f" * loop + b"\x5b")
+    code += bytes(rng.choice(_LOOP_OPS) for _ in range(rng.randint(1, 6)))
+    code += bytes([0x60, loop, 0x57])
+    if rng.randrange(2):
+        code += b"\x5b" + bytes(rng.choice(_LOOP_OPS) for _ in range(rng.randint(0, 3)))
+    return bytes(code + b"\x5b" + rng.choice(_HALTS))
 
 
 # The environment the coverage checks interpret CALLER with: a word that is

@@ -69,10 +69,11 @@ def test_criterion_2_reuse_identification_agreement():
     for spec in _all_specs():
         gt = generate(spec)
         cfg = build_cfg(gt.bytecode, Mode.REUSE_SENSITIVE)
+        end_clones = cfg.end_block_clones  # derived anew on each read
         cloned = {
             block_id.offset
             for block_id in cfg.blocks
-            if block_id.clone >= 1 and block_id not in cfg.end_block_clones
+            if block_id.clone >= 1 and block_id not in end_clones
         }
         assert cloned == gt.reused_offsets, spec
     _report(2, "cloned offsets == reuse labels on all 160 fixtures")

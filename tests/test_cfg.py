@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import random
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from fixtures import (
     CALLER_ENV,
     DEEPENING_LOOP,
+    halting_loop,
     random_program,
     masked_operand_fixture,
     mixed_join_fixture,
+    shared_revert,
     three_exit_fixture,
     time_limit,
     two_branch_shared_increment,
@@ -164,6 +167,22 @@ def test_end_blocks_cloned_per_predecessor():
     assert len(cfg.end_block_clones) == 2
 
 
+def test_end_block_clones_count_against_the_clone_budget():
+    # Each site is a predecessor of the revert block at `end` and takes its
+    # own clone of it; the clones of `end` count against the per-offset
+    # clone budget (README, Known limitations).
+    code, end = shared_revert(500)
+    assert end == 0xBB9
+    cfg = build_cfg(code, Mode.REUSE_SENSITIVE)
+    assert len(cfg.blocks) == 1001
+    assert len(cfg.end_block_clones) == 499
+    assert all(len(cfg.predecessors(clone)) == 1 for clone in cfg.clones_at(end))
+    code, end = shared_revert(520)
+    with pytest.raises(CloneBudgetError, match="^clone explosion at offset 0xc31$"):
+        build_cfg(code, Mode.REUSE_SENSITIVE)
+    assert end == 0xC31
+
+
 def test_end_blocks_not_cloned_in_insensitive_mode():
     code, end = three_exit_fixture()
     cfg = build_cfg(code, Mode.REUSE_INSENSITIVE)
@@ -186,8 +205,10 @@ def test_invalid_jump_target_diagnostic():
 
 def test_finalize_drops_edges_into_orphaned_clones():
     # JUMPDEST x3 then STOP: blocks at 0x0, 0x1 and 0x2.  The original at
-    # 0x1 was visited but is no longer reachable, and its edge leads to a
-    # clone that nothing reachable uses.
+    # 0x1 was visited but is no longer reachable, and its edges lead to a
+    # clone that nothing reachable uses and to the original at 0x2.  The
+    # sweep keeps only what the entry reaches: every edge goes, the clone is
+    # deleted, and 0x1_0 loses its entry stack and exports as data.
     recovery = _Recovery(bytes.fromhex("5b5b5b00"), Mode.REUSE_SENSITIVE, Config())
     cfg = recovery.cfg
     stale, end = BlockId(1, 0), BlockId(2, 0)
@@ -199,12 +220,11 @@ def test_finalize_drops_edges_into_orphaned_clones():
     cfg.add_edge(orphan, end, EdgeKind.FALLTHROUGH)
     recovery._finalize()
     assert orphan not in cfg.blocks
-    assert [(e.src, e.dst, e.kind) for e in cfg.edges] == [(stale, end, EdgeKind.FALLTHROUGH)]
-    assert cfg.predecessors(end) == [stale]
-    assert cfg.predecessors(orphan) == []
-    # Visited, so not data, though no longer reachable.
+    assert list(cfg.edges) == []
+    assert (cfg.succ, cfg.pred) == ({}, {})
+    assert list(cfg.s_start) == [cfg.entry]
     flags = {b["id"]: b["is_data"] for b in json.loads(export(cfg))["blocks"]}
-    assert flags == {"0x0_0": False, "0x1_0": False, "0x2_0": True}
+    assert flags == {"0x0_0": False, "0x1_0": True, "0x2_0": True}
 
 
 def test_clones_at_lists_clones_kept_past_a_dropped_one():
@@ -221,43 +241,35 @@ def test_clones_at_lists_clones_kept_past_a_dropped_one():
     assert cfg.clones_at(2) == [BlockId(2, 0), kept]
 
 
-# 10 bytes on which sensitive recovery orphans clones: PUSH0, then the loop
-# JUMPDEST; CALLER; ADD; DUP1; PUSH1 1; JUMPI back to 0x1, which falls
-# through to JUMPDEST; STOP at 0x8.  Each turn changes the loop's entry
-# stack until the re-emulation cap widens it, so it is emulated 65 times.
-# Each re-emulation drops its out-edges first, `handle_end_block` then no
-# longer finds the end clone it fed and makes a new one, and the one
-# before is orphaned (README, Known limitations).  67 blocks before the
-# sweep, 4 after.
-ORPHANING = bytes.fromhex("5f5b3301806001575b00")
+# Loops in front of a halting block: PUSH0, then the loop JUMPDEST at 0x1
+# and its body, PUSH1 1; JUMPI back to 0x1, which falls through to the
+# JUMPDEST of the halting block.  The first is CALLER; ADD; DUP1 and STOP,
+# the second POP; CALLER; SLOAD; CALLER and STOP, the third ISZERO; SLOAD;
+# ISZERO; DUP1 and PUSH0; DUP1; RETURN.  Each turn changes the loop's entry
+# stack until the re-emulation cap widens it, and each re-emulation drops
+# the loop's out-edges first; `handle_end_block` hands the loop back the
+# end block it fed, so no re-emulation leaves a block behind.
+HALTING_LOOPS = [
+    bytes.fromhex("5f5b3301806001575b00"),
+    bytes.fromhex("5f5b503354336001575b00"),
+    bytes.fromhex("5f5b155415806001575b5f80f3"),
+]
 
 
-def test_recovery_drops_clones_it_orphaned(monkeypatch):
-    dropped_sets = []
-    remove = Cfg.remove_out_edges
-
-    def counted(self, src):
-        dropped = remove(self, src)
-        dropped_sets.append(dropped)
-        return dropped
-
-    monkeypatch.setattr(Cfg, "remove_out_edges", counted)
-    recovery = _Recovery(ORPHANING, Mode.REUSE_SENSITIVE, Config())
-    cfg = recovery.run()
-    assert recovery.dropped_edges
-    assert sum(dropped_sets) == 64
-    assert (len(cfg.blocks), len(cfg.edges)) == (4, 3)
-    assert cfg.clones_at(0x8) == [BlockId(0x8, 0), BlockId(0x8, 64)]
-    # Clone indices are never reused, so the gaps count the dropped clones.
-    offsets = {b.offset for b in cfg.blocks}
-    gaps = {off: cfg.clones_at(off)[-1].clone + 1 - len(cfg.clones_at(off)) for off in offsets}
-    assert {off: n for off, n in gaps.items() if n} == {0x8: 63}
-    # An original is never dropped: 0x8_0 keeps the entry stack of its
-    # visit, though no edge leads to it any more.
-    reachable = set(dfs(cfg.succ, [cfg.entry])[0])
-    assert set(cfg.s_start) - reachable == {BlockId(0x8, 0)}
-    assert set(cfg.pred) <= set(cfg.blocks)
-    assert set(cfg.succ) <= set(cfg.blocks)
+def test_end_block_keeps_its_clone_across_reemulations():
+    # At cap 513 the loop is emulated more often than the clone budget of
+    # 512 would allow end clones.
+    loop = BlockId(1, 0)
+    for code, cap in itertools.product(HALTING_LOOPS, [1, 8, 64, 513]):
+        end = BlockId(code.rindex(0x5B), 0)
+        recovery = _Recovery(code, Mode.REUSE_SENSITIVE, Config(reemulation_cap=cap))
+        cfg = recovery.run()
+        assert recovery.emulation_count[loop] > 1, (code.hex(), cap)
+        assert len(cfg.blocks) == 3, (code.hex(), cap)
+        assert cfg.clones_at(end.offset) == [end]
+        assert cfg.predecessors(end) == [loop]
+        assert cfg.end_block_clones == set()
+        assert count_paths(cfg).path_count == 1
 
 
 def _graph_state(cfg):
@@ -319,11 +331,11 @@ def test_successor_step_invariants(rng, mode, cap):
             violations.append(("edge not new", src, dst, kind))
         return added
 
-    def checked_handle_end_block(cfg, b_c, end_offset):
+    def checked_handle_end_block(cfg, b_c, end_offset, *rest):
         for cand in cfg.clones_at(end_offset):
             if cfg.pred.get(cand) and cand not in cfg.s_start:
                 violations.append(("predecessor without entry stack", cand))
-        return handle_end_block(cfg, b_c, end_offset)
+        return handle_end_block(cfg, b_c, end_offset, *rest)
 
     def checked_widen(self, block, merged):
         if block not in self.cfg.s_start:
@@ -382,6 +394,36 @@ def test_scheduling_emulates_each_entry_stack_once_and_every_reached_block(rng, 
     assert repeats == [], "emulated again from an equal entry stack"
     postorder, _ = dfs(cfg.succ, [cfg.entry])
     assert [b for b in postorder if b not in last_stack] == [], "reached but never emulated"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([halting_loop, random_program]),
+    st.sampled_from(list(Mode)),
+    st.sampled_from([1, Config().reemulation_cap]),
+)
+# Draws whose loop is emulated again after it fed its end block, which
+# must then get back the clone it fed, not a new one.
+@example(random.Random(60), halting_loop, Mode.REUSE_SENSITIVE, 1)
+@example(random.Random(163), halting_loop, Mode.REUSE_SENSITIVE, Config().reemulation_cap)
+def test_recovery_keeps_only_what_the_entry_reaches(rng, program, mode, cap):
+    # After recovery, (a) only blocks that the entry reaches have an entry
+    # stack, TAC, out-edges or a `pred` entry; (b) `pred` mirrors `succ`;
+    # (c) each sensitive clone of a halting offset has one predecessor.
+    try:
+        with time_limit(2):
+            cfg = build_cfg(program(rng), mode, Config(reemulation_cap=cap))
+    except (AnalysisError, TimeoutError):
+        return  # bounded aborts and slow inputs build no graph
+    reachable = set(dfs(cfg.succ, [cfg.entry])[0])
+    assert {*cfg.s_start, *cfg.tac_ids, *cfg.succ, *cfg.pred} <= reachable
+    edges = sorted((src, dst) for src, out in cfg.succ.items() for dst in out)
+    assert sorted((src, dst) for dst, srcs in cfg.pred.items() for src in srcs) == edges
+    if mode is Mode.REUSE_SENSITIVE:
+        halting = [b for b, block in cfg.blocks.items() if b.clone and block.halts]
+        assert set(halting) == cfg.end_block_clones
+        assert all(len(cfg.pred[b]) == 1 for b in halting)
 
 
 def test_data_tail_kept_and_flagged():
