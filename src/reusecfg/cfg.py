@@ -30,7 +30,7 @@ from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .bytecode import (
     BasicBlock,
@@ -52,7 +52,6 @@ from .emulator import (
     tac_templates,
     trace_origin,
 )
-from .graph import dfs
 
 
 class Mode(enum.Enum):
@@ -153,16 +152,14 @@ class Cfg:
     Whether `src` already feeds `dst` is `dst in succ[src]`, at any degree,
     so `pred` holds no per-block set.  `_edge_count` counts the edges, so
     `len(edges)` is O(1).  Only `add_edge` and `remove_out_edges` write
-    these three; a source's edges are only ever removed all at once.  A
-    block can be left unreachable from the entry only after a re-emulation
-    dropped edges, so only then does `_finalize` sweep, keeping only what
-    the entry reaches (see there).  `s_start` holds each visited clone's
-    entry stack, assigned by `_Recovery.run`, `_merge_into` and
-    `reuse_handler`.  Every clone gets a stack when made (in
-    `reuse_handler` or `_merge_into`), and the sweep drops unreachable
-    blocks' stacks, so after recovery a block without one is not reached:
-    the exports' `is_data`.  No exit stack is kept: each emulation hands
-    its own to its successors (`_Recovery._connect`).
+    these three; a source's edges are only ever removed all at once, and
+    recovery removes none: a re-emulation keeps its block's out-edges.
+    `s_start` holds each visited clone's entry stack, assigned by
+    `_Recovery.run`, `_merge_into` and `reuse_handler`.  Every block but the
+    entry gets its stack in `_Recovery._connect`, along with an edge in from
+    a reached block, so after recovery a block has a stack exactly when the
+    entry reaches it; one without is the exports' `is_data`.  No exit stack
+    is kept: each emulation hands its own to its successors (`_connect`).
     `tac_ids` holds each emulated clone's last emulation's value ids (see
     `EmulationResult`); recovery itself never reads them.  A clone whose
     emulation a stack underflow halted has none, and no out-edge: entry
@@ -182,21 +179,19 @@ class Cfg:
     `(offset, 0)` finds the original at `offset` without building a
     `BlockId`; the key it finds is the block's `id`.  `_clones` lists the
     original and clones of each offset that has a clone, in index order,
-    made with the offset's first clone; only `_make_clone` adds to it and
-    `_finalize` drops from it.  No def-use chain is kept.  `_walked` is the
-    set of (clone, value id) items that `update_reuse_context` walked, kept
-    as each clone's set of value ids.  Its one trigger: `add_edge` empties
-    it when a walked clone gains a predecessor.  That covers entry stacks
-    too: one changes only in `_Recovery._merge_into`, right after
-    `_connect` added a new edge into its block (a sensitive emulation
-    drops its out-edges first), except for a JUMPI's second arm to the
-    next block, which merges the same stack again and changes nothing.
-    Dropping edges needs no
-    emptying: taints only grow, and a walk over fewer predecessors finds a
-    subset of what the earlier one found.  A jump operand that its block's
-    emulation pushed is never walked (see `_Recovery._emulate`), so its
-    item is never in `_walked`: it has nothing behind it, and no entry
-    stack holds it.  `_finalize` empties it.
+    made with the offset's first clone; only `_make_clone` writes it.  No
+    def-use chain is kept.  `_walked` is the set of (clone, value id) items
+    that `update_reuse_context` walked, kept as each clone's set of value
+    ids.  Two triggers empty it: `add_edge`, when a walked clone gains a
+    predecessor, and `_Recovery._merge_into`, when a join changes a walked
+    clone's entry stack.  A re-emulation keeps its out-edges, so a join can
+    change an entry stack through an edge that already exists.  Dropping
+    edges needs no emptying: taints only grow, and a walk over fewer
+    predecessors finds a subset of what the earlier one found.  A jump
+    operand that its block's emulation pushed is never walked (see
+    `_Recovery._emulate`), so its item is never in `_walked`: it has
+    nothing behind it, and no entry stack holds it.  `_finalize` empties
+    it.
     """
 
     mode: Mode
@@ -260,14 +255,12 @@ class Cfg:
             self._walked.clear()  # a walk through dst would now reach src
         return True
 
-    def remove_out_edges(self, src: BlockId) -> dict[BlockId, tuple[EdgeKind, ...]]:
-        """Drop every out-edge of `src`; return them as `succ[src]` held them."""
-        out = self.succ.pop(src, {})
+    def remove_out_edges(self, src: BlockId) -> None:
+        """Drop every out-edge of `src`.  Recovery never calls this."""
         pred = self.pred
-        for dst, kinds in out.items():
+        for dst, kinds in self.succ.pop(src, {}).items():
             pred[dst].remove(src)
             self._edge_count -= len(kinds)
-        return out
 
     def predecessors(self, block: BlockId) -> list[BlockId]:
         return list(self.pred.get(block, ()))
@@ -334,11 +327,12 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     `trace_origin` anew and is matched entry by entry, phi members too.
 
     Every walk of a recovery shares `cfg._walked`, the (clone, value id)
-    items walked since a walked clone last gained a predecessor (the one
-    trigger; see `Cfg`).  An item reads only its clone's entry stack and
-    predecessors, immutable values and the taints it adds to, which only
-    grow; so an item found there has already tainted all that it and every
-    item behind it can, and the walk skips it with its whole upstream tree.
+    items walked since a walked clone last gained a predecessor or a new
+    entry stack (the two triggers; see `Cfg`).  An item reads only its
+    clone's entry stack and predecessors, immutable values and the taints
+    it adds to, which only grow; so an item found there has already
+    tainted all that it and every item behind it can, and the walk skips
+    it with its whole upstream tree.
     Every walked clone has an entry stack: it is `block`, just emulated, or
     a predecessor, which has an out-edge and so was emulated.
     """
@@ -405,14 +399,15 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
 
 
 def backpropagate_context(cfg: Cfg, succ: BlockId) -> None:
-    """Extend an existing successor context backwards through a new edge.
+    """Extend an existing successor context backwards through an edge that
+    `_Recovery._connect` just added or found in place.
 
     When a block with tainted entries gains a predecessor, the values at the
     tainted positions flowed through that predecessor too: the walk runs
     again from every tainted index of `succ`'s offset and entry depth, in
     ascending order, and taints the new predecessor's entry stack wherever
     it still holds them.  A new predecessor of a walked clone empties
-    `cfg._walked` (the one trigger; see `Cfg`), so these walks reach it;
+    `cfg._walked` (see `Cfg`), so these walks reach it;
     items behind it that were walked since are skipped (see
     `update_reuse_context`).  The join just gave `succ` its entry stack.
     `sorted` also snapshots the indices: a walk from `succ` can taint its
@@ -481,23 +476,20 @@ def reuse_handler(cfg: Cfg, s_end: Stack, target_offset: int) -> BlockId:
     return clone
 
 
-def handle_end_block(
-    cfg: Cfg, b_c: BlockId, end_offset: int, dropped: Container[BlockId] = ()
-) -> BlockId:
+def handle_end_block(cfg: Cfg, b_c: BlockId, end_offset: int) -> BlockId:
     """Per-predecessor clone for transaction-ending blocks.
 
     End blocks never expose a jump operand, so reuse cannot be told from a
     genuine shared exit; cloning per predecessor keeps every end block at
     in-degree one at the cost of some redundant clones.  The first candidate
     without an entry stack is claimed: it was never visited, so it has no
-    predecessor yet.  Otherwise `b_c` keeps the candidate it feeds, or fed
-    before its re-emulation dropped the out-edges in `dropped`.  Its exit
-    depth never changes, so the clone's joins keep one depth; a candidate
-    merely without a predecessor may hold a stale stack of another depth.
+    predecessor yet.  Otherwise `b_c` keeps the candidate it feeds: a
+    re-emulation keeps its out-edges.  Its exit depth never changes, so the
+    clone's joins keep one depth.
     """
     fed = cfg.succ.get(b_c, ())
     for cand in cfg.clones_at(end_offset):
-        if cand not in cfg.s_start or cand in fed or cand in dropped:
+        if cand not in cfg.s_start or cand in fed:
             return cand
     return _make_clone(cfg, end_offset)
 
@@ -525,7 +517,11 @@ class _Recovery:
     block in it and adds a block just before emulating it, `_merge_into`
     removes a block whose entry stack it changes, and `_connect` queues
     every successor not in it, a clone whose entry stack `reuse_handler`
-    preset too.  `emulation_count` is read only against `reemulation_cap`.
+    preset too.  So the worklist holds blocks alone: a popped block that is
+    clean was emulated since it was queued.  Recovery only adds edges, in
+    both modes: a re-emulation keeps its block's out-edges and adds any new
+    ones, so no block is ever left unreachable.
+    `emulation_count` is read only against `reemulation_cap`.
     """
 
     def __init__(self, code: bytes, mode: Mode, limits: Config) -> None:
@@ -543,10 +539,6 @@ class _Recovery:
             )
         self.clean: set[BlockId] = set()
         self.emulation_count: dict[BlockId, int] = {}
-        # Whether a re-emulation dropped a non-empty out-edge set, the only
-        # way a block can be left unreachable.  `run` clears it before its
-        # loop; until then it is assumed, so `_finalize` sweeps.
-        self.dropped_edges = True
 
     # -- stack bookkeeping ---------------------------------------------------
 
@@ -565,6 +557,8 @@ class _Recovery:
             merged = self._widen(succ, merged)
         cfg.s_start[succ] = merged
         self.clean.discard(succ)
+        if succ in cfg._walked:
+            cfg._walked.clear()  # a walk through succ read its old entry stack
 
     def _widen(self, block: BlockId, merged: Stack) -> Stack:
         """Past the re-emulation cap, still-changing positions widen to
@@ -603,12 +597,9 @@ class _Recovery:
     def run(self) -> Cfg:
         cfg = self.cfg
         cfg.s_start[cfg.entry] = ()
-        self.dropped_edges = False
-        worklist: list[tuple[BlockId | None, BlockId]] = [(None, cfg.entry)]
+        worklist = [cfg.entry]
         while worklist:
-            pred, cur = worklist.pop()
-            if pred is not None and cur not in cfg.succ.get(pred, ()):
-                continue  # stale item: the edge was dropped by a re-emulation
+            cur = worklist.pop()
             if cur in self.clean:
                 continue
             self.clean.add(cur)
@@ -616,14 +607,10 @@ class _Recovery:
         self._finalize()
         return cfg
 
-    def _emulate(self, cur: BlockId, worklist: list) -> None:
+    def _emulate(self, cur: BlockId, worklist: list[BlockId]) -> None:
         cfg = self.cfg
         block = cfg.blocks[cur]
         sensitive = self.sensitive
-        # Drop the out-edges: this emulation derives them again.
-        dropped = cfg.remove_out_edges(cur) if sensitive and cur in cfg.succ else ()
-        if dropped:
-            self.dropped_edges = True
         table = cfg.value_table
         made_from = len(table.values)
         result = emulate_block(block, cfg.s_start[cur], table)
@@ -634,7 +621,7 @@ class _Recovery:
             return  # a stack underflow halted it: no TAC, no successor
         cfg.tac_ids[cur] = result.tac_ids
 
-        pending: list[tuple[BlockId | None, BlockId]] = []
+        pending: list[BlockId] = []
         jump = result.jump
         if jump is not None:
             value = table.values[jump]
@@ -656,28 +643,28 @@ class _Recovery:
                         cur.offset,
                     )
                     continue
-                self._connect(cur, result.s_end, original, _JUMP, pending, dropped)
+                self._connect(cur, result.s_end, original, _JUMP, pending)
         offset = block.fallthrough_offset
         # Running off the end of the code halts like STOP.
         original = None if offset is None else cfg.blocks.get((offset, 0))
         if original is not None:
-            self._connect(cur, result.s_end, original, _FALLTHROUGH, pending, dropped)
+            self._connect(cur, result.s_end, original, _FALLTHROUGH, pending)
         # LIFO worklist: queue the fallthrough arm first so the jump arm is
         # explored first and each path completes before its siblings.
         worklist.extend(reversed(pending))
 
     def _connect(
-        self, cur: BlockId, s_end: Stack, original: BasicBlock, kind: EdgeKind, pending: list,
-        dropped: Container[BlockId],
+        self, cur: BlockId, s_end: Stack, original: BasicBlock, kind: EdgeKind, pending: list
     ) -> None:
-        """Connect `cur`, which exits with `s_end`, to a clone of `original`.
-        A sensitive emulation dropped `cur`'s out-edges (`dropped`) first, so
-        this edge is new and the successor's context is walked back through it."""
+        """Connect `cur`, which exits with `s_end`, to a clone of `original`,
+        and walk the successor's context back through the edge.  A
+        re-emulation of `cur` finds the edge in place when it picks the
+        successor its earlier emulation picked."""
         cfg = self.cfg
         if not self.sensitive:
             succ = original.id
         elif original.halts:
-            succ = handle_end_block(cfg, cur, original.id.offset, dropped)
+            succ = handle_end_block(cfg, cur, original.id.offset)
         else:
             succ = reuse_handler(cfg, s_end, original.id.offset)
         cfg.add_edge(cur, succ, kind)
@@ -685,40 +672,17 @@ class _Recovery:
         if self.sensitive:
             backpropagate_context(cfg, succ)
         if succ not in self.clean:
-            pending.append((cur, succ))
+            pending.append(succ)
 
     def _finalize(self) -> None:
         """Empty the walk set (`Cfg._walked`) and the value table's join
-        memo and, if recovery dropped an edge, keep only what the entry
-        reaches: every other block loses its out-edges, `pred` entry, entry
-        stack and TAC, and the clones among them are deleted.
-
-        Every clone gets an edge in when it is made, from a block that was
-        itself reached.  Edges are only ever removed by a sensitive
-        re-emulation dropping its block's out-edges, so when none of those
-        dropped anything every visited block is still reachable and the
-        sweep would find nothing.  Baseline mode removes no edge and makes
-        no clone.
+        memo, which only recovery reads.  Nothing needs sweeping: every
+        block but the entry gets an edge in from a reached block when it
+        first gets an entry stack, and recovery removes no edge, so every
+        block with an entry stack is reached.
         """
-        cfg = self.cfg
-        cfg._walked.clear()
-        cfg.value_table._joins.clear()
-        if not self.dropped_edges:
-            return
-        postorder, _ = dfs(cfg.succ, [cfg.entry])
-        reachable = set(postorder)
-        unreachable = [b for b in cfg.blocks if b not in reachable]
-        # Edges first: `remove_out_edges` reads each destination's `pred`.
-        for block_id in unreachable:
-            cfg.remove_out_edges(block_id)
-        for block_id in unreachable:
-            cfg.pred.pop(block_id, None)
-            cfg.s_start.pop(block_id, None)
-            cfg.tac_ids.pop(block_id, None)
-            if block_id.clone:
-                del cfg.blocks[block_id]
-        for clones in cfg._clones.values():
-            clones[:] = [c for c in clones if c in cfg.blocks]
+        self.cfg._walked.clear()
+        self.cfg.value_table._joins.clear()
 
 
 @contextmanager
@@ -822,7 +786,7 @@ def _block_fields(
     tac_ids = cfg.tac_ids if emit_tac else {}
     s_start = cfg.s_start
     for offset, group in groupby(sorted(cfg.blocks), itemgetter(0)):
-        block = cfg.blocks[(offset, 0)]  # originals are never dropped
+        block = cfg.blocks[(offset, 0)]  # the group's original
         text = static(block)
         if emit_tac:
             lines, positions = tac_templates(block)

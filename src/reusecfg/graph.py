@@ -1,11 +1,11 @@
 """Depth-first search over recovered graphs.
 
-The one DFS of the package.  Recovery's reachability sweep, path counting
-and the detectors' ordering queries share it, so they agree on which edges
-close a loop.  Each walks `Cfg.succ` in place: per source, its out-edges
-keyed by destination, so iterating a source's entry yields each successor
-once, in order of its first edge.  Any mapping from a node to an iterable
-of successors will do; a node missing from it is a sink.
+The one DFS of the package.  Path counting and the detectors' ordering
+queries share it, so they agree on which edges close a loop.  Each walks
+`Cfg.succ` in place: per source, its out-edges keyed by destination, so
+iterating a source's entry yields each successor once, in order of its
+first edge.  Any mapping from a node to an iterable of successors will
+do; a node missing from it is a sink.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from fixtures import (
     DEEPENING_LOOP,
     halting_loop,
     random_program,
+    shared_returns,
     masked_operand_fixture,
     mixed_join_fixture,
     shared_revert,
@@ -28,7 +29,6 @@ from reusecfg.cfg import (
     Config,
     EdgeKind,
     Mode,
-    _make_clone,
     _Recovery,
     build_cfg,
     export,
@@ -203,52 +203,14 @@ def test_invalid_jump_target_diagnostic():
     assert any("invalid jump target" in m for _, m, _ in cfg.diagnostics)
 
 
-def test_finalize_drops_edges_into_orphaned_clones():
-    # JUMPDEST x3 then STOP: blocks at 0x0, 0x1 and 0x2.  The original at
-    # 0x1 was visited but is no longer reachable, and its edges lead to a
-    # clone that nothing reachable uses and to the original at 0x2.  The
-    # sweep keeps only what the entry reaches: every edge goes, the clone is
-    # deleted, and 0x1_0 loses its entry stack and exports as data.
-    recovery = _Recovery(bytes.fromhex("5b5b5b00"), Mode.REUSE_SENSITIVE, Config())
-    cfg = recovery.cfg
-    stale, end = BlockId(1, 0), BlockId(2, 0)
-    cfg.s_start[cfg.entry] = ()
-    cfg.s_start[stale] = ()
-    orphan = _make_clone(cfg, 2)
-    cfg.add_edge(stale, orphan, EdgeKind.JUMP)
-    cfg.add_edge(stale, end, EdgeKind.FALLTHROUGH)
-    cfg.add_edge(orphan, end, EdgeKind.FALLTHROUGH)
-    recovery._finalize()
-    assert orphan not in cfg.blocks
-    assert list(cfg.edges) == []
-    assert (cfg.succ, cfg.pred) == ({}, {})
-    assert list(cfg.s_start) == [cfg.entry]
-    flags = {b["id"]: b["is_data"] for b in json.loads(export(cfg))["blocks"]}
-    assert flags == {"0x0_0": False, "0x1_0": True, "0x2_0": True}
-
-
-def test_clones_at_lists_clones_kept_past_a_dropped_one():
-    # JUMPDEST x3 then STOP.  Clone 1 of 0x2 is never reached while clone 2
-    # is: dropping the first must not hide the second.
-    recovery = _Recovery(bytes.fromhex("5b5b5b00"), Mode.REUSE_SENSITIVE, Config())
-    cfg = recovery.cfg
-    cfg.s_start[cfg.entry] = ()
-    dropped = _make_clone(cfg, 2)
-    kept = _make_clone(cfg, 2)
-    cfg.add_edge(cfg.entry, kept, EdgeKind.JUMP)
-    recovery._finalize()
-    assert dropped not in cfg.blocks
-    assert cfg.clones_at(2) == [BlockId(2, 0), kept]
-
-
 # Loops in front of a halting block: PUSH0, then the loop JUMPDEST at 0x1
 # and its body, PUSH1 1; JUMPI back to 0x1, which falls through to the
 # JUMPDEST of the halting block.  The first is CALLER; ADD; DUP1 and STOP,
 # the second POP; CALLER; SLOAD; CALLER and STOP, the third ISZERO; SLOAD;
 # ISZERO; DUP1 and PUSH0; DUP1; RETURN.  Each turn changes the loop's entry
-# stack until the re-emulation cap widens it, and each re-emulation drops
-# the loop's out-edges first; `handle_end_block` hands the loop back the
-# end block it fed, so no re-emulation leaves a block behind.
+# stack until the re-emulation cap widens it.  Each re-emulation keeps the
+# loop's out-edges, and `handle_end_block` hands the loop back the end
+# block it fed, so no re-emulation makes another end clone.
 HALTING_LOOPS = [
     bytes.fromhex("5f5b3301806001575b00"),
     bytes.fromhex("5f5b503354336001575b00"),
@@ -272,70 +234,79 @@ def test_end_block_keeps_its_clone_across_reemulations():
         assert count_paths(cfg).path_count == 1
 
 
-def _graph_state(cfg):
-    return (
-        dict(cfg.blocks),
-        list(cfg.edges),
-        dict(cfg.s_start),
-        {off: list(extra) for off, extra in cfg._clones.items()},
-    )
+# Random programs that open with three pushes of one label, PUSH0 and
+# JUMPI, on which a re-emulation from a more general entry stack sends a
+# jump to another clone than the block's first emulation chose: 0x37_8
+# from 0x35_18 to 0x35_26, and the loop 0x9_0 from itself to 0x9_1.
+# Recovery only adds edges, so each block keeps both jump edges, and every
+# concrete trace is covered.  On the second, a recovery that drops the
+# re-emulated block's out-edges loses the self-loop that one of its two
+# traces takes.
+MOVED_JUMPS = [
+    (
+        "6034603460345f575f336035603460346035601f6034909060345f603460355b601f601f"
+        "60345760350060355f9160343333601f5b5b57916035603557dd5ebc5f509160345691f1"
+        "0191605f33601f4e6035905fbb90603401601f",
+        BlockId(0x37, 8),
+        [BlockId(0x35, 18), BlockId(0x35, 26)],
+    ),
+    (
+        "6009600960095f57905b339091565b600956915b01466045fb600e5f5f339156805b6034"
+        "016009602190605060346050335660095b56336009915681816050916050815f575b5660"
+        "45010160096034915b80903391605091600957605001600990009060450050",
+        BlockId(0x9, 0),
+        [BlockId(0x9, 0), BlockId(0x9, 1)],
+    ),
+]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False), st.sampled_from(list(Mode)))
-def test_sweeping_a_built_graph_again_changes_nothing(rng, mode):
-    recovery = _Recovery(random_program(rng), mode, Config())
-    try:
-        with time_limit(2):
-            cfg = recovery.run()
-    except AnalysisError:
-        return  # bounded abort is the defined behavior
-    except TimeoutError:
-        return  # a slow input says nothing of the sweep
-    if mode is Mode.REUSE_INSENSITIVE:
-        assert not recovery.dropped_edges  # so the baseline never sweeps
-    built = _graph_state(cfg)
-    recovery.dropped_edges = True
-    recovery._finalize()
-    assert _graph_state(cfg) == built
+@pytest.mark.parametrize("code, block, targets", MOVED_JUMPS)
+def test_reemulation_keeps_the_jump_edge_its_first_emulation_added(code, block, targets):
+    code = bytes.fromhex(code)
+    for cap in (1, Config().reemulation_cap):
+        cfg = build_cfg(code, Mode.REUSE_SENSITIVE, Config(reemulation_cap=cap))
+        assert cfg.jump_successors(block) == targets
+        covered, total, _ = trace_coverage(cfg, interpret(code, 8, CALLER_ENV))
+        assert covered == total > 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.randoms(use_true_random=False),
+    st.sampled_from([random_program, halting_loop, shared_returns]),
     st.sampled_from(list(Mode)),
     st.sampled_from([1, Config().reemulation_cap]),
 )
-# The draws on which a join changes a walked clone's entry stack when
-# `_connect` merges before it adds the edge: (d) fails on them then.
-@example(random.Random(568), Mode.REUSE_SENSITIVE, Config().reemulation_cap)
-@example(random.Random(780), Mode.REUSE_SENSITIVE, Config().reemulation_cap)
-@example(random.Random(1611), Mode.REUSE_SENSITIVE, Config().reemulation_cap)
-@example(random.Random(2142), Mode.REUSE_SENSITIVE, Config().reemulation_cap)
-def test_successor_step_invariants(rng, mode, cap):
-    # The successor step relies on these without testing them: (a) a
-    # sensitive emulation drops its block's out-edges first, so every edge it
-    # adds is new; (b) a block without an entry stack has no predecessor, so
-    # an end block's first visit needs no test of its own; (c) a block past
-    # the re-emulation cap has been emulated, so it has an entry stack to
-    # widen against; (d) a join that changes an existing entry stack finds
-    # its block outside the walk set, so the walk set needs no emptying of
-    # its own there (see `Cfg`).
+# Draws on which a join would change a walked clone's entry stack if
+# `_connect` merged before it added the edge: (d) would apply there.
+@example(random.Random(568), random_program, Mode.REUSE_SENSITIVE, Config().reemulation_cap)
+@example(random.Random(780), random_program, Mode.REUSE_SENSITIVE, Config().reemulation_cap)
+@example(random.Random(1611), random_program, Mode.REUSE_SENSITIVE, Config().reemulation_cap)
+@example(random.Random(2142), random_program, Mode.REUSE_SENSITIVE, Config().reemulation_cap)
+# A loop emulated again after it fed its end block: a recovery that drops
+# a re-emulated block's out-edges fails (a) here.
+@example(random.Random(60), halting_loop, Mode.REUSE_SENSITIVE, 1)
+def test_successor_step_invariants(rng, program, mode, cap):
+    # The successor step relies on these without testing them: (a) recovery
+    # never calls `Cfg.remove_out_edges`, so no block is left unreachable;
+    # (b) a block without an entry stack has no predecessor, so an end
+    # block's first visit needs no test of its own; (c) a block past the
+    # re-emulation cap has been emulated, so it has an entry stack to widen
+    # against; (d) a join that changes a walked clone's entry stack empties
+    # the walk set (see `Cfg`).
     violations = []
-    add_edge, handle_end_block, widen = Cfg.add_edge, reusecfg.cfg.handle_end_block, _Recovery._widen
-    merge_into = _Recovery._merge_into
+    remove_out_edges, handle_end_block = Cfg.remove_out_edges, reusecfg.cfg.handle_end_block
+    widen, merge_into = _Recovery._widen, _Recovery._merge_into
 
-    def checked_add_edge(self, src, dst, kind):
-        added = add_edge(self, src, dst, kind)
-        if self.mode is Mode.REUSE_SENSITIVE and not added:
-            violations.append(("edge not new", src, dst, kind))
-        return added
+    def checked_remove_out_edges(self, src):
+        violations.append(("out-edges removed", src))
+        return remove_out_edges(self, src)
 
-    def checked_handle_end_block(cfg, b_c, end_offset, *rest):
+    def checked_handle_end_block(cfg, b_c, end_offset):
         for cand in cfg.clones_at(end_offset):
             if cfg.pred.get(cand) and cand not in cfg.s_start:
                 violations.append(("predecessor without entry stack", cand))
-        return handle_end_block(cfg, b_c, end_offset, *rest)
+        return handle_end_block(cfg, b_c, end_offset)
 
     def checked_widen(self, block, merged):
         if block not in self.cfg.s_start:
@@ -346,12 +317,13 @@ def test_successor_step_invariants(rng, mode, cap):
         existing = self.cfg.s_start.get(succ)
         walked = succ in self.cfg._walked
         merge_into(self, incoming, succ)
-        if existing is not None and self.cfg.s_start[succ] != existing and walked:
-            violations.append(("walked entry stack changed", succ))
+        changed = existing is not None and self.cfg.s_start[succ] != existing
+        if changed and walked and self.cfg._walked:
+            violations.append(("walk set kept past a walked entry stack's change", succ))
 
-    recovery = _Recovery(random_program(rng), mode, Config(reemulation_cap=cap))
+    recovery = _Recovery(program(rng), mode, Config(reemulation_cap=cap))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Cfg, "add_edge", checked_add_edge)
+        patch.setattr(Cfg, "remove_out_edges", checked_remove_out_edges)
         patch.setattr(reusecfg.cfg, "handle_end_block", checked_handle_end_block)
         patch.setattr(_Recovery, "_widen", checked_widen)
         patch.setattr(_Recovery, "_merge_into", checked_merge_into)

@@ -24,11 +24,21 @@ cut down to one comprehension.
 bytes, reused offsets, both expected path counts and interpreter traces,
 and the `stress_fixture` bytes up to 48 kB.  It was computed before the
 pattern builders were rewritten in terms of block primitives.
+
+`REEMULATION_SHA256` covers inputs whose sensitive recovery emulates a
+block again: `halting_loop` and `shared_returns` draws at
+`reemulation_cap` 1 and 64.  None of the inputs above re-emulates in
+sensitive mode.  Baseline `halting_loop` builds are slow and are left out.
+It was computed before a re-emulation stopped dropping its block's
+out-edges.
 """
 
 import hashlib
+import random
 
+from fixtures import halting_loop, shared_returns
 from reusecfg import (
+    AnalysisError,
     Config,
     Mode,
     Pattern,
@@ -46,6 +56,8 @@ GOLDEN_DOT_TAC_SHA256 = "c92d2bea54054db57debda68d475990cffdba7f4ba570fd0bd7e7b7
 GOLDEN_WIDEN_SHA256 = "a4885d13a366cb86c293f078c09ad5f781b468475011019b401fa0905e7f20f6"
 
 GOLDEN_CORPUS_SHA256 = "8be8ab0283863d96a3e56cf1f7f0f056cb2abe2b566277776c372a8166f1c7d1"
+
+REEMULATION_SHA256 = "41bbb6a2b313589f591eb24c94cb8624d90aaabc93c616e6da90716d94c08ad5"
 
 MODES = (Mode.REUSE_SENSITIVE, Mode.REUSE_INSENSITIVE)
 
@@ -135,6 +147,28 @@ def corpus_digest() -> str:
     return h.hexdigest()
 
 
+def reemulation_digest() -> str:
+    h = hashlib.sha256()
+    families = [
+        ("halting_loop", halting_loop, (Mode.REUSE_SENSITIVE,)),
+        ("shared_returns", shared_returns, MODES),
+    ]
+    for name, program, modes in families:
+        for i in range(200):
+            code = program(random.Random(i))
+            for mode in modes:
+                for cap in (1, 64):
+                    try:
+                        cfg = build_cfg(code, mode, Config(reemulation_cap=cap))
+                    except AnalysisError as exc:
+                        data = f"{type(exc).__name__}: {exc}".encode()
+                    else:
+                        data = export(cfg, "json", emit_tac=True)
+                    h.update(f"{name}/{i}/cap{cap}/{mode.value} {len(data)}\n".encode())
+                    h.update(data)
+    return h.hexdigest()
+
+
 def test_exports_match_golden_digest():
     assert golden_digest() == GOLDEN_SHA256
 
@@ -151,8 +185,13 @@ def test_generator_output_matches_golden_digest():
     assert corpus_digest() == GOLDEN_CORPUS_SHA256
 
 
+def test_reemulating_builds_match_golden_digest():
+    assert reemulation_digest() == REEMULATION_SHA256
+
+
 if __name__ == "__main__":
     print(golden_digest())
     print(dot_tac_digest())
     print(widen_digest())
     print(corpus_digest())
+    print(reemulation_digest())
