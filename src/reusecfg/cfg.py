@@ -113,32 +113,14 @@ class Edge(NamedTuple):
     kind: EdgeKind
 
 
-class EdgeView:
-    """Read-only view of every edge of a `Cfg`, grouped by source, in the
-    order `Cfg` states.  The store holds no `Edge` records: iterating
-    builds one per edge.  Its size is the graph's edge count, read in O(1)."""
-
-    __slots__ = ("_cfg",)
-
-    def __init__(self, cfg: Cfg) -> None:
-        self._cfg = cfg
-
-    def __len__(self) -> int:
-        return self._cfg._edge_count
-
-    def __iter__(self) -> Iterator[Edge]:
-        for src, out in self._cfg.succ.items():
-            for dst, kinds in out.items():
-                for kind in kinds:
-                    yield _new(Edge, (src, dst, kind))
-
-
 @dataclass
 class Cfg:
     """Recovered control-flow graph plus per-clone analysis state.
 
-    `blocks` holds the decoded blocks and their clones, all immutable (see
-    `BasicBlock`); what recovery learns about a block lives here, by id.
+    A `Cfg` is made from its `mode`, `entry` and `limits` alone; every
+    other field starts empty, and recovery fills it.  `blocks` holds the
+    decoded blocks and their clones, all immutable (see `BasicBlock`);
+    what recovery learns about a block lives here, by id.
 
     `succ` is the one edge store: per source block, its out-edges keyed by
     destination, each mapped to a tuple of their kinds (a shared one-kind
@@ -147,12 +129,12 @@ class Cfg:
     and every DFS walks it in place (see `reusecfg.graph`).  Per source,
     destinations come in order of their first edge and each destination's
     kinds in the order they were added; `successors` and `edges` list the
-    edges so.  `pred` mirrors the store per destination as a list: each
-    source with any edge to it, once, in the order of its first edge.
-    Whether `src` already feeds `dst` is `dst in succ[src]`, at any degree,
-    so `pred` holds no per-block set.  `_edge_count` counts the edges, so
-    `len(edges)` is O(1).  Only `add_edge` and `remove_out_edges` write
-    these three; a source's edges are only ever removed all at once, and
+    edges so, and `edges` builds its list from `succ` on each read.  `pred`
+    mirrors the store per destination as a list: each source with any edge
+    to it, once, in the order of its first edge.  Whether `src` already
+    feeds `dst` is `dst in succ[src]`, at any degree, so `pred` holds no
+    per-block set.  Only `add_edge` and `remove_out_edges` write these
+    two; a source's edges are only ever removed all at once, and
     recovery removes none: a re-emulation keeps its block's out-edges.
     `s_start` holds each visited clone's entry stack, assigned by
     `_Recovery.run`, `_merge_into` and `reuse_handler`.  Every block but the
@@ -197,22 +179,29 @@ class Cfg:
     mode: Mode
     entry: BlockId
     limits: Config = field(default_factory=Config)
-    blocks: dict[BlockId, BasicBlock] = field(default_factory=dict)
-    succ: dict[BlockId, dict[BlockId, tuple[EdgeKind, ...]]] = field(default_factory=dict)
-    pred: dict[BlockId, list[BlockId]] = field(default_factory=dict)
-    tainted: dict[tuple[int, int], set[int]] = field(default_factory=dict)
+    blocks: dict[BlockId, BasicBlock] = field(default_factory=dict, init=False)
+    succ: dict[BlockId, dict[BlockId, tuple[EdgeKind, ...]]] = field(
+        default_factory=dict, init=False
+    )
+    pred: dict[BlockId, list[BlockId]] = field(default_factory=dict, init=False)
+    tainted: dict[tuple[int, int], set[int]] = field(default_factory=dict, init=False)
     # Insertion-ordered set of (severity, message, offset).
-    diagnostics: dict[tuple[str, str, int], None] = field(default_factory=dict)
-    value_table: ValueTable = field(default_factory=ValueTable)
-    s_start: dict[BlockId, Stack] = field(default_factory=dict)
-    tac_ids: dict[BlockId, tuple[int, ...]] = field(default_factory=dict)
+    diagnostics: dict[tuple[str, str, int], None] = field(default_factory=dict, init=False)
+    value_table: ValueTable = field(default_factory=ValueTable, init=False)
+    s_start: dict[BlockId, Stack] = field(default_factory=dict, init=False)
+    tac_ids: dict[BlockId, tuple[int, ...]] = field(default_factory=dict, init=False)
     _clones: dict[int, list[BlockId]] = field(default_factory=dict, init=False, repr=False)
     _walked: dict[BlockId, set[int]] = field(default_factory=dict, init=False, repr=False)
-    _edge_count: int = field(default=0, init=False, repr=False)
 
     @property
-    def edges(self) -> EdgeView:
-        return EdgeView(self)
+    def edges(self) -> list[Edge]:
+        """Every edge, in the order `Cfg` states, built from `succ` on each read."""
+        return [
+            _new(Edge, (src, dst, kind))
+            for src, out in self.succ.items()
+            for dst, kinds in out.items()
+            for kind in kinds
+        ]
 
     @property
     def end_block_clones(self) -> set[BlockId]:
@@ -243,7 +232,6 @@ class Cfg:
         if kind in kinds:
             return False
         out[dst] = kinds + (kind,) if kinds else _ONE_KIND[kind]
-        self._edge_count += 1
         if kinds:
             return True  # src already is a predecessor of dst
         preds = self.pred.get(dst)
@@ -258,9 +246,8 @@ class Cfg:
     def remove_out_edges(self, src: BlockId) -> None:
         """Drop every out-edge of `src`.  Recovery never calls this."""
         pred = self.pred
-        for dst, kinds in self.succ.pop(src, {}).items():
+        for dst in self.succ.pop(src, {}):
             pred[dst].remove(src)
-            self._edge_count -= len(kinds)
 
     def predecessors(self, block: BlockId) -> list[BlockId]:
         return list(self.pred.get(block, ()))
@@ -543,14 +530,17 @@ class _Recovery:
     # -- stack bookkeeping ---------------------------------------------------
 
     def _merge_into(self, incoming: Stack, succ: BlockId) -> None:
+        """Join `incoming` into `succ`'s entry stack.  An equal stack skips
+        the join; otherwise the join changed nothing exactly when
+        `prepare_stack` hands back the existing stack object itself."""
         cfg = self.cfg
         existing = cfg.s_start.get(succ)
         if existing == incoming:
             return  # the join would keep `existing`
         if existing is not None and len(existing) != len(incoming):
             cfg.add_diagnostic("warning", "irregular stack depth at join", succ.offset)
-        merged, changed = prepare_stack(incoming, existing, cfg.value_table)
-        if not changed:
+        merged = prepare_stack(incoming, existing, cfg.value_table)
+        if merged is existing:
             return
         _check_entry_depth(merged, succ.offset)
         if self.emulation_count.get(succ, 0) >= cfg.limits.reemulation_cap:

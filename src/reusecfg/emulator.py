@@ -152,7 +152,8 @@ class ValueTable:
         Falls back to the sole member when deduplication leaves a single
         alternative.  Phis are interned by their canonical member set, so
         re-merging the same alternatives yields the same value id (this is
-        what lets a join report "unchanged" once it has stabilized).
+        what lets a join hand back its existing stack once it has
+        stabilized).
         """
         values = self.values
         seen_consts: set[int] = set()
@@ -435,23 +436,24 @@ def prepare_stack(
     pred_s_end: Stack,
     existing_s_start: Stack | None,
     table: ValueTable,
-) -> tuple[Stack, bool]:
-    """Merge a predecessor's exit stack into a block's entry stack, and
-    tell whether the result differs from the existing one.
+) -> Stack:
+    """Merge a predecessor's exit stack into a block's entry stack.
 
     Positionwise-equal value ids (or equal constants) keep the existing
     entry; disagreeing positions widen to a phi over the union, through the
     table's join memo (see `ValueTable`).  Unknown entries absorb
     everything.  Depth mismatches merge top-aligned over the deeper stack;
-    the caller reports them where the join is.  An unchanged result is the
-    existing stack itself.
+    the caller reports them where the join is.  The result is the existing
+    stack object itself exactly when the join changes nothing, so a caller
+    tells a change by identity (`merged is existing`).  Without an existing
+    stack the result is the predecessor's.
     """
     if existing_s_start is None:
-        return pred_s_end, True
+        return pred_s_end
 
     old, new = existing_s_start, pred_s_end
     if old == new:
-        return old, False
+        return old
     # A deeper predecessor adds its extra bottom entries.  Otherwise the
     # merged stack is built at the first entry that changes.
     extra = len(new) - len(old)
@@ -479,9 +481,7 @@ def prepare_stack(
                 base = list(old)
             base[-i] = merged
 
-    if base is None:
-        return old, False
-    return tuple(base), True
+    return old if base is None else tuple(base)
 
 
 def trace_origin(vid: int, table: ValueTable) -> set[int]:

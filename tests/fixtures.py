@@ -930,11 +930,11 @@ def _assemble_elements(elements):
     return bytes(code)
 
 
-def random_program(rng):
-    """1 to 100 elements: a JUMPDEST push 2 times in 8, a listed opcode 5
-    times in 8, any byte 1 time in 8."""
+def random_program(rng, size=100):
+    """1 to `size` elements: a JUMPDEST push 2 times in 8, a listed opcode
+    5 times in 8, any byte 1 time in 8."""
     elements = []
-    for _ in range(rng.randint(1, 100)):
+    for _ in range(rng.randint(1, size)):
         kind = rng.randrange(8)
         if kind < 2:
             elements.append(("label", rng.randrange(16)))

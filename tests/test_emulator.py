@@ -188,22 +188,25 @@ def test_tac_listing_renders():
 def test_prepare_stack_identical_unchanged():
     table = ValueTable()
     a = table.new_const(5)
-    merged, changed = prepare_stack((a,), (a,), table)
-    assert not changed and merged == (a,)
+    existing = (a,)
+    merged = prepare_stack((a,), existing, table)
+    assert merged is existing and merged == (a,)
 
 
 def test_prepare_stack_equal_consts_unchanged():
     table = ValueTable()
     a, b = table.new_const(5), table.new_const(5)
-    merged, changed = prepare_stack((b,), (a,), table)
-    assert not changed and merged == (a,)
+    existing = (a,)
+    merged = prepare_stack((b,), existing, table)
+    assert merged is existing and merged == (a,)
 
 
 def test_prepare_stack_differing_consts_make_phi():
     table = ValueTable()
     a, b = table.new_const(5), table.new_const(7)
-    merged, changed = prepare_stack((b,), (a,), table)
-    assert changed
+    existing = (a,)
+    merged = prepare_stack((b,), existing, table)
+    assert merged is not existing
     phi = table.get(merged[0])
     assert phi.kind == PHI
     assert {table.get(m).const for m in phi.args} == {5, 7}
@@ -212,24 +215,25 @@ def test_prepare_stack_differing_consts_make_phi():
 def test_prepare_stack_phi_absorbs_existing_member():
     table = ValueTable()
     a, b = table.new_const(5), table.new_const(7)
-    merged, _ = prepare_stack((b,), (a,), table)
-    again, changed = prepare_stack((table.new_const(5),), merged, table)
-    assert not changed
+    merged = prepare_stack((b,), (a,), table)
+    again = prepare_stack((table.new_const(5),), merged, table)
+    assert again is merged
     assert again == merged
 
 
 def test_prepare_stack_absent_copies():
     table = ValueTable()
     a = table.new_const(9)
-    merged, changed = prepare_stack((a,), None, table)
-    assert changed and merged == (a,)
+    merged = prepare_stack((a,), None, table)
+    assert merged is not None and merged == (a,)
 
 
 def test_prepare_stack_depth_mismatch_merges_over_deeper_stack():
     table = ValueTable()
     a, b, c = table.new_const(1), table.new_const(2), table.new_const(3)
-    merged, changed = prepare_stack((c,), (a, b), table)
-    assert changed
+    existing = (a, b)
+    merged = prepare_stack((c,), existing, table)
+    assert merged is not existing
     assert len(merged) == 2  # deeper stack is the base
     assert merged[0] == a
     top = table.get(merged[-1])
@@ -239,12 +243,13 @@ def test_prepare_stack_depth_mismatch_merges_over_deeper_stack():
 def test_rejoining_a_pair_reuses_its_memo_entry():
     table = ValueTable()
     a, b, c = table.new_const(1), table.new_sym("CALLER", ()), table.new_const(2)
-    merged, _ = prepare_stack((b,), (a,), table)
+    merged = prepare_stack((b,), (a,), table)
     prepare_stack((c, a), (b, c), table)  # other joins in between
     prepare_stack((a,), merged, table)
     before = list(table.values)
-    again, changed = prepare_stack((b,), (a,), table)
-    assert changed and again == merged
+    existing = (a,)
+    again = prepare_stack((b,), existing, table)
+    assert again is not existing and again == merged
     assert table.values == before  # no value appended
     assert table._joins[a, b] == merged[0]
 
@@ -298,9 +303,9 @@ def test_memoized_joins_leave_the_table_as_direct_ones(stack_specs, joins):
             pool.append(tuple(ids))
     for i, j in joins:
         existing, incoming = (pools[memo][k % len(pools[memo])] for k in (i, j))
-        merged, changed = prepare_stack(incoming, existing, memo)
+        merged = prepare_stack(incoming, existing, memo)
         assert merged == merge_without_memo(incoming, existing, direct)
-        assert changed == (merged != existing)
+        assert (merged is not existing) == (merged != existing)
         for pool in pools.values():
             pool.append(merged)
     assert memo.values == direct.values

@@ -11,9 +11,12 @@ agree field by field as plain tuples.  Reference values also carry their
 own id and an unread `reason`, which `Value` dropped; values are compared
 without them.  The reference `prepare_stack` reported a depth mismatch as
 a diagnostic; recovery now reports it at the join, on the same condition,
-and the comparison checks that condition.  The reference lists each block's
-successor requests; the kernel reports only the jump operand, and the
-block gives the fallthrough offset, so the requests are rebuilt from those.
+and the comparison checks that condition.  It also returned a "changed"
+flag; the kernel hands back the existing stack itself when nothing
+changed, so the flag is compared with `merged is not existing`.  The
+reference lists each block's successor requests; the kernel reports only
+the jump operand, and the block gives the fallthrough offset, so the
+requests are rebuilt from those.
 The kernel records three-address code as value ids only; `tac_ops` rebuilds
 the ops from those and the block, and the rebuilt ops are compared.  Both
 halt at the first instruction that reads below the bottom of the stack,
@@ -533,13 +536,13 @@ def test_emulate_block_and_prepare_stack_match_reference(code, terminator, first
     merged_stacks = entry_stacks + ends[:6]
     for incoming in merged_stacks:
         for existing in [None, *merged_stacks]:
-            merged, changed = prepare_stack(incoming, existing, tables.new)
+            merged = prepare_stack(incoming, existing, tables.new)
             old_merged, old_changed, old_diags = oracle_prepare_stack(
                 StackState(incoming),
                 None if existing is None else StackState(existing),
                 tables.old,
             )
-            assert (merged, changed) == (old_merged.entries, old_changed)
+            assert (merged, merged is not existing) == (old_merged.entries, old_changed)
             irregular = existing is not None and len(existing) != len(incoming)
             assert old_diags == ([("warning", "irregular stack depth at join", -1)] if irregular else [])
             tables.assert_tables_agree()
@@ -550,7 +553,6 @@ def test_prepare_stack_returns_existing_state_for_an_equal_stack():
     a, b = table.new_const(1), table.new_sym("CALLER", ())
     existing = (a, b)
     before = len(table)
-    merged, changed = prepare_stack((a, b), existing, table)
+    merged = prepare_stack((a, b), existing, table)
     assert merged is existing
-    assert not changed
     assert len(table) == before

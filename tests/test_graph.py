@@ -30,6 +30,12 @@ def test_jumpi_to_next_block_keeps_both_edges():
         assert count_paths(cfg).path_count == 1
 
 
+def test_cfg_is_made_from_mode_entry_and_limits_only():
+    # Recovery fills every other field; none can be passed in.
+    with pytest.raises(TypeError):
+        Cfg(mode=Mode.REUSE_SENSITIVE, entry=BlockId(0, 0), blocks={})
+
+
 class ListModel:
     """Edge semantics of a plain insertion-ordered list of edges."""
 

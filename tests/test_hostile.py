@@ -9,9 +9,11 @@ before a `CloneBudgetError`, until a stack underflow came to halt the
 emulation.  Each outcome below is the graph's digest (sha256 of its JSON
 export with TAC) or the exact error.
 
-The property test at the end replays concrete executions: every block
-visit of an execution is at an entry depth that a sensitive clone of the
-block has.
+A seeded fuzz test then builds 2,000 random programs of up to 400
+elements in each mode: every build ends in a graph or an `AnalysisError`
+in time.  The property test after it replays concrete executions: every
+block visit of an execution is at an entry depth that a sensitive clone of
+the block has.
 """
 
 import functools
@@ -129,6 +131,21 @@ def test_hostile_input_ends_with_its_outcome(name, mode, expected):
         assert outcome(code, mode) == expected
 
 
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_random_programs_end_in_a_graph_or_an_analysis_error(mode):
+    # Any input yields a graph or a bounded `AnalysisError`; a build still
+    # running after 10 s raises `TimeoutError`, which fails the test.  The
+    # programs are up to four times longer than the other tests' draws.
+    rng = random.Random(31)
+    for _ in range(2000):
+        code = random_program(rng, size=400)
+        try:
+            with time_limit(10):
+                build_cfg(code, mode)
+        except AnalysisError:
+            pass  # a bounded abort
+
+
 def visits(code: bytes, traces) -> set[tuple[int, int]]:
     """The (block offset, entry depth) pairs that `traces` visit, replayed
     from each block's net stack effect: an execution starts at offset 0
@@ -164,8 +181,6 @@ def test_every_concrete_visit_has_a_sensitive_clone_of_its_depth(rng, program):
             cfg = build_cfg(code, Mode.REUSE_SENSITIVE, Config(clone_budget_per_offset=16))
     except AnalysisError:
         return  # bounded abort is the defined behavior
-    except TimeoutError:
-        return  # a slow input says nothing of entry depths
     depths = {(block.offset, len(stack)) for block, stack in cfg.s_start.items()}
     assert visits(code, traces) - depths == set()
 
