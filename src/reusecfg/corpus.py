@@ -11,12 +11,14 @@ The interpreter is intentionally written as a standalone concrete machine
 so it can act as an independent oracle for constant folding and trace
 coverage: it steps over the blocks that `disassemble` and `identify_blocks`
 decode, but its arithmetic, halting and opcode classification share no
-code with the symbolic emulator.
+code with the symbolic emulator.  It executes each instruction through its
+own 256-entry step table, `_STEPS`.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -25,6 +27,8 @@ from .bytecode import (
     JUMPDEST,
     MNEMONIC_TO_OPCODE,
     OPCODES,
+    PUSH1,
+    PUSH32,
     STACK_LIMIT,
     WORD_MASK,
     Instruction,
@@ -173,9 +177,9 @@ _CONCRETE_BINOPS = {
     0x10: lambda a, b: int(a < b),
     0x11: lambda a, b: int(a > b),
     0x14: lambda a, b: int(a == b),
-    0x16: lambda a, b: a & b,
-    0x17: lambda a, b: a | b,
-    0x18: lambda a, b: a ^ b,
+    0x16: operator.and_,
+    0x17: operator.or_,
+    0x18: operator.xor,
     0x1B: lambda a, b: 0 if a >= 256 else (b << a) % _MOD,
     0x1C: lambda a, b: 0 if a >= 256 else b >> a,
     0x1A: lambda a, b: 0 if a >= 32 else (b >> (8 * (31 - a))) & 0xFF,
@@ -184,6 +188,44 @@ _CONCRETE_UNOPS = {
     0x15: lambda a: int(a == 0),
     0x19: lambda a: a ^ (_MOD - 1),
 }
+
+_HALTING = frozenset({"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"})
+
+# How `interpret` executes each opcode, built from `OPCODES`, `_HALTING` and
+# the concrete semantics above, never from the emulator's tables.  `_ENV`
+# appears only in a call's own copy of the table, for an opcode whose value
+# `env` supplies.
+(_HALT, _PUSH, _PUSH0, _DUP, _SWAP, _POP, _JUMPDEST, _JUMP, _JUMPI,
+ _BINOP, _UNOP, _UNSUPPORTED, _ENV) = range(13)
+
+_KIND_BY_NAME = {"PUSH0": _PUSH0, "POP": _POP, "JUMPDEST": _JUMPDEST, "JUMP": _JUMP, "JUMPI": _JUMPI}
+
+
+def _step_entry(opcode: int) -> tuple:
+    """(kind, pops, pushes, arg) for one byte value.  `pops` is how many
+    entries it needs: a DUPn reads down to its n-th entry and a SWAPn to its
+    (n + 1)-th.  `arg` is the concrete function of an arithmetic opcode and
+    the mnemonic of one without semantics here."""
+    entry = OPCODES.get(opcode)
+    if entry is None or entry[0] in _HALTING:
+        return (_HALT, 0, 0, None)
+    name, pops, pushes = entry
+    if PUSH1 <= opcode <= PUSH32:
+        return (_PUSH, 0, 1, None)
+    if 0x80 <= opcode <= 0x8F:
+        return (_DUP, pops, 1, None)
+    if 0x90 <= opcode <= 0x9F:
+        return (_SWAP, pops, 0, None)
+    if name in _KIND_BY_NAME:
+        return (_KIND_BY_NAME[name], pops, pushes, None)
+    if opcode in _CONCRETE_BINOPS:
+        return (_BINOP, pops, pushes, _CONCRETE_BINOPS[opcode])
+    if opcode in _CONCRETE_UNOPS:
+        return (_UNOP, pops, pushes, _CONCRETE_UNOPS[opcode])
+    return (_UNSUPPORTED, pops, pushes, name)
+
+
+_STEPS: tuple[tuple, ...] = tuple(_step_entry(op) for op in range(256))
 
 
 def concrete_op(mnemonic: str, operands: list[int]) -> int:
@@ -205,8 +247,6 @@ _MAX_STEPS = 1 << 19
 # Branch decisions per run that `interpret` explores by default.
 BRANCH_BOUND = 16
 
-_HALTING = frozenset({"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"})
-
 # What a fork runs once it passes the end of code.
 _IMPLICIT_STOP = (Instruction(0, 0x00, "STOP"),)
 
@@ -221,16 +261,28 @@ def interpret(
     Steps over the decoded blocks: a fork appends a block's offset to its
     trace on entering it, runs its instructions and goes on to the jump
     target or the next block; past the end of code it stops as on STOP.
+    Each instruction is one lookup in `_STEPS` and one branch on its kind.
     Returns the distinct traces that reach a terminator within
-    `branch_bound` branch decisions per run.  Invalid jumps and underflows
-    end their fork as a revert-class trace, which is still recorded.  A fork
-    that revisits one of its own exact (JUMPI offset, stack) states makes no
-    progress and is pruned.  An opcode without semantics here, and an
-    environment opcode unless `env` supplies a constant for its mnemonic,
-    raises `UnsupportedOpcodeError`; more than `_MAX_FORKS` forks or
-    `_MAX_STEPS` instructions executed raise its base, `AnalysisError`.
+    `branch_bound` branch decisions per run.  Invalid jumps, underflows and
+    overflows end their fork as a revert-class trace, which is still
+    recorded.  A fork may reach each of its own exact (JUMPI offset, stack)
+    decision states twice, so a loop that makes no progress runs one extra
+    lap, and the third visit is pruned: `5b5f5f57` (JUMPDEST; PUSH0; PUSH0;
+    JUMPI back to 0) takes its jump back twice.  An opcode without
+    semantics here, and an environment opcode unless `env` supplies a
+    constant for its mnemonic, raises `UnsupportedOpcodeError`; `env`
+    overrides any opcode but the stack, control and halting ones,
+    arithmetic included.  More than `_MAX_FORKS` forks or `_MAX_STEPS`
+    instructions executed raise its base, `AnalysisError`.
     """
-    env = env or {}
+    table = _STEPS
+    if env:
+        table = list(_STEPS)
+        for name, value in env.items():
+            opcode = MNEMONIC_TO_OPCODE.get(name)
+            if opcode is not None and table[opcode][0] in (_BINOP, _UNOP, _UNSUPPORTED):
+                _, pops, pushes, _ = table[opcode]
+                table[opcode] = (_ENV, pops, pushes, value)
     # block offset -> (instructions, offset the block falls through to)
     blocks = {
         b.id.offset: (b.instructions, b.end_offset)
@@ -266,41 +318,41 @@ def interpret(
                 trace = (offset, trace)
                 instructions, offset = block
             # A `break` ends the fork; running off the block goes on to `offset`.
-            for pc, op, name, data, _, _ in instructions:
+            for pc, op, _, data, _, _ in instructions:
                 steps_left -= 1
                 if steps_left < 0:
                     raise AnalysisError(f"interpreter step budget of {_MAX_STEPS} exceeded")
-                entry = OPCODES.get(op)
-                # Invalid-class and halting opcodes end the run; underflow reverts.
-                if entry is None or name in _HALTING or len(stack) < entry[1]:
-                    record(trace)
-                    break
-                if data is not None:
+                kind, pops, pushes, arg = table[op]
+                if kind == _PUSH:
                     stack.append(data)
-                elif name == "PUSH0":
-                    stack.append(0)
-                elif 0x80 <= op <= 0x8F:
-                    stack.append(stack[-(op - 0x7F)])
-                elif 0x90 <= op <= 0x9F:
-                    depth = op - 0x8F
-                    stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
-                elif name == "POP":
-                    stack.pop()
-                elif name == "JUMPDEST":
+                    if len(stack) > STACK_LIMIT:
+                        record(trace)
+                        break
+                elif kind == _JUMPDEST:
                     pass
-                elif name == "JUMP":
+                elif kind == _HALT or len(stack) < pops:
+                    record(trace)  # halting, or an underflow, which reverts
+                    break
+                elif kind == _POP:
+                    stack.pop()
+                elif kind == _JUMP:
                     offset = stack.pop()
                     if offset not in valid_dests:
                         record(trace)  # invalid jump reverts
                         break
-                elif name == "JUMPI":
+                elif kind == _UNOP:
+                    stack[-1] = arg(stack[-1])
+                elif kind == _BINOP:
+                    stack[-1] = arg(stack.pop(), stack[-1])
+                elif kind == _JUMPI:
                     target = stack.pop()
                     stack.pop()  # condition: both arms are explored regardless
                     if used >= branch_bound:
                         break  # fork abandoned, no trace
                     # A decision state may recur once (one extra loop lap);
                     # beyond that the fork makes no progress and is pruned.
-                    state_key = (pc, tuple(stack))
+                    rest = tuple(stack)
+                    state_key = (pc, rest)
                     if (state_key, 1) not in seen:
                         seen = seen | {(state_key, 1)}
                     elif (state_key, 2) not in seen:
@@ -312,19 +364,33 @@ def interpret(
                         raise AnalysisError(f"interpreter fork budget of {_MAX_FORKS} exceeded")
                     used += 1
                     # Explore the fall arm via the work list, continue on taken.
-                    work.append((offset, tuple(stack), used, trace, seen))
+                    work.append((offset, rest, used, trace, seen))
                     if target not in valid_dests:
                         record(trace)  # taken arm reverts on a bad target
                         break
                     offset = target
-                else:
-                    operands = [stack.pop() for _ in range(entry[1])]
-                    result = env[name] & WORD_MASK if name in env else concrete_op(name, operands)
-                    if entry[2]:
-                        stack.append(result)
-                if len(stack) > STACK_LIMIT:
-                    record(trace)
-                    break
+                elif kind == _DUP:
+                    stack.append(stack[-pops])
+                    if len(stack) > STACK_LIMIT:
+                        record(trace)
+                        break
+                elif kind == _SWAP:
+                    stack[-1], stack[-pops] = stack[-pops], stack[-1]
+                elif kind == _PUSH0:
+                    stack.append(0)
+                    if len(stack) > STACK_LIMIT:
+                        record(trace)
+                        break
+                elif kind == _ENV:
+                    if pops:
+                        del stack[-pops:]
+                    if pushes:
+                        stack.append(arg & WORD_MASK)
+                        if len(stack) > STACK_LIMIT:
+                            record(trace)
+                            break
+                else:  # _UNSUPPORTED: no semantics here and no `env` constant
+                    raise UnsupportedOpcodeError(arg)
             else:
                 continue
             break

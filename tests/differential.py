@@ -6,10 +6,16 @@ revision, then compare two summaries.
 
 `summarize` builds every input in both modes at re-emulation caps 1 and 64
 and writes one JSON line per (input, mode, cap): the sha256 of the JSON
-export with TAC, the path count, the number of polymorphic jumps and, in
-sensitive mode, a digest of the detectors' findings.  A build that fails
-records its error text instead, and one still running after 10 s records
-"timeout".  The families:
+export with TAC, the path count, the number of polymorphic jumps, the
+coverage of the concrete traces as "covered/total" and, in sensitive mode,
+a digest of the detectors' findings.  A build that fails records its error
+text instead, and one still running after 10 s records "timeout".  The
+traces come from the concrete interpreter, run once per input as
+`interpret(code, 8, CALLER_ENV)` under the same 10 s limit; every line of
+the input carries the sha256 of their offsets, or the interpreter's error,
+as `oracle`, and a line gets no coverage when the interpreter failed.  Over
+the 7,000 random-family inputs the interpreter takes about 1 s in all on
+a 2-vCPU virtual machine, 0.3 s of it on the slowest input.  The families:
 
 - `random_program`, `shared_returns` and `halting_loop` on
   `random.Random(i)` for i < 2,000 (`halting_loop` in sensitive mode only,
@@ -38,6 +44,7 @@ import sys
 from typing import Iterator
 
 from fixtures import (
+    CALLER_ENV,
     REENTRANCY_NEGATIVE,
     REENTRANCY_POSITIVE,
     TX_ORIGIN_NEGATIVE,
@@ -59,8 +66,10 @@ from reusecfg import (
     detect_tx_origin,
     export,
     generate,
+    interpret,
     polymorphic_jump_targets,
     stress_fixture,
+    trace_coverage,
 )
 
 MODES = (Mode.REUSE_SENSITIVE, Mode.REUSE_INSENSITIVE)
@@ -92,7 +101,21 @@ def inputs(quick: bool) -> Iterator[tuple[str, bytes, tuple[Mode, ...], int]]:
             yield f"stress/{size}/{seed}", stress_fixture(size, seed), MODES, default
 
 
-def summary(code: bytes, mode: Mode, limits: Config) -> dict:
+def oracle(code: bytes):
+    """The concrete traces of `code` and their digest, or None and the
+    interpreter's error."""
+    try:
+        with time_limit(10):
+            traces = interpret(code, 8, CALLER_ENV)
+    except AnalysisError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    except TimeoutError:
+        return None, "timeout"
+    text = json.dumps([trace.offsets for trace in traces])
+    return traces, hashlib.sha256(text.encode()).hexdigest()
+
+
+def summary(code: bytes, mode: Mode, limits: Config, traces) -> dict:
     """One build's summary fields, or its error."""
     try:
         with time_limit(10):
@@ -102,6 +125,9 @@ def summary(code: bytes, mode: Mode, limits: Config) -> dict:
                 "paths": count_paths(cfg).path_count,
                 "poly": len(polymorphic_jump_targets(cfg)),
             }
+            if traces is not None:
+                covered, total, _ = trace_coverage(cfg, traces)
+                row["trace_coverage"] = f"{covered}/{total}"
             if mode is Mode.REUSE_SENSITIVE:
                 table = cfg.value_table
                 findings = detect_tx_origin(cfg, table) + detect_reentrancy(cfg, table)
@@ -118,11 +144,12 @@ def summarize(out: str, quick: bool) -> int:
     builds = 0
     with open(out, "w") as f:
         for name, code, modes, budget in inputs(quick):
+            traces, digest = oracle(code)
             for mode in modes:
                 for cap in (1, 64):
                     limits = Config(clone_budget_per_offset=budget, reemulation_cap=cap)
-                    row = {"input": name, "mode": mode.value, "cap": cap}
-                    row.update(summary(code, mode, limits))
+                    row = {"input": name, "mode": mode.value, "cap": cap, "oracle": digest}
+                    row.update(summary(code, mode, limits, traces))
                     f.write(json.dumps(row, sort_keys=True) + "\n")
                     builds += 1
     print(f"{builds} builds summarized in {out}")

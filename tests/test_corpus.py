@@ -3,19 +3,30 @@ import random
 
 import pytest
 
-from fixtures import fork_chain, random_program, time_limit
-from reusecfg.bytecode import CODE_SIZE_LIMIT, disassemble, identify_blocks
+from fixtures import CALLER_ENV, fork_chain, halting_loop, random_program, shared_returns, time_limit
+from reusecfg import corpus
+from reusecfg.bytecode import (
+    CODE_SIZE_LIMIT,
+    JUMPDEST,
+    OPCODES,
+    STACK_LIMIT,
+    WORD_MASK,
+    disassemble,
+    identify_blocks,
+)
 from reusecfg.cfg import AnalysisError, Mode, build_cfg
 from reusecfg.corpus import (
+    BRANCH_BOUND,
     Assembler,
     Pattern,
     PatternSpec,
     UnsupportedOpcodeError,
+    concrete_op,
     generate,
     interpret,
     stress_fixture,
 )
-from reusecfg.metrics import trace_coverage
+from reusecfg.metrics import Trace, trace_coverage
 
 
 def test_unconditional_jump_trace():
@@ -282,3 +293,162 @@ def interpret_random_digest() -> str:
 
 def test_interpreter_on_random_code_matches_pinned_digest():
     assert interpret_random_digest() == INTERPRET_RANDOM_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Reference: the interpreter loop before the opcode table
+# ---------------------------------------------------------------------------
+
+
+def ref_interpret(code, branch_bound=BRANCH_BOUND, env=None):
+    """`interpret` as it was before it stepped through `_STEPS`: one
+    `OPCODES` lookup, a `_HALTING` test and mnemonic compares per
+    instruction, and `concrete_op` for arithmetic.  Returns the traces and
+    the number of steps used; the budgets are read off `reusecfg.corpus`."""
+    env = env or {}
+    # block offset -> (instructions, offset the block falls through to)
+    blocks = {
+        b.id.offset: (b.instructions, b.end_offset)
+        for b in identify_blocks(disassemble(code))
+    }
+    # Bytes inside push payloads are not legal landing sites; every
+    # JUMPDEST opens a block.
+    valid_dests = {o for o, (ins, _) in blocks.items() if ins[0].opcode == JUMPDEST}
+
+    # A trace so far is a linked list, newest block first: (offset, rest),
+    # ending in None; extending it and sharing it with a fork are O(1).
+    # (next block, stack tuple, decisions used, trace so far, seen decision states)
+    work = [(0, (), 0, None, frozenset())]
+    found: dict[tuple[int, ...], None] = {}  # distinct traces, in the order first reached
+    forks = 0
+    max_steps, max_forks = corpus._MAX_STEPS, corpus._MAX_FORKS
+    steps_left = max_steps
+
+    def record(node) -> None:
+        offsets = []
+        while node is not None:
+            offset, node = node
+            offsets.append(offset)
+        found[tuple(reversed(offsets))] = None
+
+    while work:
+        offset, stack, used, trace, seen = work.pop()
+        stack = list(stack)
+        while True:
+            block = blocks.get(offset)
+            if block is None:
+                instructions = corpus._IMPLICIT_STOP
+            else:
+                trace = (offset, trace)
+                instructions, offset = block
+            # A `break` ends the fork; running off the block goes on to `offset`.
+            for pc, op, name, data, _, _ in instructions:
+                steps_left -= 1
+                if steps_left < 0:
+                    raise AnalysisError(f"interpreter step budget of {max_steps} exceeded")
+                entry = OPCODES.get(op)
+                # Invalid-class and halting opcodes end the run; underflow reverts.
+                if entry is None or name in corpus._HALTING or len(stack) < entry[1]:
+                    record(trace)
+                    break
+                if data is not None:
+                    stack.append(data)
+                elif name == "PUSH0":
+                    stack.append(0)
+                elif 0x80 <= op <= 0x8F:
+                    stack.append(stack[-(op - 0x7F)])
+                elif 0x90 <= op <= 0x9F:
+                    depth = op - 0x8F
+                    stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
+                elif name == "POP":
+                    stack.pop()
+                elif name == "JUMPDEST":
+                    pass
+                elif name == "JUMP":
+                    offset = stack.pop()
+                    if offset not in valid_dests:
+                        record(trace)  # invalid jump reverts
+                        break
+                elif name == "JUMPI":
+                    target = stack.pop()
+                    stack.pop()  # condition: both arms are explored regardless
+                    if used >= branch_bound:
+                        break  # fork abandoned, no trace
+                    # A decision state may recur once (one extra loop lap);
+                    # beyond that the fork makes no progress and is pruned.
+                    state_key = (pc, tuple(stack))
+                    if (state_key, 1) not in seen:
+                        seen = seen | {(state_key, 1)}
+                    elif (state_key, 2) not in seen:
+                        seen = seen | {(state_key, 2)}
+                    else:
+                        break
+                    forks += 1
+                    if forks > max_forks:
+                        raise AnalysisError(f"interpreter fork budget of {max_forks} exceeded")
+                    used += 1
+                    # Explore the fall arm via the work list, continue on taken.
+                    work.append((offset, tuple(stack), used, trace, seen))
+                    if target not in valid_dests:
+                        record(trace)  # taken arm reverts on a bad target
+                        break
+                    offset = target
+                else:
+                    operands = [stack.pop() for _ in range(entry[1])]
+                    result = env[name] & WORD_MASK if name in env else concrete_op(name, operands)
+                    if entry[2]:
+                        stack.append(result)
+                if len(stack) > STACK_LIMIT:
+                    record(trace)
+                    break
+            else:
+                continue
+            break
+
+    return [Trace(trace) for trace in found], max_steps - steps_left
+
+
+# Loops that deepen the stack by one entry a turn until it overflows, each
+# at another opcode: PUSH0, DUP2, PUSH1 and CALLER (given an environment).
+OVERFLOW_LOOPS = ["5b60005f9056", "5f5b6001819056", "5b6001600056", "5b6000339056"]
+
+
+def oracle_inputs():
+    rng = random.Random(33)
+    for program in (random_program, shared_returns, halting_loop):
+        for _ in range(150):
+            yield program(rng)
+    for _ in range(150):
+        yield rng.randbytes(rng.randint(1, 120))
+    for code in OVERFLOW_LOOPS:
+        yield bytes.fromhex(code)
+
+
+def outcome(run, code, bound, env):
+    try:
+        return [t.offsets for t in run(code, bound, env)]
+    except AnalysisError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_interpreter_matches_the_reference_loop_with_its_exact_step_count(monkeypatch):
+    # Same traces in the same order, or the same error, and a step budget of
+    # exactly the reference's count suffices while one less does not.
+    budget = corpus._MAX_STEPS
+    for code in oracle_inputs():
+        for bound in (0, 1, 4, 16):
+            for env in (None, CALLER_ENV, _ENV):
+                case = (code.hex(), bound, env)
+                monkeypatch.setattr("reusecfg.corpus._MAX_STEPS", budget)
+                try:
+                    traces, steps = ref_interpret(code, bound, env)
+                except AnalysisError as exc:
+                    expected = f"{type(exc).__name__}: {exc}"
+                    assert outcome(interpret, code, bound, env) == expected, case
+                    continue
+                monkeypatch.setattr("reusecfg.corpus._MAX_STEPS", steps)
+                expected = [t.offsets for t in traces]
+                assert outcome(interpret, code, bound, env) == expected, case
+                monkeypatch.setattr("reusecfg.corpus._MAX_STEPS", steps - 1)
+                expected = f"AnalysisError: interpreter step budget of {steps - 1} exceeded"
+                assert outcome(interpret, code, bound, env) == expected, case

@@ -6,8 +6,10 @@ every turn of a loop that deepens the stack, until `prepare_stack`
 memoized its joins.  The sensitive build of the 60-byte input went on from
 a stack padded with made-up entries after an underflow, for 12 to 20 s
 before a `CloneBudgetError`, until a stack underflow came to halt the
-emulation.  Each outcome below is the graph's digest (sha256 of its JSON
-export with TAC) or the exact error.
+emulation.  One baseline build below still takes about 2 s: a loop that
+deepens the stack on every turn re-emulates until the entry stack passes
+1,024 entries.  Each outcome below is the graph's digest (sha256 of its
+JSON export with TAC) or the exact error.
 
 A seeded fuzz test then builds 2,000 random programs of up to 400
 elements in each mode: every build ends in a graph or an `AnalysisError`
@@ -94,6 +96,18 @@ HOSTILE = [
     ("draw 2449", *both("b0cb3335805148d94d5c5b497796d68c7fba55a71a2063d6f07342982a634fcc")),
     # The entry block underflows at 0x1.
     ("draw 2759", *both("8784c8cd621399eee73ec88a85955145c068a2776512574c7ab6126ed8dd0b2e")),
+    # Draw 8210 of `random_program(random.Random(32), size=400)`, 193 bytes.
+    # Its baseline build re-emulates the loop at 0x3b about 1,000 times, one
+    # entry deeper each turn, and takes about 2 s to reach the error.
+    (
+        "5f5b805f609c603b6001603b6001908057816c915f3300ef80602150569050605b5b005080509760"
+        "9c607280605b90600101908190e8607280605b5b60018101603b8057605b90000091335090005060"
+        "5b5050804c6072336021805b609c56810101578001e0609c603b57006072607260215b69603b603b"
+        "3381603b576001335700336021607233a65733603b50565060213f603bd457607260215f5b576072"
+        "33b96001605b91603bff5f00602191607200910060015056603b603b0060016021",
+        CLONES + "0x3b",
+        DEEPER + "0x3b",
+    ),
 ]
 
 
