@@ -221,8 +221,14 @@ class BasicBlock(NamedTuple):
 
     @property
     def fallthrough_offset(self) -> int | None:
-        """Offset execution continues at when the block does not jump away."""
-        return self.end_offset if self.terminator in _FALLS_THROUGH else None
+        """Offset execution continues at when the block does not jump away:
+        its `end_offset`, or None when it ends in a JUMP or a halt.  It reads
+        the last instruction itself rather than through `end_offset`, since
+        recovery reads it once per emulation."""
+        if self.terminator in _FALLS_THROUGH:
+            last = self.instructions[-1]
+            return last.offset + last.length
+        return None
 
     @property
     def halts(self) -> bool:

@@ -308,10 +308,15 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     and one that is no constant at all.  No chain is
     kept.  A walked value without `args` is its own chain, and while the
     table has made no phi (`ValueTable.has_phi`) no entry holds it as a
-    member: its positions are found by scanning the entry stack for its id
-    in C (`in`, then `index`), and `transfer_taint` runs only when one of
-    them is not tainted yet.  Any other walked item's chain comes from
-    `trace_origin` anew and is matched entry by entry, phi members too.
+    member.  This leaf case is the common one: every walk item of a
+    `stress_fixture` build takes it.  Its walk never changes its root, so
+    it runs a loop of its own whose work list holds clones only, in the
+    order the general loop would pop them.
+    Each clone's positions are found by scanning its entry stack for the
+    id in C (`count`, then `index`), and `transfer_taint` runs only when
+    one of them is not tainted yet (one position: a single `in` test).
+    Any other walked item's chain comes from `trace_origin` anew and is
+    matched entry by entry, phi members too.
 
     Every walk of a recovery shares `cfg._walked`, the (clone, value id)
     items walked since a walked clone last gained a predecessor or a new
@@ -330,6 +335,8 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     table = cfg.value_table
     values = table.values
     s_start = cfg.s_start
+    tainted = cfg.tainted
+    preds_of = cfg.pred
     # The walk appends no value, so no phi appears while it runs.
     leaf_scan = not table.has_phi
     # (clone, value id) pairs whose def-use chain is matched against that
@@ -337,6 +344,40 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
     work: list[tuple[BlockId, int]] = [(block, jump_target_value)]
     while work:
         clone, root = work.pop()
+        if leaf_scan and not values[root].args:
+            # The chain is `root` alone and no entry is a phi: `root` sits
+            # only where its own id does.  Every item behind this one walks
+            # the same root, so the work list holds clones only.  It is
+            # popped LIFO, as `work` is, and empties before `work` is popped
+            # again: the items run in the order they would there.
+            clones = [clone]
+            while clones:
+                clone = clones.pop()
+                seen = walked.get(clone)
+                if seen is None:
+                    walked[clone] = {root}
+                elif root in seen:
+                    continue
+                else:
+                    seen.add(root)
+                stack = s_start[clone]
+                count = stack.count(root)
+                if not count:
+                    continue
+                idx = stack.index(root)
+                done = tainted.get((clone.offset, len(stack)))
+                if count == 1:
+                    if done is None or idx not in done:
+                        transfer_taint(cfg, clone, [idx])
+                else:
+                    positions = [idx]
+                    for _ in range(count - 1):
+                        idx = stack.index(root, idx + 1)
+                        positions.append(idx)
+                    if done is None or not done.issuperset(positions):
+                        transfer_taint(cfg, clone, positions)
+                clones += preds_of.get(clone, ())
+            continue
         seen = walked.get(clone)
         if seen is None:
             walked[clone] = {root}
@@ -345,23 +386,6 @@ def update_reuse_context(cfg: Cfg, block: BlockId, jump_target_value: int) -> No
         else:
             seen.add(root)
         stack = s_start[clone]
-        value = values[root]
-        if leaf_scan and not value.args:
-            # The chain is `root` alone and no entry is a phi: `root` sits
-            # only where its own id does.
-            if root not in stack:
-                continue
-            idx = stack.index(root)
-            positions = [idx]
-            for _ in range(stack.count(root) - 1):
-                idx = stack.index(root, idx + 1)
-                positions.append(idx)
-            tainted = cfg.tainted.get((clone.offset, len(stack)))
-            if tainted is None or not tainted.issuperset(positions):
-                transfer_taint(cfg, clone, positions)
-            for pred in cfg.pred.get(clone, ()):
-                work.append((pred, root))
-            continue
         chain = trace_origin(root, table)
         # One pass over S_start: chain value -> its positions, ascending.  A
         # phi entry holds each of its members too.

@@ -284,6 +284,14 @@ def emulate_block(
     fresh id; a fold appends a new one that keeps its operand ids.  The
     three-address form is recorded as value ids only; `tac_ops` builds the
     `TacOp`s from them and the block's instructions.
+
+    The dispatch tests the opcode kinds in the order of how often they run
+    in recovered contracts (PUSH, JUMPDEST, POP, JUMP, other, JUMPI, DUP,
+    SWAP).  Every folder takes one operand or two, and reads their `const`
+    in place; a symbol is appended as `ValueTable.new_sym` would.  The
+    underflow test runs before every instruction and the overflow watch
+    after every one, a JUMPDEST's included: a block entered 1,025 deep
+    that opens with one is past the limit at its first offset.
     """
     stack: list[int] = list(s_start)
     ids: list[int] = []
@@ -310,6 +318,13 @@ def emulate_block(
             add_value(pushed.get(data) or table.pushed_value(data))
             stack.append(vid)
             record(vid)
+        elif kind == _JUMPDEST:
+            pass  # reads and writes nothing, but the watch below still runs
+        elif kind == _POP:
+            record(stack.pop())
+        elif kind == _JUMP:
+            jump = stack.pop()
+            record(jump)
         elif kind == _OTHER:
             # Popped top first.
             args = tuple(stack[: -n - 1 : -1])
@@ -317,35 +332,35 @@ def emulate_block(
                 del stack[-n:]
             ids += args
             if pushes:
-                result: int | None = None
+                const = None  # the folded word, if the operands are constants
                 if folder is not None:
-                    consts = [values[a].const for a in args]  # None unless constant
-                    if None not in consts:
-                        result = len(values)
-                        folded = folder(*consts)
-                        add_value(_new(Value, (CONST, folded, None, args)))
-                if result is None:
-                    result = table.new_sym(name, args)
+                    a = values[args[0]].const
+                    if a is not None:
+                        if n == 1:
+                            const = folder(a)
+                        else:
+                            b = values[args[1]].const
+                            if b is not None:
+                                const = folder(a, b)
+                result = len(values)
+                if const is None:
+                    add_value(_new(Value, (SYM, None, name, args)))
+                else:
+                    add_value(_new(Value, (CONST, const, None, args)))
                 stack.append(result)
                 record(result)
-        elif kind == _DUP:
-            vid = stack[-n]
-            stack.append(vid)
-            record(vid)
-        elif kind == _SWAP:
-            stack[-1], stack[-n] = stack[-n], stack[-1]
-            record(stack[-1])
-            record(stack[-n])
-        elif kind == _POP:
-            record(stack.pop())
-        elif kind == _JUMP:
-            jump = stack.pop()
-            record(jump)
         elif kind == _JUMPI:
             jump = stack.pop()
             record(jump)
             record(stack.pop())
-        # _JUMPDEST reads and writes nothing.
+        elif kind == _DUP:
+            vid = stack[-n]
+            stack.append(vid)
+            record(vid)
+        else:  # _SWAP
+            stack[-1], stack[-n] = stack[-n], stack[-1]
+            record(stack[-1])
+            record(stack[-n])
 
         if watch and len(stack) > STACK_LIMIT:
             diags.append(("warning", f"stack overflow at offset 0x{offset:x}", offset))

@@ -6,16 +6,19 @@ revision, then compare two summaries.
 
 `summarize` builds every input in both modes at re-emulation caps 1 and 64
 and writes one JSON line per (input, mode, cap): the sha256 of the JSON
-export with TAC, the path count, the number of polymorphic jumps, the
-coverage of the concrete traces as "covered/total" and, in sensitive mode,
-a digest of the detectors' findings.  A build that fails records its error
-text instead, and one still running after 10 s records "timeout".  The
-traces come from the concrete interpreter, run once per input as
-`interpret(code, 8, CALLER_ENV)` under the same 10 s limit; every line of
-the input carries the sha256 of their offsets, or the interpreter's error,
-as `oracle`, and a line gets no coverage when the interpreter failed.  Over
-the 7,000 random-family inputs the interpreter takes about 1 s in all on
-a 2-vCPU virtual machine, 0.3 s of it on the slowest input.  The families:
+export with TAC, the sha256 of the offset-level edge set (every edge with
+its clones collapsed to their offsets, as sorted (src, dst, kind) tuples),
+the block and clone counts, the path count, the number of polymorphic
+jumps, the coverage of the concrete traces as "covered/total" and, in
+sensitive mode, a digest of the detectors' findings.  A build that fails
+records its error text instead, and one still running after 10 s records
+"timeout".  The traces come from the concrete interpreter, run once per
+input as `interpret(code, 8, CALLER_ENV)` under the same 10 s limit; every
+line of the input carries the sha256 of their offsets, or the
+interpreter's error, as `oracle`, and a line gets no coverage when the
+interpreter failed.  Over the 7,000 random-family inputs the interpreter
+takes about 1 s in all on a 2-vCPU virtual machine, 0.3 s of it on the
+slowest input.  The families:
 
 - `random_program`, `shared_returns` and `halting_loop` on
   `random.Random(i)` for i < 2,000 (`halting_loop` in sensitive mode only,
@@ -30,8 +33,11 @@ default.  `--quick` takes the first 100 draws of each random family, every
 fixture and the 3 kB stress inputs only.
 
 `compare` lists the inputs whose lines differ, grouped by the fields that
-changed, and exits 1 on any difference.  The harness checks outputs at
-their byte level: it adds checks and replaces none of the pinned digests.
+changed, and exits 1 on any difference.  The grouping tells a change in
+the offset-level graph (`edges`) from one in its clones alone (`blocks`
+and `clones`) or in what the export holds besides (`sha256` only).  The
+harness checks outputs at their byte level: it adds checks and replaces
+none of the pinned digests.
 """
 
 from __future__ import annotations
@@ -120,8 +126,12 @@ def summary(code: bytes, mode: Mode, limits: Config, traces) -> dict:
     try:
         with time_limit(10):
             cfg = build_cfg(code, mode, limits)
+            edges = sorted({(e.src.offset, e.dst.offset, e.kind.value) for e in cfg.edges})
             row = {
                 "sha256": hashlib.sha256(export(cfg, "json", emit_tac=True)).hexdigest(),
+                "edges": hashlib.sha256(json.dumps(edges).encode()).hexdigest(),
+                "blocks": len(cfg.blocks),
+                "clones": sum(1 for b in cfg.blocks if b.clone),
                 "paths": count_paths(cfg).path_count,
                 "poly": len(polymorphic_jump_targets(cfg)),
             }

@@ -15,6 +15,7 @@ from reusecfg.emulator import (
     SYM,
     UNKNOWN,
     ValueTable,
+    _DISPATCH,
     emulate_block,
     prepare_stack,
     tac_ops,
@@ -412,3 +413,11 @@ def test_stack_effect_table_sanity():
     assert stack_effect(0x80) == (1, 2)  # DUP1
     assert stack_effect(0x90) == (2, 2)  # SWAP1
     assert stack_effect(0xF1) == (7, 1)  # CALL
+
+
+def test_every_folder_reads_one_operand_or_two():
+    # `emulate_block` folds by reading the first operand's `const`, and the
+    # second's only for a two-operand op.
+    folded = [(n, pushes) for _, n, pushes, folder in _DISPATCH if folder is not None]
+    assert len(folded) == len(FOLDED_OPS)
+    assert all(n in (1, 2) and pushes == 1 for n, pushes in folded)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reusecfg.bytecode import (
@@ -495,6 +495,20 @@ def test_disassemble_matches_reference(code):
     assert [tuple(i) for i in disassemble(code)] == [astuple(i) for i in oracle_disassemble(code)]
 
 
+_CALLER = ("sym", "CALLER")
+_ONE = ("const", 1)
+
+
+# Cases that the order of the kernel's dispatch could break: the overflow
+# watch after a JUMPDEST that opens a block entered with 1,025 entries,
+# PUSH0, the one- and two-operand folders with one symbolic operand, and
+# DUP16 and SWAP16 entered exactly as deep as they read (and one short).
+@example(b"\x5b\x00", Terminator.STOP, ([_ONE] * 5, True), ([_ONE] * 4, True))
+@example(b"\x5f", Terminator.FALLTHROUGH, ([], False), ([_ONE], True))
+@example(b"\x15\x19", Terminator.FALLTHROUGH, ([_CALLER], False), ([_ONE], False))
+@example(b"\x01\x14", Terminator.FALLTHROUGH, ([_ONE, _ONE, _CALLER], False), ([_CALLER, _ONE, _ONE], False))
+@example(b"\x8f", Terminator.FALLTHROUGH, ([_ONE] * 16, False), ([_ONE] * 15, False))
+@example(b"\x9f", Terminator.FALLTHROUGH, ([_ONE] * 17, False), ([_ONE] * 16, False))
 @settings(max_examples=300, deadline=None)
 @given(_code, st.sampled_from(list(Terminator)), _stack, _stack)
 def test_emulate_block_and_prepare_stack_match_reference(code, terminator, first, second):

@@ -18,17 +18,25 @@ values and ends a context at its first non-constant entry, where the
 library taints every chain value and compares every tainted index.
 Random code is pinned instead by a digest of the library's own outputs,
 and the shared-return tests at the end check it against concrete traces.
+
+A second reference, `ref_walk`, is the library walk as it was before its
+leaf items (a value without `args` while the table holds no phi) got a
+loop of their own over clones only.  Its body is kept word for word.
+Random draws are built once with each walk, and everything the walk
+writes must agree: the tainted indices, the contexts, the export and every
+`transfer_taint` call, in order.
 """
 
 import hashlib
 import random
 import re
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fixtures import CALLER_ENV, random_program, shared_returns
+from fixtures import CALLER_ENV, halting_loop, random_program, shared_returns
 import reusecfg.cfg
 from reusecfg import stress_fixture
 from reusecfg.bytecode import STACK_LIMIT, BlockId
@@ -284,6 +292,156 @@ def random_bytes_digest():
 
 def test_random_bytes_match_pinned_digest():
     assert random_bytes_digest() == RANDOM_BYTES_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Reference: the walk before leaf items got a loop of their own
+# ---------------------------------------------------------------------------
+
+
+def ref_walk(cfg, block, jump_target_value):
+    walked = cfg._walked
+    seen = walked.get(block)
+    if seen is not None and jump_target_value in seen:
+        return  # walked already: the loop below would skip it at once
+    table = cfg.value_table
+    values = table.values
+    s_start = cfg.s_start
+    # The walk appends no value, so no phi appears while it runs.
+    leaf_scan = not table.has_phi
+    # (clone, value id) pairs whose def-use chain is matched against that
+    # clone's S_start.
+    work: list[tuple[BlockId, int]] = [(block, jump_target_value)]
+    while work:
+        clone, root = work.pop()
+        seen = walked.get(clone)
+        if seen is None:
+            walked[clone] = {root}
+        elif root in seen:
+            continue
+        else:
+            seen.add(root)
+        stack = s_start[clone]
+        value = values[root]
+        if leaf_scan and not value.args:
+            # The chain is `root` alone and no entry is a phi: `root` sits
+            # only where its own id does.
+            if root not in stack:
+                continue
+            idx = stack.index(root)
+            positions = [idx]
+            for _ in range(stack.count(root) - 1):
+                idx = stack.index(root, idx + 1)
+                positions.append(idx)
+            tainted = cfg.tainted.get((clone.offset, len(stack)))
+            if tainted is None or not tainted.issuperset(positions):
+                transfer_taint(cfg, clone, positions)
+            for pred in cfg.pred.get(clone, ()):
+                work.append((pred, root))
+            continue
+        chain = trace_origin(root, table)
+        # One pass over S_start: chain value -> its positions, ascending.  A
+        # phi entry holds each of its members too.
+        found: dict[int, list[int]] = {}
+        for idx, entry in enumerate(stack):
+            if entry in chain:
+                found.setdefault(entry, []).append(idx)
+            value = values[entry]
+            if value.kind == PHI:
+                for member in value.args:
+                    if member in chain:
+                        found.setdefault(member, []).append(idx)
+        if not found:
+            continue  # not pre-pushed relative to this clone
+        preds = cfg.pred.get(clone, ())
+        for vid, positions in found.items():
+            transfer_taint(cfg, clone, positions)
+            # The value flowed in from every predecessor stack that still
+            # holds it (or computed it): keep walking toward its push.
+            for pred in preds:
+                work.append((pred, vid))
+
+
+def build_with_walk(code, cap, walk):
+    """The sensitive build of `code` at re-emulation cap `cap` with `walk`
+    as `update_reuse_context`: its graph or error, and the arguments of
+    every `transfer_taint` call in order."""
+    taint = reusecfg.cfg.transfer_taint
+    calls = []
+
+    def recording(cfg, block, indices):
+        calls.append((block, list(indices)))
+        taint(cfg, block, indices)
+
+    limits = Config(clone_budget_per_offset=16, reemulation_cap=cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reusecfg.cfg, "update_reuse_context", walk)
+        patch.setattr(reusecfg.cfg, "transfer_taint", recording)
+        # `ref_walk` calls this module's name.
+        patch.setattr(sys.modules[__name__], "transfer_taint", recording)
+        cfg, error = outcome(lambda: build_cfg(code, Mode.REUSE_SENSITIVE, limits))
+    return cfg, error, calls
+
+
+# Draws on which the table makes a phi, so that walks also take the chain
+# branch and match phi members: the first builds, the second ends in a
+# clone explosion after 125 phi positions were tainted.
+@example(shared_returns, 8, 64)
+@example(random_program, 1849, 1)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([random_program, shared_returns, halting_loop]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 64]),
+)
+def test_walk_matches_the_reference_walk(program, seed, cap):
+    code = program(random.Random(seed))
+    cfg, error, calls = build_with_walk(code, cap, update_reuse_context)
+    ref_cfg, ref_error, ref_calls = build_with_walk(code, cap, ref_walk)
+    assert (error, calls) == (ref_error, ref_calls)
+    if error is not None:
+        return
+    assert cfg.tainted == ref_cfg.tainted
+    assert dict(cfg.reuse_contexts) == dict(ref_cfg.reuse_contexts)
+    assert export(cfg, "json", emit_tac=True) == export(ref_cfg, "json", emit_tac=True)
+
+
+def test_leaf_walk_goes_depth_first_through_the_last_predecessor_first():
+    # x has predecessors p1 and then p2, and p2 has q; each holds the
+    # operand k.  The walk taints them in the reference's LIFO order.
+    orders = []
+    for walk in (update_reuse_context, ref_walk):
+        cfg = _Recovery(bytes.fromhex("5b5b5b5b00"), Mode.REUSE_SENSITIVE, Config()).cfg
+        k = cfg.value_table.new_const(0x10)
+        q, p1, x, p2 = (BlockId(offset, 0) for offset in range(4))
+        for block in (q, p1, x, p2):
+            cfg.s_start[block] = (k,)
+        for src, dst in ((p1, x), (p2, x), (q, p2)):
+            cfg.add_edge(src, dst, EdgeKind.JUMP)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (reusecfg.cfg, sys.modules[__name__]):
+                patch.setattr(module, "transfer_taint", lambda c, b, i: calls.append((b, i)))
+            walk(cfg, x, k)
+        orders.append(calls)
+    assert orders[0] == orders[1] == [(x, [0]), (p2, [0]), (q, [0]), (p1, [0])]
+
+
+def test_reference_walk_pins_take_the_chain_branch_after_a_phi():
+    # The pinned draws above would stop exercising the chain branch if the
+    # table stopped making phis on them.
+    for program, seed, cap in ((shared_returns, 8, 64), (random_program, 1849, 1)):
+        phi_walks = []
+        chain = reusecfg.cfg.trace_origin
+
+        def recording(vid, table):
+            phi_walks.append(table.has_phi)
+            return chain(vid, table)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reusecfg.cfg, "trace_origin", recording)
+            build_with_walk(program(random.Random(seed)), cap, update_reuse_context)
+        assert any(phi_walks), (program.__name__, seed)
 
 
 # ---------------------------------------------------------------------------
