@@ -74,14 +74,20 @@ class GroundTruth:
 class Assembler:
     """One-pass label assembler; all label pushes are fixed-width PUSH2.
 
-    `size` is the number of bytes the items added so far assemble to.
+    Each instruction is written to the bytes as it is added, and a label
+    takes the current length as its offset at once, so `labels` and `size`
+    are always up to date.  A label push writes `PUSH2 00 00` and records
+    its operand's offset; `assemble` fills those operands into a copy.
     """
 
     def __init__(self) -> None:
-        self._items: list[tuple] = []  # ("op",opcode) ("push",width,value) ("pushl",label) ("label",name) ("raw",bytes)
-        self._declared: set[str] = set()
+        self._code = bytearray()
+        self._patches: list[tuple[int, str]] = []  # (operand offset, label)
         self.labels: dict[str, int] = {}
-        self.size = 0
+
+    @property
+    def size(self) -> int:
+        return len(self._code)
 
     def jumpdest(self, name: str) -> None:
         self.label(name)
@@ -92,68 +98,51 @@ class Assembler:
         self.op("JUMP")
 
     def label(self, name: str) -> None:
-        if name in self._declared:
+        if name in self.labels:
             raise ValueError(f"duplicate label {name}")
-        self._declared.add(name)
-        self._items.append(("label", name))
+        self.labels[name] = len(self._code)
 
     def absorb(self, other: "Assembler", prefix: str) -> None:
-        """Inline another program's items with namespaced labels."""
-        self.size += other.size
-        for item in other._items:
-            kind = item[0]
-            if kind == "label":
-                self.label(prefix + item[1])
-            elif kind == "pushl":
-                self._items.append(("pushl", prefix + item[1]))
-            else:
-                self._items.append(item)
+        """Append another program relocated to the end of this one: its
+        labels and label pushes move by that offset, under `prefix`."""
+        base = len(self._code)
+        labels = {prefix + name: base + offset for name, offset in other.labels.items()}
+        for name in labels:
+            if name in self.labels:
+                raise ValueError(f"duplicate label {name}")
+        self._code += other._code
+        self.labels.update(labels)
+        self._patches += [(base + at, prefix + name) for at, name in other._patches]
 
     def op(self, mnemonic: str) -> None:
-        self._items.append(("op", MNEMONIC_TO_OPCODE[mnemonic]))
-        self.size += 1
+        self._code.append(MNEMONIC_TO_OPCODE[mnemonic])
 
     def push(self, value: int, width: int | None = None) -> None:
         if width is None:
             width = max(1, (value.bit_length() + 7) // 8)
         if not 0 <= width <= 32 or not 0 <= value < 1 << (8 * width):
             raise ValueError(f"cannot push {value:#x} in {width} bytes")
-        self._items.append(("push", width, value))
-        self.size += 1 + width
+        self._code.append(0x5F + width)
+        self._code += value.to_bytes(width, "big")
 
     def push_label(self, name: str) -> None:
-        self._items.append(("pushl", name))
-        self.size += 3
+        self._code += b"\x61\0\0"  # PUSH2
+        self._patches.append((len(self._code) - 2, name))
 
     def raw(self, data: bytes) -> None:
-        self._items.append(("raw", data))
-        self.size += len(data)
+        self._code += data
 
     def assemble(self) -> bytes:
-        """Emit the bytes, recording label offsets on the way; each label
-        push reserves its 2 operand bytes, patched once all are known."""
-        out = bytearray()
-        self.labels = labels = {}
-        patches = []
-        for item in self._items:
-            kind = item[0]
-            if kind == "op":
-                out.append(item[1])
-            elif kind == "push":
-                _, width, value = item
-                out.append(0x5F + width)
-                out += value.to_bytes(width, "big")
-            elif kind == "pushl":
-                out += b"\x61\0\0"  # PUSH2
-                patches.append((len(out), item[1]))
-            elif kind == "label":
-                labels[item[1]] = len(out)
-            elif kind == "raw":
-                out += item[1]
-        for end, name in patches:
-            target = labels[name]
-            out[end - 2] = target >> 8
-            out[end - 1] = target & 0xFF
+        """The bytes with every label push's operand filled in."""
+        out = bytearray(self._code)
+        for at, name in self._patches:
+            target = self.labels.get(name)
+            if target is None:
+                raise ValueError(f"undefined label {name}")
+            if target > 0xFFFF:
+                raise ValueError(f"label {name} at {target:#x} does not fit a PUSH2")
+            out[at] = target >> 8
+            out[at + 1] = target & 0xFF
         return bytes(out)
 
 
@@ -677,11 +666,11 @@ def generate(spec: PatternSpec) -> GroundTruth:
     rng = random.Random(f"{spec.pattern.value}:{spec.seed}:{spec.nesting_depth}")
     asm, reused_labels, sens, insens = _BUILDERS[spec.pattern](rng, spec.nesting_depth)
     _data_tail(asm, rng)
-    code = asm.assemble()
-    if len(code) > CODE_SIZE_LIMIT:
+    if asm.size > CODE_SIZE_LIMIT:
         raise ValueError(
-            f"fixture exceeds deployable code size limit ({len(code)} > {CODE_SIZE_LIMIT})"
+            f"fixture exceeds deployable code size limit ({asm.size} > {CODE_SIZE_LIMIT})"
         )
+    code = asm.assemble()
     traces = interpret(code)
     return GroundTruth(
         bytecode=code,

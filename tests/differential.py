@@ -5,13 +5,14 @@ revision, then compare two summaries.
     PYTHONPATH=src python tests/differential.py compare A.json B.json
 
 `summarize` builds every input in both modes at re-emulation caps 1 and 64
-and writes one JSON line per (input, mode, cap): the sha256 of the JSON
-export with TAC, the sha256 of the offset-level edge set (every edge with
-its clones collapsed to their offsets, as sorted (src, dst, kind) tuples),
-the block and clone counts, the path count, the number of polymorphic
-jumps, the coverage of the concrete traces as "covered/total" and, in
-sensitive mode, a digest of the detectors' findings.  A build that fails
-records its error text instead, and one still running after 10 s records
+and writes one JSON line per (input, mode, cap): the sha256 of the input
+bytes as `code`, the sha256 of the JSON export with TAC, the sha256 of the
+offset-level edge set (every edge with its clones collapsed to their
+offsets, as sorted (src, dst, kind) tuples), the block and clone counts,
+the path count, the number of polymorphic jumps, the coverage of the
+concrete traces as "covered/total" and, in sensitive mode, a digest of
+the detectors' findings.  A build that fails records its error text
+instead, and one still running after 10 s records
 "timeout".  The traces come from the concrete interpreter, run once per
 input as `interpret(code, 8, CALLER_ENV)` under the same 10 s limit; every
 line of the input carries the sha256 of their offsets, or the
@@ -34,10 +35,11 @@ fixture and the 3 kB stress inputs only.
 
 `compare` lists the inputs whose lines differ, grouped by the fields that
 changed, and exits 1 on any difference.  The grouping tells a change in
-the offset-level graph (`edges`) from one in its clones alone (`blocks`
-and `clones`) or in what the export holds besides (`sha256` only).  The
-harness checks outputs at their byte level: it adds checks and replaces
-none of the pinned digests.
+the inputs themselves (`code`, as a generator change makes) from one in
+recovery, and a change in the offset-level graph (`edges`) from one in its
+clones alone (`blocks` and `clones`) or in what the export holds besides
+(`sha256` only).  The harness checks outputs at their byte level: it adds
+checks and replaces none of the pinned digests.
 """
 
 from __future__ import annotations
@@ -155,10 +157,12 @@ def summarize(out: str, quick: bool) -> int:
     with open(out, "w") as f:
         for name, code, modes, budget in inputs(quick):
             traces, digest = oracle(code)
+            code_digest = hashlib.sha256(code).hexdigest()
             for mode in modes:
                 for cap in (1, 64):
                     limits = Config(clone_budget_per_offset=budget, reemulation_cap=cap)
-                    row = {"input": name, "mode": mode.value, "cap": cap, "oracle": digest}
+                    row = {"input": name, "mode": mode.value, "cap": cap,
+                           "code": code_digest, "oracle": digest}
                     row.update(summary(code, mode, limits, traces))
                     f.write(json.dumps(row, sort_keys=True) + "\n")
                     builds += 1

@@ -276,6 +276,16 @@ def test_gen_past_step_budget_usage_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_gen_past_the_code_size_limit_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["gen", "--pattern", "NestedFakeLoops", "--depth", "3000", "--out-dir", str(out_dir)]
+    # 92,590 bytes: its labels pass 0xFFFF, so the size is checked before
+    # any PUSH2 operand is filled in.
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: fixture exceeds deployable code size limit (92590 > 24576)\n"
+    assert not out_dir.exists()
+
+
 def test_missing_file_usage_error(capsys):
     assert run(["disasm", "/nonexistent/path.hex"]) == 2
     assert "cannot read" in capsys.readouterr().err

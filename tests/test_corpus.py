@@ -2,12 +2,15 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fixtures import CALLER_ENV, fork_chain, halting_loop, random_program, shared_returns, time_limit
 from reusecfg import corpus
 from reusecfg.bytecode import (
     CODE_SIZE_LIMIT,
     JUMPDEST,
+    MNEMONIC_TO_OPCODE,
     OPCODES,
     STACK_LIMIT,
     WORD_MASK,
@@ -188,6 +191,37 @@ def test_assembler_rejects_duplicate_labels():
     asm.label("x")
     with pytest.raises(ValueError):
         asm.label("x")
+
+
+def test_absorb_with_a_duplicate_label_changes_nothing():
+    asm = Assembler()
+    asm.jumpdest("s_x")
+    other = Assembler()
+    other.jump("x")
+    other.jumpdest("w")
+    other.jumpdest("x")
+    with pytest.raises(ValueError, match="^duplicate label s_x$"):
+        asm.absorb(other, "s_")
+    assert (asm.assemble(), asm.labels, asm.size) == (b"\x5b", {"s_x": 0}, 1)
+
+
+def test_assembler_names_an_undefined_label():
+    asm = Assembler()
+    asm.jump("nope")
+    with pytest.raises(ValueError, match="^undefined label nope$"):
+        asm.assemble()
+
+
+def test_assembler_names_a_label_past_a_push2_operand():
+    asm = Assembler()
+    asm.jump("far")
+    asm.raw(bytes(0xFFFB))
+    asm.jumpdest("edge")  # at 0xFFFF, the last offset a PUSH2 holds
+    asm.jump("edge")
+    asm.jumpdest("far")
+    assert asm.labels == {"edge": 0xFFFF, "far": 0x10004}
+    with pytest.raises(ValueError, match="^label far at 0x10004 does not fit a PUSH2$"):
+        asm.assemble()
 
 
 def test_stress_fixture_is_large_and_wellformed():
@@ -452,3 +486,163 @@ def test_interpreter_matches_the_reference_loop_with_its_exact_step_count(monkey
                 monkeypatch.setattr("reusecfg.corpus._MAX_STEPS", steps - 1)
                 expected = f"AnalysisError: interpreter step budget of {steps - 1} exceeded"
                 assert outcome(interpret, code, bound, env) == expected, case
+
+
+# ---------------------------------------------------------------------------
+# Reference: the assembler that kept a list of items
+# ---------------------------------------------------------------------------
+
+
+class RefAssembler:
+    """`Assembler` as it was before it wrote bytes as it went: a list of
+    five item kinds, walked again by `absorb` and by `assemble`."""
+
+    def __init__(self) -> None:
+        self._items: list[tuple] = []  # ("op",opcode) ("push",width,value) ("pushl",label) ("label",name) ("raw",bytes)
+        self._declared: set[str] = set()
+        self.labels: dict[str, int] = {}
+        self.size = 0
+
+    def jumpdest(self, name: str) -> None:
+        self.label(name)
+        self.op("JUMPDEST")
+
+    def jump(self, name: str) -> None:
+        self.push_label(name)
+        self.op("JUMP")
+
+    def label(self, name: str) -> None:
+        if name in self._declared:
+            raise ValueError(f"duplicate label {name}")
+        self._declared.add(name)
+        self._items.append(("label", name))
+
+    def absorb(self, other: "Assembler", prefix: str) -> None:
+        """Inline another program's items with namespaced labels."""
+        self.size += other.size
+        for item in other._items:
+            kind = item[0]
+            if kind == "label":
+                self.label(prefix + item[1])
+            elif kind == "pushl":
+                self._items.append(("pushl", prefix + item[1]))
+            else:
+                self._items.append(item)
+
+    def op(self, mnemonic: str) -> None:
+        self._items.append(("op", MNEMONIC_TO_OPCODE[mnemonic]))
+        self.size += 1
+
+    def push(self, value: int, width: int | None = None) -> None:
+        if width is None:
+            width = max(1, (value.bit_length() + 7) // 8)
+        if not 0 <= width <= 32 or not 0 <= value < 1 << (8 * width):
+            raise ValueError(f"cannot push {value:#x} in {width} bytes")
+        self._items.append(("push", width, value))
+        self.size += 1 + width
+
+    def push_label(self, name: str) -> None:
+        self._items.append(("pushl", name))
+        self.size += 3
+
+    def raw(self, data: bytes) -> None:
+        self._items.append(("raw", data))
+        self.size += len(data)
+
+    def assemble(self) -> bytes:
+        """Emit the bytes, recording label offsets on the way; each label
+        push reserves its 2 operand bytes, patched once all are known."""
+        out = bytearray()
+        self.labels = labels = {}
+        patches = []
+        for item in self._items:
+            kind = item[0]
+            if kind == "op":
+                out.append(item[1])
+            elif kind == "push":
+                _, width, value = item
+                out.append(0x5F + width)
+                out += value.to_bytes(width, "big")
+            elif kind == "pushl":
+                out += b"\x61\0\0"  # PUSH2
+                patches.append((len(out), item[1]))
+            elif kind == "label":
+                labels[item[1]] = len(out)
+            elif kind == "raw":
+                out += item[1]
+        for end, name in patches:
+            target = labels[name]
+            out[end - 2] = target >> 8
+            out[end - 1] = target & 0xFF
+        return bytes(out)
+
+
+# A program is a list of assembler calls, (method, *arguments); an absorb's
+# first argument is itself a program.  Few names and prefixes, so labels
+# repeat and an absorb can bring in a label already there.
+_NAMES = ("a", "b", "c")
+_PREFIXES = ("", "s_", "t_")
+
+_pushes = st.one_of(
+    st.integers(0, 32).flatmap(
+        lambda width: st.tuples(st.just("push"), st.integers(0, (1 << 8 * width) - 1), st.just(width))
+    ),
+    st.tuples(st.just("push"), st.integers(0, WORD_MASK)),
+)
+_calls = st.one_of(
+    st.tuples(st.just("op"), st.sampled_from(["JUMPDEST", "JUMP", "JUMPI", "POP", "ADD", "STOP"])),
+    _pushes,
+    st.tuples(st.sampled_from(["label", "jumpdest", "jump", "push_label"]), st.sampled_from(_NAMES)),
+    st.tuples(st.just("raw"), st.binary(max_size=8)),
+)
+
+
+def _programs(levels: int):
+    calls = _calls
+    if levels:
+        absorbs = st.tuples(st.just("absorb"), _programs(levels - 1), st.sampled_from(_PREFIXES))
+        calls = st.one_of(_calls, absorbs)
+    return st.lists(calls, max_size=12)
+
+
+def _apply(program, ref: RefAssembler, asm: Assembler) -> bool:
+    """Make every call of `program` on both assemblers; a call must raise
+    the same `ValueError` in both or in neither.  False once an absorb has
+    raised, which leaves the reference half changed."""
+    for method, *args in program:
+        ref_args = args
+        if method == "absorb":
+            ref_sub, sub = RefAssembler(), Assembler()
+            if not _apply(args[0], ref_sub, sub):
+                return False
+            ref_args, args = [ref_sub, args[1]], [sub, args[1]]
+        errors = []
+        for target, call_args in ((ref, ref_args), (asm, args)):
+            try:
+                getattr(target, method)(*call_args)
+                errors.append(None)
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1], (method, errors)
+        if method == "absorb" and errors[0] is not None:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs(2))
+@example([("push", 0, 0), ("label", "a"), ("push_label", "a"), ("absorb", [("label", "a")], "")])
+@example([("absorb", [("jump", "b"), ("absorb", [("jumpdest", "b")], "t_")], "s_")])
+def test_assembler_matches_the_item_list_reference(program):
+    # Same bytes, labels and size once every pushed label is defined; a
+    # duplicate label, also one that arrives through `absorb`, raises in both.
+    ref, asm = RefAssembler(), Assembler()
+    if not _apply(program, ref, asm):
+        return
+    pushed = {item[1] for item in ref._items if item[0] == "pushl"}
+    for name in sorted(pushed - ref._declared):  # forward pushes to the end
+        ref.label(name)
+        asm.label(name)
+    assert asm.assemble() == ref.assemble()
+    assert asm.labels == ref.labels
+    assert asm.size == ref.size
